@@ -1,7 +1,8 @@
 """Quantum belief propagation on a polytree, against the exact oracle.
 
-Messages are kets carrying one tensor axis per unobserved node of the
-sending subtree; two sweeps reach the exact fixed point, and squared
+Messages are kets over their edge variable: each one is folded onto it
+as it is sent, which drops the hidden axes of the sending subtree without
+changing any belief. Two sweeps reach the exact fixed point, and squared
 norms of the node beliefs reproduce the brute-force posteriors.
 """
 

@@ -13,6 +13,7 @@ labels entrywise and never sum. Summation is always explicit, via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -51,7 +52,7 @@ class LabeledAmplitude:
         return LabeledAmplitude(keep, self.data[idx])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return math.sqrt(np.vdot(self.data, self.data).real)
 
     def unit(self) -> "LabeledAmplitude":
         n = self.norm()
@@ -105,25 +106,34 @@ def one_hot(label: int, card: int, value: int) -> LabeledAmplitude:
 
 def multiply(a: LabeledAmplitude, b: LabeledAmplitude) -> LabeledAmplitude:
     """Entrywise product aligning shared labels; result over the label union."""
-    out_labels = tuple(sorted(set(a.labels) | set(b.labels)))
-    for l in set(a.labels) & set(b.labels):
-        if a.card(l) != b.card(l):
+    dims = dict(zip(a.labels, a.data.shape))
+    for l, d in zip(b.labels, b.data.shape):
+        if dims.setdefault(l, d) != d:
             raise ValueError(
-                f"label {l} has cardinality {a.card(l)} on one side "
-                f"and {b.card(l)} on the other"
+                f"label {l} has cardinality {dims[l]} on one side and {d} on the other"
             )
+    out_labels = tuple(sorted(dims))
 
     def expand(t: LabeledAmplitude) -> np.ndarray:
-        shape = [1] * len(out_labels)
-        mine = set(t.labels)
-        k = 0
-        for pos, l in enumerate(out_labels):
-            if l in mine:
-                shape[pos] = t.data.shape[k]
-                k += 1
-        return t.data.reshape(shape)
+        mine = dict(zip(t.labels, t.data.shape))
+        return t.data.reshape([mine.get(l, 1) for l in out_labels])
 
     return LabeledAmplitude(out_labels, expand(a) * expand(b))
+
+
+def fold(amp: LabeledAmplitude, carrier: int) -> LabeledAmplitude:
+    """The ket m'(c) = ||m(c, .)||_2 over the carrier label alone.
+
+    Every other axis is squared and summed away, so m' is real,
+    non-negative and has the same 2-norm as ``amp``. Wherever ``amp``
+    only ever meets other tensors in entrywise products over disjoint
+    axes and is finally read out as a squared norm, m' gives the same
+    result.
+    """
+    axis = amp.labels.index(carrier)
+    drop = tuple(k for k in range(len(amp.labels)) if k != axis)
+    squared = (np.abs(amp.data) ** 2).sum(axis=drop)
+    return LabeledAmplitude((carrier,), np.sqrt(squared).astype(np.complex128))
 
 
 def product(parts: Iterable[LabeledAmplitude]) -> LabeledAmplitude:

@@ -2,10 +2,19 @@
 
 Roots are variables; leaves are factor nodes observed in their "on"
 state, each carrying a complex amplitude table over its neighbor roots.
-Messages are kets exactly as in the polytree case: the factor-to-root
-update keeps every unobserved neighbor as a hidden tensor axis rather
-than summing amplitudes, and the root-to-factor update is an entrywise
-product over disjoint hidden axes.
+Messages are kets exactly as in the polytree case:
+:func:`bipartite_iterate` applies the paper's updates literally, so the
+factor-to-root update keeps every unobserved neighbor as a hidden tensor
+axis rather than summing amplitudes, and the root-to-factor update is an
+entrywise product over disjoint hidden axes.
+
+:func:`run_bipartite` folds every generation onto the carriers: each
+message m(c, H) on an edge with root c becomes m'(c) = ||m(c, .)||_2
+(:func:`~qbnets.amplitudes.fold`). The updates only multiply messages
+entrywise over disjoint hidden axes and never sum amplitudes over one,
+so sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2 for every carrier
+configuration, and every belief is unchanged; a message never holds
+more than one entry per state of its root.
 
 Updates are synchronous: one iteration recomputes every message from
 the previous generation (messages between non-adjacent pairs simply do
@@ -23,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, labeled, multiply
+from .amplitudes import LabeledAmplitude, fold, labeled, multiply
 from .errors import ConvergenceError, ImpossibleEvidenceError, StructureError
 from .graph import Dag
 from .network import QBNet, node_tpm
@@ -74,6 +83,8 @@ class FactorGraphNet:
                 raise ValueError(
                     f"factor {name!r} table shape {arr.shape}, expected {expect}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"factor {name!r} table has a non-finite entry")
             if not np.any(arr):
                 raise ValueError(f"factor {name!r} table is identically zero")
             clean_factors.append(Factor(name, nb, arr))
@@ -194,6 +205,14 @@ def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
     return MessageState(new_to_root, new_to_factor)
 
 
+def _folded(state: MessageState) -> MessageState:
+    """Every message of a generation folded onto its root."""
+    return MessageState(
+        {key: fold(amp, key[1]) for key, amp in state.to_root.items()},
+        {key: fold(amp, key[1]) for key, amp in state.to_factor.items()},
+    )
+
+
 def _state_gap(a: MessageState, b: MessageState) -> float:
     gap = 0.0
     for mine, theirs in ((a.to_root, b.to_root), (a.to_factor, b.to_factor)):
@@ -207,6 +226,9 @@ def _state_gap(a: MessageState, b: MessageState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RootBelief:
+    """A root's posterior. Built from folded messages, ``amplitude``
+    spans the root alone; ``table`` is its normalized squared norm."""
+
     root: int
     amplitude: LabeledAmplitude
     table: np.ndarray
@@ -214,6 +236,9 @@ class RootBelief:
 
 @dataclass(frozen=True, eq=False)
 class FactorBelief:
+    """The joint posterior of a factor's neighbors. Built from folded
+    messages, ``amplitude`` spans exactly those neighbor roots."""
+
     factor: int
     amplitude: LabeledAmplitude
     table: np.ndarray  # axes follow the factor's declared neighbor order
@@ -244,14 +269,18 @@ def bipartite_beliefs(
     """Beliefs at a fixed point: per-root and per-factor-neighborhood tables.
 
     Refuses (with :class:`ConvergenceError`) if one more iteration would
-    still move any message by more than ``tol``.
+    still move any message by more than ``tol``. Both generations are
+    folded before they are compared, so ``state`` may be folded or not.
     """
-    gap = _state_gap(bipartite_iterate(net, state), state)
+    gap = _state_gap(_folded(bipartite_iterate(net, state)), _folded(state))
     if gap > tol:
         raise ConvergenceError(
             f"messages are not a fixed point: one more iteration moves them by {gap:.3g}"
         )
+    return _read_beliefs(net, state)
 
+
+def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
     roots = {}
     for i in range(net.root_count):
         parts = [state.to_root[(a, i)] for a in net.factors_of(i)]
@@ -278,17 +307,27 @@ def bipartite_beliefs(
 def run_bipartite(
     net: FactorGraphNet, tol: float = 1e-12, max_sweeps: int | None = None
 ) -> BipartiteBeliefs:
-    """Iterate from the uniform start until stable, then read off beliefs."""
+    """Iterate from the uniform start until stable, then read off beliefs.
+
+    Every generation is folded onto its roots before the next one is
+    computed, so no message grows beyond its root's cardinality. Raises
+    :class:`ConvergenceError` if ``max_sweeps`` iterations (by default
+    the number of edges plus 3) leave the messages still moving by more
+    than ``tol``.
+    """
     edges = sum(len(f.neighbors) for f in net.factors)
     limit = max_sweeps if max_sweeps is not None else edges + 3
     state = init_messages(net)
     for _ in range(max(limit, 1)):
-        new = bipartite_iterate(net, state)
+        new = _folded(bipartite_iterate(net, state))
         gap = _state_gap(new, state)
         state = new
         if gap <= tol:
-            break
-    return bipartite_beliefs(net, state, tol)
+            return _read_beliefs(net, state)
+    raise ConvergenceError(
+        f"messages are not a fixed point: the last of {max(limit, 1)} iterations "
+        f"moved them by {gap:.3g}"
+    )
 
 
 def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:

@@ -78,17 +78,15 @@ def _cmd_infer(args) -> int:
     else:
         query = [i for i in range(dag.node_count) if i not in evidence]
 
-    posteriors = {}
     if args.method == "bp":
         beliefs = propagate_polytree(net, evidence)
-        for node in query:
-            posteriors[dag.name(node)] = [float(p) for p in beliefs[node].table]
+        tables = [beliefs[node].table for node in query]
     else:
-        if not query:
-            posterior_oracle(net, [], evidence)  # still reject impossible evidence
-        for node in query:
-            table = posterior_oracle(net, [node], evidence)
-            posteriors[dag.name(node)] = [float(p) for p in table]
+        # one dense joint over the whole (ascending) query, then its marginals
+        joint = posterior_oracle(net, query, evidence)
+        axes = range(len(query))
+        tables = [joint.sum(axis=tuple(k for k in axes if k != axis)) for axis in axes]
+    posteriors = {dag.name(node): [float(p) for p in t] for node, t in zip(query, tables)}
     print(json.dumps({"method": args.method, "posteriors": posteriors}))
     return 0
 

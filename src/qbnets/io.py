@@ -35,6 +35,8 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
         raise ValueError(f"{what}: entries must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{what}: entries must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -144,6 +146,8 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
         raise ValueError(f"{what}: matrix entries must be [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{what}: matrix must be square with [re, im] entries")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what}: matrix has a non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

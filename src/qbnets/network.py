@@ -53,6 +53,8 @@ def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM
         raise ValueError(
             f"node {node}: table rank {arr.ndim} but {len(parents)} parents"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"node {node}: table has a non-finite entry")
     tpm = NodeTpm(int(node), parents, arr)
     err = tpm.column_norm_error()
     if err > atol:

@@ -1,9 +1,7 @@
 """Quantum belief propagation on polytrees.
 
-Messages here are kets, not probability tables. A message sent across an
-edge carries the edge variable plus one tensor axis for every unobserved
-node in the sending side of the tree, so the sum-product rules become
-pure tensor algebra:
+Messages here are kets, not probability tables. The paper's rules are
+pure tensor algebra on them:
 
 * products in the rules are entrywise products over disjoint hidden
   axes (the polytree guarantees disjointness, and it is asserted);
@@ -13,22 +11,34 @@ pure tensor algebra:
 * sums over observed variables collapse to the observed value, because
   every table axis of an observed node is masked to a one-hot slice.
 
-Each outgoing message is rescaled to unit 2-norm; the rules are stated
-up to normalization, and the final probability tables renormalize
-anyway. On a polytree one collect sweep and one distribute sweep reach
-the exact fixed point; a further sweep reproduces every message
-bit-for-bit.
+Applied literally, a message would carry the edge variable (its
+carrier c) plus one hidden axis H for every unobserved node of the
+sending subtree, so its size would grow exponentially with that
+subtree. :func:`propagate_polytree` instead folds every message it sends
+onto its carrier, m'(c) = ||m(c, .)||_2 (:func:`~qbnets.amplitudes.fold`).
+This is exact: no rule ever sums amplitudes over an unobserved axis, so
+for every carrier configuration sum_H |prod_k m_k|^2 =
+prod_k sum_{H_k} |m_k|^2, and every belief table is unchanged. Each
+rule's intermediate is then at most one family table: a node, its
+parents and one carrier.
+
+The rule functions themselves do not fold; handed unfolded messages
+they return the literal messages of the paper. Each outgoing message is
+rescaled to unit 2-norm; the rules are stated up to normalization, and
+the final probability tables renormalize anyway. On a polytree one
+collect sweep and one distribute sweep reach the exact fixed point; a
+further sweep reproduces every message bit-for-bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, labeled, multiply, one_hot
+from .amplitudes import LabeledAmplitude, fold, labeled, multiply, one_hot
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
 from .network import QBNet, tpm_amplitude, validate_evidence
@@ -42,8 +52,9 @@ class AmplitudeMessage:
     child-to-parent flow. ``carrier`` is the edge variable (the target
     parent for a lambda message, the sending node for a pi message);
     every other label of ``data`` is a hidden unobserved node owned by
-    the sending subtree. Node-local aggregates (the pi and lambda of a
-    node itself) use source == target.
+    the sending subtree. Messages sent by :func:`propagate_polytree` are
+    folded and have no hidden labels. Node-local aggregates (the pi and
+    lambda of a node itself) use source == target.
     """
 
     source: int
@@ -59,6 +70,14 @@ class AmplitudeMessage:
 
 @dataclass(frozen=True, eq=False)
 class Belief:
+    """A node's posterior.
+
+    ``amplitude`` is the normalized product of the node's lambda and pi
+    aggregates. Built from folded messages it spans the node and its
+    unobserved parents. ``table`` is its squared norm summed over the
+    parents, normalized over the node's states.
+    """
+
     node: int
     amplitude: LabeledAmplitude
     table: np.ndarray
@@ -286,9 +305,11 @@ def _edge_message(
     from_parents = [inbox[(p, sender)] for p in parents if p != receiver]
     if receiver in parents:
         lam = compute_lambda(net, sender, from_children, evidence)
-        return rule1_lambda_to_parent(net, sender, receiver, lam, from_parents, evidence)
-    pi = compute_pi(net, sender, from_parents, evidence)
-    return rule2_pi_to_child(net, sender, receiver, pi, from_children, evidence)
+        msg = rule1_lambda_to_parent(net, sender, receiver, lam, from_parents, evidence)
+    else:
+        pi = compute_pi(net, sender, from_parents, evidence)
+        msg = rule2_pi_to_child(net, sender, receiver, pi, from_children, evidence)
+    return replace(msg, data=fold(msg.data, msg.carrier))
 
 
 def propagate_polytree(
@@ -297,9 +318,11 @@ def propagate_polytree(
     """Exact posteriors for every node of a polytree net.
 
     One collect sweep and one distribute sweep compute all fixed-point
-    messages; each node's belief is the entrywise product of its lambda
-    and pi aggregates, and the returned table is the squared norm of
-    that ket over its hidden axes, normalized over the node's states.
+    messages, each folded onto its carrier as it is sent, so every
+    message holds one entry per state of its edge variable. Each node's
+    belief is the entrywise product of its lambda and pi aggregates, and
+    the returned table is the squared norm of that ket over the node's
+    unobserved parents, normalized over the node's states.
 
     Raises
     ------

@@ -60,6 +60,8 @@ class DensityMatrix:
         dim = int(np.prod([d for _, d in labels])) if labels else 1
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix shape {arr.shape}, expected {(dim, dim)}")
+        if not np.isfinite(arr).all():
+            raise InvalidStateError("matrix has a non-finite entry")
         herm = float(np.max(np.abs(arr - arr.conj().T))) if dim else 0.0
         if herm > HERMITIAN_ATOL:
             raise InvalidStateError(f"matrix deviates from Hermitian by {herm:.3g}")
@@ -237,6 +239,8 @@ class ClassicalDistribution:
         dims = tuple(d for _, d in labels)
         if arr.shape != dims:
             raise ValueError(f"table shape {arr.shape}, expected {dims}")
+        if not np.isfinite(arr).all():
+            raise ValueError("table has a non-finite entry")
         if arr.size and float(arr.min()) < -1e-12:
             raise ValueError(f"negative probability mass {float(arr.min()):.3g}")
         arr = np.clip(arr, 0.0, None)
@@ -313,6 +317,8 @@ class DiagonalExtension:
         w = np.array(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
+        if not np.isfinite(w).all():
+            raise ValueError("weights have a non-finite entry")
         if float(w.min()) < -1e-12:
             raise ValueError(f"negative weight {float(w.min()):.3g}")
         w = np.clip(w, 0.0, None)

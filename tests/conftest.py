@@ -75,6 +75,39 @@ def brute_posterior(net, query, evidence):
     return table / total
 
 
+def chain_forward_backward(net, evidence):
+    """Posteriors of the chain 0 -> 1 -> ... -> n-1, one table per node.
+
+    Classical forward-backward on the squared tables |A_j|^2, whose
+    columns sum to one; it reads ``net.tpms`` directly and runs in time
+    linear in the chain length.
+    """
+    n = net.dag.node_count
+    probs = [np.abs(tpm.table) ** 2 for tpm in net.tpms]  # probs[j][x_j, x_{j-1}]
+
+    def likelihood(j):
+        mask = np.ones(probs[j].shape[0])
+        if j in evidence:
+            mask[:] = 0.0
+            mask[evidence[j]] = 1.0
+        return mask
+
+    forward = [probs[0] * likelihood(0)]
+    for j in range(1, n):
+        f = (probs[j] @ forward[-1]) * likelihood(j)
+        forward.append(f / f.sum())
+    backward = [np.ones(probs[-1].shape[0])]
+    for j in range(n - 1, 0, -1):
+        b = probs[j].T @ (likelihood(j) * backward[-1])
+        backward.append(b / b.sum())
+    backward.reverse()
+    posteriors = []
+    for f, b in zip(forward, backward):
+        p = f * b
+        posteriors.append(p / p.sum())
+    return posteriors
+
+
 def brute_d_separated(dag, a, b, z):
     """Active-trail reachability oracle, independent of moralization.
 

@@ -62,6 +62,12 @@ class TestNodeTpm:
         with pytest.raises(ValueError, match="unit norm"):
             node_tpm(0, (), [1.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN compares False against every tolerance, so it needs its own check
+        with pytest.raises(ValueError, match="non-finite"):
+            node_tpm(0, (), [bad, 0.0])
+
     def test_parent_mismatch_rejected(self):
         dag = Dag([("a", 2), ("b", 2)], [(0, 1)])
         with pytest.raises(ValueError, match="parents"):

@@ -12,6 +12,7 @@ from qbnets import (
     posterior_oracle,
     run_bipartite,
 )
+from qbnets.bipartite import _state_gap
 from qbnets.sampling import random_factor_tree
 
 
@@ -36,6 +37,10 @@ class TestFactorGraphNet:
     def test_zero_table_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             FactorGraphNet(roots=[("a", 2)], factors=[("f", (0,), np.zeros(2))])
+
+    def test_non_finite_table_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            FactorGraphNet([("a", 2)], [("f", (0,), [np.nan, 1.0])])
 
     def test_repeated_neighbor_rejected(self):
         with pytest.raises(ValueError, match="twice"):
@@ -133,3 +138,44 @@ class TestEquivalentQbnet:
         b1 = run_bipartite(pair_factor_net(t))
         b2 = run_bipartite(pair_factor_net(3.7 * t))
         np.testing.assert_allclose(b1.roots[0].table, b2.roots[0].table, atol=1e-12)
+
+
+class TestFold:
+    def test_fold_changes_no_belief(self):
+        most_labels = 0
+        for seed in range(30):
+            rng = np.random.default_rng([47, seed])
+            fg = random_factor_tree(rng, max_factors=5, max_roots=7)
+            edges = sum(len(f.neighbors) for f in fg.factors)
+            state = init_messages(fg)
+            for _ in range(edges + 3):  # the literal updates, never folded
+                new = bipartite_iterate(fg, state)
+                gap = _state_gap(new, state)
+                state = new
+                if gap <= 1e-12:
+                    break
+            assert gap <= 1e-12
+            most_labels = max(
+                most_labels, max(len(m.labels) for m in state.to_root.values())
+            )
+            want = bipartite_beliefs(fg, state)
+            got = run_bipartite(fg)
+            for i, rb in got.roots.items():
+                assert rb.amplitude.labels == (i,)
+                np.testing.assert_allclose(rb.table, want.roots[i].table, rtol=0, atol=1e-12)
+            for a, fb in got.factors.items():
+                assert fb.amplitude.labels == tuple(sorted(fg.factors[a].neighbors))
+                np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-12)
+        assert most_labels >= 3  # the unfolded messages really carried hidden axes
+
+    def test_unconverged_run_raises(self):
+        fg = FactorGraphNet(
+            roots=[("a", 2), ("b", 2), ("c", 2)],
+            factors=[
+                ("f", (0, 1), np.array([[1.0, 0.2], [0.1, 1.0]])),
+                ("g", (1, 2), np.array([[1.0, 0.9], [0.3, 1.0]])),
+            ],
+        )
+        with pytest.raises(ConvergenceError):
+            run_bipartite(fg, max_sweeps=1)
+        run_bipartite(fg, max_sweeps=4)

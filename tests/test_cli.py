@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qbnets import posterior_oracle
 from qbnets.cli import main
 from qbnets.io import (
     density_to_json,
@@ -91,6 +92,43 @@ class TestInfer:
         )
         assert code == 1 and "impossible evidence" in err
 
+    def test_non_finite_table_is_input_error(self, capsys, tmp_path):
+        # json writes and reads NaN as a bare token
+        save_json(
+            tmp_path / "net.json",
+            {
+                "nodes": [{"name": "a", "states": 2, "parents": []}],
+                "tpms": {"a": [[float("nan"), 0.0], [0.0, 0.0]]},
+            },
+        )
+        for method in ("bp", "oracle"):
+            code, out, err = run(capsys, "infer", str(tmp_path / "net.json"), "--method", method)
+            assert code == 2 and out == "" and "non-finite" in err
+
+    def test_oracle_matches_per_node_oracle(self, capsys, tmp_path):
+        rng = np.random.default_rng(12)
+        net = random_qbnet(random_polytree_dag(rng, 7, max_card=3), rng)
+        path = tmp_path / "net.json"
+        save_json(path, qbnet_to_json(net))
+        net = qbnet_from_json(load_json(path))
+        dag = net.dag
+        evidence = {1: 0, 4: 1}
+        spec = ",".join(f"{dag.name(i)}={v}" for i, v in evidence.items())
+        for query in ([5, 0, 3], []):
+            names = ",".join(dag.name(i) for i in query)
+            code, out, _ = run(
+                capsys, "infer", str(path), "--evidence", spec, "--method", "oracle",
+                *(("--query", names) if names else ()),
+            )
+            assert code == 0
+            got = json.loads(out)["posteriors"]
+            want = sorted(query) or [i for i in range(dag.node_count) if i not in evidence]
+            assert list(got) == [dag.name(i) for i in want]
+            for i in want:
+                np.testing.assert_allclose(
+                    got[dag.name(i)], posterior_oracle(net, [i], evidence), rtol=0, atol=1e-12
+                )
+
     def test_query_selection(self, capsys, screened_net_file):
         code, out, _ = run(capsys, "infer", screened_net_file, "--method", "oracle", "--query", "x")
         assert code == 0
@@ -98,6 +136,17 @@ class TestInfer:
 
 
 class TestEntropy:
+    def test_non_finite_state_is_input_error(self, capsys, tmp_path):
+        save_json(
+            tmp_path / "rho.json",
+            {
+                "labels": [{"name": "x", "dim": 2}],
+                "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("nan"), 0.0]]],
+            },
+        )
+        code, out, err = run(capsys, "entropy", str(tmp_path / "rho.json"))
+        assert code == 2 and out == "" and "non-finite" in err
+
     def test_plain_entropy(self, capsys, tmp_path):
         rho = random_density_matrix((("x", 2),), np.random.default_rng(2))
         save_json(tmp_path / "rho.json", density_to_json(rho))

@@ -15,9 +15,11 @@ from qbnets import (
     rule1_lambda_to_parent,
     rule2_pi_to_child,
 )
+from qbnets import qbp
+from qbnets.amplitudes import multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
-from conftest import brute_posterior
+from conftest import brute_posterior, chain_forward_backward
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -280,3 +282,98 @@ class TestInvariances:
         for node in range(5):
             expect = brute_posterior(net, [node], ev)
             np.testing.assert_allclose(beliefs[node].table, expect, atol=1e-10)
+
+
+def unfolded_tables(net, evidence):
+    """The paper's rules composed literally over the two sweeps, no fold.
+
+    Returns the belief tables and the largest number of hidden axes any
+    message carried.
+    """
+    dag = net.dag
+    inbox = {}
+    for s, r in qbp._skeleton_sweeps(dag):
+        from_children = [inbox[(c, s)] for c in dag.children(s) if c != r]
+        from_parents = [inbox[(p, s)] for p in dag.parents(s) if p != r]
+        if r in dag.parents(s):
+            lam = compute_lambda(net, s, from_children, evidence)
+            inbox[(s, r)] = rule1_lambda_to_parent(net, s, r, lam, from_parents, evidence)
+        else:
+            pi = compute_pi(net, s, from_parents, evidence)
+            inbox[(s, r)] = rule2_pi_to_child(net, s, r, pi, from_children, evidence)
+    tables = {}
+    for node in range(dag.node_count):
+        lam = compute_lambda(net, node, [inbox[(c, node)] for c in dag.children(node)], evidence)
+        pi = compute_pi(net, node, [inbox[(p, node)] for p in dag.parents(node)], evidence)
+        amp = multiply(lam.data, pi.data)
+        axis = amp.labels.index(node)
+        squared = np.abs(amp.data) ** 2
+        table = squared.sum(axis=tuple(k for k in range(squared.ndim) if k != axis))
+        tables[node] = table / table.sum()
+    return tables, max((len(m.hidden) for m in inbox.values()), default=0)
+
+
+class TestFold:
+    def test_fold_changes_no_belief(self):
+        compared = 0
+        most_hidden = 0
+        for trial in range(60):
+            rng = np.random.default_rng([51, trial])
+            dag = random_polytree_dag(rng, int(rng.integers(2, 9)))
+            net = random_qbnet(dag, rng)
+            evidence = random_evidence(dag, rng)
+            try:
+                want, hidden = unfolded_tables(net, evidence)
+            except ImpossibleEvidenceError:
+                with pytest.raises(ImpossibleEvidenceError):
+                    propagate_polytree(net, evidence)
+                continue
+            beliefs = propagate_polytree(net, evidence)
+            for node, table in want.items():
+                np.testing.assert_allclose(beliefs[node].table, table, rtol=0, atol=1e-12)
+            compared += 1
+            most_hidden = max(most_hidden, hidden)
+        assert compared >= 40
+        assert most_hidden >= 3  # the unfolded messages really carried hidden axes
+
+    def test_belief_amplitude_spans_node_and_unobserved_parents(self):
+        dag = Dag([("a", 2), ("b", 3), ("c", 2), ("d", 2)], [(0, 2), (1, 2), (2, 3)])
+        net = random_qbnet(dag, np.random.default_rng(52))
+        beliefs = propagate_polytree(net, {1: 2, 3: 0})
+        assert beliefs[2].amplitude.labels == (0, 2)
+        assert beliefs[3].amplitude.labels == (2, 3)
+        assert beliefs[0].amplitude.labels == (0,)
+
+    def test_forward_backward_reference_matches_enumeration(self):
+        dag = Dag([(f"c{i}", 2) for i in range(6)], [(i, i + 1) for i in range(5)])
+        net = random_qbnet(dag, np.random.default_rng(54))
+        evidence = {5: 1, 2: 0}
+        want = chain_forward_backward(net, evidence)
+        for node in range(6):
+            if node not in evidence:
+                np.testing.assert_allclose(
+                    want[node], brute_posterior(net, [node], evidence), atol=1e-12
+                )
+
+    def test_long_chain_messages_stay_carrier_sized(self, monkeypatch):
+        # unfolded, the last message of this chain would hold 2^199 amplitudes
+        n = 200
+        dag = Dag([(f"c{i}", 2) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        net = random_qbnet(dag, np.random.default_rng(53))
+        evidence = {n - 1: 1, n // 2: 0}
+        sent = []
+        edge_message = qbp._edge_message
+
+        def recording(*args):
+            msg = edge_message(*args)
+            sent.append(msg)
+            return msg
+
+        monkeypatch.setattr(qbp, "_edge_message", recording)
+        beliefs = propagate_polytree(net, evidence)
+        assert len(sent) == 2 * (n - 1)
+        for msg in sent:
+            assert msg.data.labels == (msg.carrier,) and msg.data.data.shape == (2,)
+        want = chain_forward_backward(net, evidence)
+        for node in range(n):
+            np.testing.assert_allclose(beliefs[node].table, want[node], rtol=0, atol=1e-10)

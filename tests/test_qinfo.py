@@ -49,6 +49,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(InvalidStateError, match="eigenvalue"):
             DensityMatrix((("q", 2),), [[1.5, 0], [0, -0.5]])
 
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix((("x", 2),), np.diag([np.nan, np.nan]))
+
     def test_tiny_negative_tolerated(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         m /= np.trace(m).real
@@ -167,6 +171,10 @@ class TestClassicalInformation:
         with pytest.raises(ValueError, match="negative"):
             ClassicalDistribution((("x", 2),), [1.1, -0.1])
 
+    def test_non_finite_mass_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ClassicalDistribution((("x", 2),), [np.nan, 1.0])
+
     def test_cmi_is_weighted_sum_over_conditioner(self):
         rng = np.random.default_rng(7)
         t = rng.random((2, 3, 2))
@@ -188,6 +196,8 @@ class TestDiagonalExtension:
         rho = qubit(np.eye(2) / 2)
         with pytest.raises(ValueError, match="sum"):
             DiagonalExtension([0.5, 0.4], [rho, rho])
+        with pytest.raises(ValueError, match="non-finite"):
+            DiagonalExtension([np.nan, 1.0], [rho, rho])
 
     def test_assemble_blocks(self):
         rng = np.random.default_rng(8)

@@ -6,7 +6,9 @@ Messages are kets exactly as in the polytree case:
 :func:`bipartite_iterate` applies the paper's updates literally, so the
 factor-to-root update keeps every unobserved neighbor as a hidden tensor
 axis rather than summing amplitudes, and the root-to-factor update is an
-entrywise product over disjoint hidden axes.
+entrywise product over disjoint hidden axes. Like the dense paths, it
+raises :class:`~qbnets.errors.CapacityError` before building a product
+of more than ``DEFAULT_CAP`` entries.
 
 :func:`run_bipartite` folds every generation onto the carriers: each
 message m(c, H) on an edge with root c becomes m'(c) = ||m(c, .)||_2
@@ -35,7 +37,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, fold, labeled, multiply
 from .errors import ConvergenceError, ImpossibleEvidenceError, StructureError
 from .graph import Dag
-from .network import QBNet, node_tpm
+from .network import QBNet, _capped_multiply, node_tpm
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +191,7 @@ def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
             _assert_disjoint(parts, {i})
             data = _uniform(net, i) if not parts else parts[0]
             for part in parts[1:]:
-                data = multiply(data, part)
+                data = _capped_multiply(data, part)
             new_to_factor[(a, i)] = _unit(data)
 
     new_to_root = {}
@@ -199,7 +201,7 @@ def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
             _assert_disjoint(parts, set(f.neighbors))
             data = net.factor_amplitude(a)
             for part in parts:
-                data = multiply(data, part)
+                data = _capped_multiply(data, part)
             new_to_root[(a, i)] = _unit(data)
 
     return MessageState(new_to_root, new_to_factor)

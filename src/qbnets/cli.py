@@ -39,6 +39,8 @@ def _load(path: str) -> dict:
         ) from exc
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _names_to_multinode(dag, spec: str) -> Multinode:

@@ -5,12 +5,15 @@ Net tables are flattened with the node's own state varying fastest,
 then the parents in declared order; factor tables with the first
 neighbor's state varying fastest. Loaders validate structure and the
 unit-norm table condition (rejecting deviations beyond 1e-8, then
-renormalizing the surviving roundoff away).
+renormalizing the surviving roundoff away). A value of the wrong JSON
+type raises ``ValueError`` naming its path in the file, as in
+``nodes[0].parents: expected a list``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -40,10 +43,34 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _expect(obj: Any, key: str, what: str):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"{what}: missing key {key!r}")
-    return obj[key]
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def _typed(value: Any, kind: type, path: str):
+    """``value`` if it has the JSON type ``kind`` (``float``: any number)."""
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok or (kind in (int, float) and isinstance(value, bool)):
+        raise ValueError(f"{path}: expected {_KINDS[kind]}")
+    return value
+
+
+def _member(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _field(obj: dict, key: str, kind: type, path: str = ""):
+    """The required member ``key`` of the object at ``path``, typed."""
+    if key not in obj:
+        raise ValueError(f"{path or 'file'}: missing key {key!r}")
+    return _typed(obj[key], kind, _member(path, key))
+
+
+def _list_of(obj: dict, key: str, kind: type, path: str = "") -> list:
+    """The required list member ``key``, each element of type ``kind``."""
+    items = _field(obj, key, list, path)
+    for k, item in enumerate(items):
+        _typed(item, kind, f"{_member(path, key)}[{k}]")
+    return items
 
 
 # -- qbnets -----------------------------------------------------------------
@@ -67,32 +94,29 @@ def qbnet_to_json(net: QBNet) -> dict:
 
 
 def dag_from_json(obj: dict) -> Dag:
-    nodes_spec = _expect(obj, "nodes", "net file")
-    names = []
+    _typed(obj, dict, "net file")
+    nodes_spec = _list_of(obj, "nodes", dict)
     nodes = []
-    for entry in nodes_spec:
-        name = str(_expect(entry, "name", "node entry"))
-        states = int(_expect(entry, "states", f"node {name!r}"))
-        names.append(name)
-        nodes.append((name, states))
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
+    parent_names = []
+    for k, entry in enumerate(nodes_spec):
+        path = f"nodes[{k}]"
+        nodes.append((_field(entry, "name", str, path), _field(entry, "states", int, path)))
+        parent_names.append(_list_of(entry, "parents", str, path) if "parents" in entry else [])
+    index = {name: i for i, (name, _) in enumerate(nodes)}
+    if len(index) != len(nodes):
         raise ValueError("net file: duplicate node names")
     edges = []
-    for entry in nodes_spec:
-        child = index[str(entry["name"])]
-        for pname in entry.get("parents", []):
+    for child, ((name, _), pnames) in enumerate(zip(nodes, parent_names)):
+        for pname in pnames:
             if pname not in index:
-                raise ValueError(
-                    f"node {entry['name']!r} lists unknown parent {pname!r}"
-                )
+                raise ValueError(f"node {name!r} lists unknown parent {pname!r}")
             edges.append((index[pname], child))
     return Dag(nodes, edges)
 
 
 def qbnet_from_json(obj: dict) -> QBNet:
     dag = dag_from_json(obj)
-    tables = _expect(obj, "tpms", "net file")
+    tables = _field(obj, "tpms", dict)
     tpms = []
     for j in range(dag.node_count):
         name = dag.name(j)
@@ -102,9 +126,9 @@ def qbnet_from_json(obj: dict) -> QBNet:
         shape = (dag.cardinality(j),) + tuple(
             dag.cardinality(p) for p in dag.parents(j)
         )
-        if flat.size != int(np.prod(shape)):
+        if flat.size != math.prod(shape):
             raise ValueError(
-                f"table of {name!r} has {flat.size} entries, expected {int(np.prod(shape))}"
+                f"table of {name!r} has {flat.size} entries, expected {math.prod(shape)}"
             )
         table = flat.reshape(shape, order="F")
         sums = (np.abs(table) ** 2).sum(axis=0)
@@ -125,11 +149,11 @@ def _labels_to_json(labels) -> list[dict]:
     return [{"name": n, "dim": d} for n, d in labels]
 
 
-def _labels_from_json(spec, what: str):
-    out = []
-    for entry in spec:
-        out.append((str(_expect(entry, "name", what)), int(_expect(entry, "dim", what))))
-    return tuple(out)
+def _labels_from_json(obj: dict) -> tuple[tuple[str, int], ...]:
+    return tuple(
+        (_field(entry, "name", str, f"labels[{k}]"), _field(entry, "dim", int, f"labels[{k}]"))
+        for k, entry in enumerate(_list_of(obj, "labels", dict))
+    )
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
@@ -159,8 +183,9 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
-    labels = _labels_from_json(_expect(obj, "labels", "state file"), "state label")
-    matrix = _matrix_from_json(_expect(obj, "matrix", "state file"), "state file")
+    _typed(obj, dict, "state file")
+    labels = _labels_from_json(obj)
+    matrix = _matrix_from_json(_field(obj, "matrix", list), "state file")
     return DensityMatrix(labels, matrix)
 
 
@@ -173,14 +198,15 @@ def extension_to_json(ext: DiagonalExtension) -> dict:
 
 
 def extension_from_json(obj: dict) -> DiagonalExtension:
-    weights = _expect(obj, "weights", "extension file")
-    comps = _expect(obj, "components", "extension file")
+    _typed(obj, dict, "extension file")
+    weights = _list_of(obj, "weights", float)
+    comps = _field(obj, "components", list)
     mats = [
         _matrix_from_json(entry, f"extension component {k}")
         for k, entry in enumerate(comps)
     ]
     if "labels" in obj:
-        labels = _labels_from_json(obj["labels"], "extension label")
+        labels = _labels_from_json(obj)
     else:
         # the format allows omitting labels; a square split is the only
         # unambiguous default
@@ -214,23 +240,24 @@ def factor_graph_to_json(net: FactorGraphNet) -> dict:
 
 
 def factor_graph_from_json(obj: dict) -> FactorGraphNet:
-    roots_spec = _expect(obj, "roots", "factor graph file")
+    _typed(obj, dict, "factor graph file")
     roots = [
-        (str(_expect(r, "name", "root entry")), int(_expect(r, "states", "root entry")))
-        for r in roots_spec
+        (_field(r, "name", str, f"roots[{k}]"), _field(r, "states", int, f"roots[{k}]"))
+        for k, r in enumerate(_list_of(obj, "roots", dict))
     ]
     index = {name: i for i, (name, _) in enumerate(roots)}
     factors = []
-    for entry in _expect(obj, "factors", "factor graph file"):
-        name = str(_expect(entry, "name", "factor entry"))
+    for k, entry in enumerate(_list_of(obj, "factors", dict)):
+        path = f"factors[{k}]"
+        name = _field(entry, "name", str, path)
         nb = []
-        for rname in _expect(entry, "nb", f"factor {name!r}"):
+        for rname in _list_of(entry, "nb", str, path):
             if rname not in index:
                 raise ValueError(f"factor {name!r} names unknown root {rname!r}")
             nb.append(index[rname])
-        flat = _from_pairs(_expect(entry, "table", f"factor {name!r}"), f"table of {name!r}")
+        flat = _from_pairs(_field(entry, "table", list, path), f"table of {name!r}")
         shape = tuple(roots[i][1] for i in nb)
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if flat.size != expected:
             raise ValueError(
                 f"table of factor {name!r} has {flat.size} entries, expected {expected}"

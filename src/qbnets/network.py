@@ -6,18 +6,22 @@ a probability amplitude, and each parent configuration's column has unit
 The functions below realize the vector-amplitude algebra on top of that:
 joint tensors, kets over a multinode's complement, marginals,
 conditionals, and the brute-force posterior used as the inference oracle
-throughout the test suite.
+throughout the test suite. Those build the joint tensor over every node
+and are the dense references. Reduced states instead come from variable
+elimination over the doubled network {A_j, A_j*}, whose intermediates
+follow the net's width rather than its size.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, labeled, product
+from .amplitudes import LabeledAmplitude, labeled, multiply, product
 from .errors import CapacityError, ImpossibleEvidenceError, ZeroProbabilityError
 from .graph import Dag, as_multinode
 
@@ -121,12 +125,24 @@ def tpm_amplitude(net: QBNet, node: int) -> LabeledAmplitude:
     return labeled((node,) + tpm.parents, tpm.table)
 
 
-def _check_cap(dims: Sequence[int], cap: int) -> None:
-    total = math.prod(dims) if dims else 1
+def _check_cap(dims: Iterable[int], cap: int, what: str = "joint tensor") -> None:
+    total = math.prod(dims)
     if total > cap:
         raise CapacityError(
-            f"joint tensor would hold {total} amplitudes, above the cap of {cap}"
+            f"{what} would hold {total} entries, above the cap of {cap}"
         )
+
+
+def _capped_multiply(a: LabeledAmplitude, b: LabeledAmplitude) -> LabeledAmplitude:
+    """``multiply(a, b)``, refused before it is built if it would hold
+    more than ``DEFAULT_CAP`` entries. The product of the two sizes
+    bounds the product's size, so the exact count is only taken when
+    that bound is above the cap."""
+    if a.data.size * b.data.size > DEFAULT_CAP:
+        dims = dict(zip(a.labels, a.data.shape))
+        dims.update(zip(b.labels, b.data.shape))
+        _check_cap(dims.values(), DEFAULT_CAP, "product")
+    return multiply(a, b)
 
 
 def joint_amplitude(net: QBNet, assignment: Sequence[int]) -> complex:
@@ -156,6 +172,109 @@ def amplitude_tensor(net: QBNet, cap: int = DEFAULT_CAP) -> LabeledAmplitude:
     """
     _check_cap(net.dag.cardinalities, cap)
     return product(tpm_amplitude(net, j) for j in range(net.dag.node_count))
+
+
+# Operands per np.einsum call; NumPy 1.x allows 32, NumPy 2 allows 64.
+_MAX_OPERANDS = 32
+
+_Factor = tuple[tuple[int, ...], np.ndarray]
+
+
+def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
+    """Sum-product of ``parts`` onto the indices ``out``, in one einsum call.
+
+    Indices are renumbered from 0 for this call alone, so NumPy's limit
+    on subscript symbols bounds the indices of one step, not of the net.
+    """
+    local: dict[int, int] = {}
+    args: list = []
+    for idx, data in parts:
+        args += [data, [local.setdefault(i, len(local)) for i in idx]]
+    return np.einsum(*args, [local[i] for i in out])
+
+
+def _contract(
+    parts: Sequence[_Factor], out: Sequence[int], card: Mapping[int, int], cap: int
+) -> np.ndarray:
+    """Sum-product of ``parts`` onto ``out``, with at most ``_MAX_OPERANDS``
+    operands per einsum call. A group of parts merged ahead of the
+    summation keeps all of its indices and is held to ``cap`` too."""
+    parts = list(parts)
+    while len(parts) > _MAX_OPERANDS:
+        head, parts = parts[:_MAX_OPERANDS], parts[_MAX_OPERANDS:]
+        scope = sorted(set().union(*(idx for idx, _ in head)))
+        _check_cap((card[i] for i in scope), cap, "an elimination step")
+        parts.insert(0, (tuple(scope), _einsum(head, scope)))
+    return _einsum(parts, out)
+
+
+def _doubled_contraction(net: QBNet, keep, diag, cap: int) -> np.ndarray:
+    """Contract the doubled network {A_j, A_j*} onto the held nodes.
+
+    Node j's ket index is j. Its bra index is a separate one when j is
+    in ``keep`` and j itself otherwise, so kept nodes keep separate ket
+    and bra indices, ``diag`` nodes share one index, and every other
+    node is summed out. Those traced nodes are eliminated one at a time
+    (variable elimination), always the one whose intermediate would be
+    smallest, ties going to the lower node index. Returns the product
+    over the held indices, axes ordered as the kept kets, the kept bras,
+    then the ``diag`` nodes, each group ascending.
+
+    Raises
+    ------
+    CapacityError
+        before building an intermediate of more than ``cap`` entries.
+        The final product over the held indices is the caller's output
+        and is not held to ``cap``.
+    """
+    dag = net.dag
+    n = dag.node_count
+    keep, diag = sorted(keep), sorted(diag)
+    kept = set(keep)
+    bra = [n + j if j in kept else j for j in range(n)]
+    card: dict[int, int] = {}
+    for j in range(n):
+        card[j] = card[bra[j]] = dag.cardinality(j)
+
+    factors: dict[int, _Factor] = {}
+    where: dict[int, set[int]] = {i: set() for i in card}
+    keys = itertools.count()
+
+    def add(idx: tuple[int, ...], data: np.ndarray) -> None:
+        key = next(keys)
+        factors[key] = (idx, data)
+        for i in idx:
+            where[i].add(key)
+
+    for j, tpm in enumerate(net.tpms):
+        idx = (j,) + tpm.parents
+        add(idx, tpm.table)
+        add(tuple(bra[i] for i in idx), tpm.table.conj())
+
+    def scope(v: int) -> tuple[int, ...]:
+        return tuple(sorted(set().union(*(factors[k][0] for k in where[v])) - {v}))
+
+    held = kept | set(diag)
+    score = {v: math.prod(card[i] for i in scope(v)) for v in range(n) if v not in held}
+    while score:
+        v = min(score, key=lambda u: (score[u], u))
+        out = scope(v)
+        _check_cap((card[i] for i in out), cap, "an elimination step")
+        parts = []
+        for k in sorted(where[v]):
+            part = factors.pop(k)
+            for i in part[0]:
+                where[i].discard(k)
+            parts.append(part)
+        add(out, _contract(parts, out, card, cap))
+        del score[v]
+        for u in out:
+            if u in score:
+                score[u] = math.prod(card[i] for i in scope(u))
+
+    out = tuple(keep) + tuple(bra[j] for j in keep) + tuple(diag)
+    # every part left lies inside the output, so no merged group outgrows it
+    return _contract(list(factors.values()), out, card, math.prod(card[i] for i in out))
 
 
 def vector_amplitude(

@@ -23,7 +23,9 @@ rule's intermediate is then at most one family table: a node, its
 parents and one carrier.
 
 The rule functions themselves do not fold; handed unfolded messages
-they return the literal messages of the paper. Each outgoing message is
+they return the literal messages of the paper, and raise
+:class:`~qbnets.errors.CapacityError` before building a product of more
+than ``DEFAULT_CAP`` entries. Each outgoing message is
 rescaled to unit 2-norm; the rules are stated up to normalization, and
 the final probability tables renormalize anyway. On a polytree one
 collect sweep and one distribute sweep reach the exact fixed point; a
@@ -41,7 +43,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, fold, labeled, multiply, one_hot
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, tpm_amplitude, validate_evidence
+from .network import QBNet, _capped_multiply, tpm_amplitude, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +160,7 @@ def compute_pi(
     _assert_disjoint_hidden(parent_messages, [node, *parents])
     data = _masked_tpm(net, node, evidence)
     for msg in sorted(parent_messages, key=lambda m: m.source):
-        data = multiply(data, msg.data)
+        data = _capped_multiply(data, msg.data)
     return AmplitudeMessage(node, node, "pi", node, _finish(data, node, evidence))
 
 
@@ -179,7 +181,7 @@ def compute_lambda(
     _assert_disjoint_hidden(child_messages, [node])
     data = labeled((node,), np.ones(net.dag.cardinality(node)))
     for msg in sorted(child_messages, key=lambda m: m.source):
-        data = multiply(data, msg.data)
+        data = _capped_multiply(data, msg.data)
     return AmplitudeMessage(node, node, "lambda", node, _finish(data, node, evidence))
 
 
@@ -218,9 +220,9 @@ def rule1_lambda_to_parent(
     incoming = [lambda_message, *other_parent_messages]
     _assert_disjoint_hidden(incoming, [node, *parents])
     data = _masked_tpm(net, node, evidence)
-    data = multiply(data, lambda_message.data)
+    data = _capped_multiply(data, lambda_message.data)
     for msg in sorted(other_parent_messages, key=lambda m: m.source):
-        data = multiply(data, msg.data)
+        data = _capped_multiply(data, msg.data)
     return AmplitudeMessage(node, parent, "lambda", parent, _finish(data, parent, evidence))
 
 
@@ -257,7 +259,7 @@ def rule2_pi_to_child(
     _assert_disjoint_hidden(incoming, [node])
     data = pi_message.data
     for msg in sorted(other_child_messages, key=lambda m: m.source):
-        data = multiply(data, msg.data)
+        data = _capped_multiply(data, msg.data)
     return AmplitudeMessage(node, child, "pi", node, _finish(data, node, evidence))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidStateError
 from .graph import as_multinode
-from .network import DEFAULT_CAP, QBNet, amplitude_tensor
+from .network import DEFAULT_CAP, QBNet, _doubled_contraction
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -426,18 +426,26 @@ def cmi_diagonal(ext: DiagonalExtension, x=None, y=None) -> float:
 def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> DensityMatrix:
     """Reduced state of a net's joint ket, dephased on the ``diag`` nodes.
 
-    Forms the pure projector of the joint amplitude tensor, traces out
-    every node outside ``keep | diag``, and zeroes the blocks
-    off-diagonal in the ``diag`` computational basis. This is the class
-    of states a graph can generate when the conditioning nodes are read
-    out without keeping coherences.
+    This is the pure projector of the joint ket, traced down to
+    ``keep | diag`` with the blocks off-diagonal in the ``diag``
+    computational basis zeroed: the class of states a graph can generate
+    when the conditioning nodes are read out without keeping coherences.
+    It is computed as the contraction of the doubled network
+    {A_j, A_j*} by variable elimination, so no tensor over all nodes is
+    built: kept nodes keep separate ket and bra indices, ``diag`` nodes
+    share one, and every other node is summed out. The product over the
+    held nodes is written straight onto the diagonal blocks of the
+    ``diag`` nodes.
+
+    ``cap`` bounds the dimension of the reduced state and the number of
+    entries of every intermediate of the elimination; exceeding either
+    raises :class:`CapacityError` before anything that large is built.
     """
     keep, diag = as_multinode(keep), as_multinode(diag)
     keep.validate(net.dag)
     diag.validate(net.dag)
     if not keep.isdisjoint(diag):
         raise ValueError("keep and diag multinodes must be disjoint")
-    amp = amplitude_tensor(net, cap)
     held = keep | diag
     if not held:
         raise ValueError("keep | diag must name at least one node")
@@ -446,13 +454,16 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
         raise CapacityError(
             f"reduced state would be {held_dim}-dimensional, above the cap of {cap}"
         )
-    axes = tuple(amp.labels.index(i) for i in held)
-    rest = tuple(k for k in range(len(amp.labels)) if k not in axes)
-    mat = amp.data.transpose(axes + rest).reshape(held_dim, -1)
-    rho = mat @ mat.conj().T
+    joint = _doubled_contraction(net, keep, diag, cap)
+    # axes of ``joint``: kept kets, kept bras, diag; held position p is
+    # row axis p and column axis h + p of the state
+    h = len(held)
+    pos = {node: p for p, node in enumerate(held)}
+    subs = [pos[i] for i in keep] + [h + pos[i] for i in keep] + [pos[i] for i in diag]
+    args = [joint, subs]
+    for i in diag:
+        args += [np.eye(net.dag.cardinality(i)), [pos[i], h + pos[i]]]
+    rho = np.einsum(*args, list(range(2 * h))).reshape(held_dim, held_dim)
     rho = 0.5 * (rho + rho.conj().T)
     labels = tuple((net.dag.name(i), net.dag.cardinality(i)) for i in held)
-    out = DensityMatrix(labels, rho)
-    if diag:
-        out = dephase(out, [net.dag.name(i) for i in diag])
-    return out
+    return DensityMatrix(labels, rho)

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qbnets import Dag
+from qbnets import Dag, DensityMatrix, amplitude_tensor, dephase, partial_trace
 
 
 @pytest.fixture
@@ -73,6 +73,17 @@ def brute_posterior(net, query, evidence):
         total += w
         table[tuple(a[i] for i in query)] += w
     return table / total
+
+
+def dense_reduced_state(net, keep, diag=()):
+    """The reduced state by the dense route: the projector of the full
+    joint ket, partially traced to ``keep | diag``, dephased on ``diag``."""
+    dag = net.dag
+    amp = amplitude_tensor(net).data.reshape(-1)
+    labels = tuple((dag.name(i), dag.cardinality(i)) for i in range(dag.node_count))
+    rho = DensityMatrix(labels, np.outer(amp, amp.conj()))
+    rho = partial_trace(rho, [dag.name(i) for i in sorted({*keep, *diag})])
+    return dephase(rho, [dag.name(i) for i in diag])
 
 
 def chain_forward_backward(net, evidence):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qbnets import (
+    CapacityError,
     ConvergenceError,
     FactorGraphNet,
+    MessageState,
     StructureError,
     bipartite_beliefs,
     bipartite_iterate,
@@ -12,6 +14,7 @@ from qbnets import (
     posterior_oracle,
     run_bipartite,
 )
+from qbnets.amplitudes import labeled
 from qbnets.bipartite import _state_gap
 from qbnets.sampling import random_factor_tree
 
@@ -179,3 +182,20 @@ class TestFold:
         with pytest.raises(ConvergenceError):
             run_bipartite(fg, max_sweeps=1)
         run_bipartite(fg, max_sweeps=4)
+
+
+class TestCapacity:
+    def test_iterate_refuses_product_above_cap(self):
+        # unfolded messages into f0 carrying nine hidden roots each: the
+        # update for root 0 would hold 2^21 entries, above DEFAULT_CAP
+        net = FactorGraphNet(
+            roots=[(f"x{i}", 2) for i in range(21)],
+            factors=[("f0", (0, 1, 2), np.ones((2, 2, 2)))],
+        )
+        rng = np.random.default_rng(0)
+        to_factor = dict(init_messages(net).to_factor)
+        to_factor[(0, 1)] = labeled((1, *range(3, 12)), rng.normal(size=(2,) * 10))
+        to_factor[(0, 2)] = labeled((2, *range(12, 21)), rng.normal(size=(2,) * 10))
+        state = MessageState(init_messages(net).to_root, to_factor)
+        with pytest.raises(CapacityError):
+            bipartite_iterate(net, state)

@@ -267,3 +267,25 @@ class TestErrorHandling:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(capsys, "dsep", "no-such-file.json", "--a", "x", "--b", "y")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "obj, path",
+        [
+            ({"nodes": 7, "tpms": {}}, "nodes: expected a list"),
+            (
+                {"nodes": [{"name": "a", "states": 2, "parents": "a"}], "tpms": {}},
+                "nodes[0].parents: expected a list",
+            ),
+            ({"nodes": [{"name": "a", "states": None}], "tpms": {}}, "nodes[0].states: expected an integer"),
+        ],
+    )
+    def test_wrongly_typed_net_exits_two_with_path(self, capsys, tmp_path, obj, path):
+        save_json(tmp_path / "net.json", obj)
+        code, _, err = run(capsys, "infer", str(tmp_path / "net.json"))
+        assert code == 2 and path in err
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        code, _, err = run(capsys, "dsep", str(bad), "--a", "x", "--b", "y")
+        assert code == 2 and "nested" in err

@@ -141,3 +141,48 @@ class TestAmplitudePreservation:
         np.testing.assert_allclose(
             amplitude_tensor(back).data, amplitude_tensor(net).data, atol=1e-12
         )
+
+
+class TestWrongJsonTypes:
+    """Every wrongly typed value is a ValueError naming its path."""
+
+    NODE = {"name": "a", "states": 2, "parents": []}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ([], "net file: expected an object"),
+            ({"nodes": 7, "tpms": {}}, "nodes: expected a list"),
+            ({"nodes": False, "tpms": {}}, "nodes: expected a list"),
+            ({"nodes": [3], "tpms": {}}, "nodes[0]: expected an object"),
+            ({"nodes": [{**NODE, "parents": "a"}], "tpms": {}}, "nodes[0].parents: expected a list"),
+            ({"nodes": [{**NODE, "parents": [{}]}], "tpms": {}}, "nodes[0].parents[0]: expected a string"),
+            ({"nodes": [{**NODE, "states": None}], "tpms": {}}, "nodes[0].states: expected an integer"),
+            ({"nodes": [{**NODE, "states": True}], "tpms": {}}, "nodes[0].states: expected an integer"),
+            ({"nodes": [{**NODE, "name": ["a"]}], "tpms": {}}, "nodes[0].name: expected a string"),
+            ({"nodes": [NODE], "tpms": 5}, "tpms: expected an object"),
+            ({"nodes": [{"states": 2}], "tpms": {}}, "nodes[0]: missing key 'name'"),
+        ],
+    )
+    def test_net(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            qbnet_from_json(obj)
+        assert message in str(info.value)
+
+    def test_state(self):
+        with pytest.raises(ValueError, match=r"labels\[0\]\.dim: expected an integer"):
+            density_from_json({"labels": [{"name": "x", "dim": "2"}], "matrix": [[[1, 0]]]})
+        with pytest.raises(ValueError, match="labels: expected a list"):
+            density_from_json({"labels": {"name": "x"}, "matrix": [[[1, 0]]]})
+
+    def test_extension(self):
+        with pytest.raises(ValueError, match=r"weights\[0\]: expected a number"):
+            extension_from_json({"weights": [{}], "components": []})
+
+    def test_factor_graph(self):
+        obj = {
+            "roots": [{"name": "a", "states": 2}],
+            "factors": [{"name": "f", "nb": "a", "table": [[1, 0], [0, 0]]}],
+        }
+        with pytest.raises(ValueError, match=r"factors\[0\]\.nb: expected a list"):
+            factor_graph_from_json(obj)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qbnets import (
+    AmplitudeMessage,
+    CapacityError,
     Dag,
     ImpossibleEvidenceError,
     QBNet,
@@ -16,7 +18,7 @@ from qbnets import (
     rule2_pi_to_child,
 )
 from qbnets import qbp
-from qbnets.amplitudes import multiply
+from qbnets.amplitudes import labeled, multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
 from conftest import brute_posterior, chain_forward_backward
@@ -377,3 +379,43 @@ class TestFold:
         want = chain_forward_backward(net, evidence)
         for node in range(n):
             np.testing.assert_allclose(beliefs[node].table, want[node], rtol=0, atol=1e-10)
+
+
+class TestCapacity:
+    """Rules called by hand on unfolded messages refuse a product above
+    DEFAULT_CAP (2^20 entries) before building it."""
+
+    @staticmethod
+    def net():
+        # node 0 with parents 1, 2 and children 3, 4; nodes 5..24 stand
+        # in for the hidden upstream nodes the messages carry
+        dag = Dag([(f"n{i}", 2) for i in range(25)], [(1, 0), (2, 0), (0, 3), (0, 4)])
+        return random_qbnet(dag, np.random.default_rng(30))
+
+    @staticmethod
+    def message(source, target, kind, carrier, hidden):
+        labels = (carrier, *hidden)
+        data = np.random.default_rng(source).normal(size=(2,) * len(labels))
+        return AmplitudeMessage(source, target, kind, carrier, labeled(labels, data))
+
+    def test_compute_pi(self):
+        msgs = [self.message(1, 0, "pi", 1, range(5, 14)), self.message(2, 0, "pi", 2, range(14, 23))]
+        with pytest.raises(CapacityError):
+            compute_pi(self.net(), 0, msgs)
+
+    def test_compute_lambda(self):
+        msgs = [self.message(3, 0, "lambda", 0, range(5, 15)), self.message(4, 0, "lambda", 0, range(15, 25))]
+        with pytest.raises(CapacityError):
+            compute_lambda(self.net(), 0, msgs)
+
+    def test_rule1(self):
+        lam = self.message(0, 0, "lambda", 0, range(5, 15))
+        other = [self.message(2, 0, "pi", 2, range(15, 24))]
+        with pytest.raises(CapacityError):
+            rule1_lambda_to_parent(self.net(), 0, 1, lam, other)
+
+    def test_rule2(self):
+        pi = self.message(0, 0, "pi", 0, range(5, 15))
+        other = [self.message(4, 0, "lambda", 0, range(15, 25))]
+        with pytest.raises(CapacityError):
+            rule2_pi_to_child(self.net(), 0, 3, pi, other)

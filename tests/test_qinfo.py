@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qbnets import (
+    CapacityError,
     ClassicalDistribution,
     Dag,
     DensityMatrix,
@@ -22,7 +25,14 @@ from qbnets import (
     reordered,
     von_neumann_entropy,
 )
-from qbnets.sampling import random_density_matrix, random_diagonal_extension, random_qbnet
+from qbnets.sampling import (
+    random_dag,
+    random_density_matrix,
+    random_diagonal_extension,
+    random_qbnet,
+)
+
+from conftest import chain_forward_backward, dense_reduced_state
 
 LN2 = np.log(2.0)
 
@@ -299,3 +309,91 @@ class TestNetToDensity:
         net = random_qbnet(screened_pair_dag, np.random.default_rng(16))
         with pytest.raises(ValueError, match="disjoint"):
             net_to_density(net, keep=[3], diag=[3])
+
+
+def _chain(n, rng):
+    dag = Dag([(f"v{i}", 2) for i in range(n)], [(i - 1, i) for i in range(1, n)])
+    return random_qbnet(dag, rng)
+
+
+def _peak_bytes(call):
+    """Peak traced memory while ``call`` runs; it must raise CapacityError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNetToDensityElimination:
+    """The elimination over the doubled network against the dense route."""
+
+    @pytest.mark.parametrize("split", ["keep", "diag", "both", "all"])
+    def test_matches_dense_reference(self, split):
+        rng = np.random.default_rng(["keep", "diag", "both", "all"].index(split))
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            net = random_qbnet(random_dag(rng, n, max_card=3, edge_prob=0.5), rng)
+            order = [int(i) for i in rng.permutation(n)]
+            cut = int(rng.integers(1, n))
+            if split == "keep":
+                keep, diag = order[:cut], []
+            elif split == "diag":
+                keep, diag = [], order[:cut]
+            elif split == "both":
+                keep, diag = order[:cut], order[cut : cut + int(rng.integers(1, n - cut + 1))]
+            else:
+                keep, diag = order[:cut], order[cut:]
+            got = net_to_density(net, keep, diag)
+            want = dense_reduced_state(net, keep, diag)
+            assert got.labels == want.labels
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+    def test_disconnected_component(self):
+        dag = Dag(
+            [("a", 2), ("b", 3), ("c", 2), ("d", 3), ("e", 2)],
+            [(0, 1), (1, 2), (0, 2), (3, 4)],
+        )
+        rng = np.random.default_rng(21)
+        for keep, diag in [([2], [0]), ([0], []), ([4], [1]), ([1, 3], [4]), ([], [3])]:
+            net = random_qbnet(dag, rng)
+            got = net_to_density(net, keep, diag)
+            want = dense_reduced_state(net, keep, diag)
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+    def test_sixty_node_chain_diagonal(self):
+        # 2^60 joint amplitudes; the dense route stops at 2^20
+        net = _chain(60, np.random.default_rng(22))
+        rho = net_to_density(net, keep=[0, 59], diag=[30])
+        want = np.zeros((2, 2, 2))
+        for a, p_a in enumerate(chain_forward_backward(net, {})[0]):
+            for b, p_b in enumerate(chain_forward_backward(net, {0: a})[30]):
+                want[a, b] = p_a * p_b * chain_forward_backward(net, {0: a, 30: b})[59]
+        np.testing.assert_allclose(np.diag(rho.matrix).real, want.ravel(), rtol=0, atol=1e-12)
+
+    def test_many_factors_on_one_node(self):
+        # a kept hub with 70 traced leaves: more factors meet at the hub
+        # than one einsum call takes
+        leaves = 70
+        dag = Dag([("hub", 2)] + [(f"l{i}", 2) for i in range(leaves)], [(0, i) for i in range(1, leaves + 1)])
+        net = random_qbnet(dag, np.random.default_rng(23))
+        want = np.outer(net.tpms[0].table, net.tpms[0].table.conj())
+        for tpm in net.tpms[1:]:
+            want = want * (tpm.table.T @ tpm.table.conj())
+        rho = net_to_density(net, keep=[0])
+        np.testing.assert_allclose(rho.matrix, want, rtol=0, atol=1e-12)
+
+    def test_intermediate_above_cap_refused_before_it_is_built(self):
+        # ten kept roots with one traced common child: eliminating the
+        # child needs every root's ket and bra, 2^20 entries (16 MB)
+        dag = Dag([(f"r{i}", 2) for i in range(10)] + [("t", 2)], [(i, 10) for i in range(10)])
+        net = random_qbnet(dag, np.random.default_rng(24))
+        peak = _peak_bytes(lambda: net_to_density(net, keep=range(10), cap=2**12))
+        assert peak < 2**20
+
+    def test_held_dimension_above_cap_refused_before_anything_is_built(self):
+        net = _chain(60, np.random.default_rng(25))
+        peak = _peak_bytes(lambda: net_to_density(net, keep=range(21)))
+        assert peak < 2**20

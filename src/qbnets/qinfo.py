@@ -3,7 +3,14 @@
 Entropies are in nats throughout. Quantum conditional and mutual
 informations are the usual linear combinations of von Neumann entropies
 of partial traces; their classical twins operate on plain probability
-tables. A :class:`DiagonalExtension` is an ensemble {P(lam), rho^lam}
+tables. Every quantum entropy, partial trace, dephasing and CMI in the
+package runs on one batched core of raw-array kernels that take stacks
+with leading batch axes (the census and the squashed-entanglement
+objective pass stacks). A :class:`DensityMatrix` is validated once, at
+the boundary where it is built; the information functions reduce its raw
+matrix without building intermediate states, and the entropy kernel
+holds the one eigenvalue check on computed states.
+A :class:`DiagonalExtension` is an ensemble {P(lam), rho^lam}
 whose assembled state is block diagonal in the lam basis; its
 conditional mutual information reduces to a weighted sum of per-block
 mutual informations.
@@ -11,6 +18,7 @@ mutual informations.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +53,13 @@ def _group(g) -> tuple[str, ...]:
     return tuple(str(x) for x in g)
 
 
+def _check_spectrum(w: np.ndarray) -> None:
+    if w.size and float(w.min()) < EIG_REJECT:
+        raise InvalidStateError(
+            f"smallest eigenvalue {float(w.min()):.3g} is below {EIG_REJECT:.1g}"
+        )
+
+
 class DensityMatrix:
     """A labeled Hermitian positive-semidefinite trace-one matrix.
 
@@ -68,11 +83,7 @@ class DensityMatrix:
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
-        w = np.linalg.eigvalsh(arr)
-        if w.size and float(w.min()) < EIG_REJECT:
-            raise InvalidStateError(
-                f"smallest eigenvalue {float(w.min()):.3g} is below {EIG_REJECT:.1g}"
-            )
+        _check_spectrum(np.linalg.eigvalsh(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", arr)
@@ -117,32 +128,29 @@ def reordered(rho: DensityMatrix, names: Sequence[str]) -> DensityMatrix:
     perm = tuple(rho.names.index(n) for n in names)
     k = len(perm)
     tens = rho.tensor().transpose(perm + tuple(k + p for p in perm))
-    new_dims = tuple(rho.dims[p] for p in perm)
     d = rho.dim
     return DensityMatrix(
         tuple((n, rho.dim_of(n)) for n in names), tens.reshape(d, d)
     )
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every label not named in ``keep`` (original order kept)."""
-    keep = set(_group(keep))
-    unknown = keep - set(rho.names)
+def _label_positions(rho: DensityMatrix, group) -> tuple[int, ...]:
+    """Ascending positions of the named labels; an unknown name is an error."""
+    names = set(_group(group))
+    unknown = names - set(rho.names)
     if unknown:
         raise ValueError(f"unknown labels {sorted(unknown)}")
-    kept = tuple((n, d) for n, d in rho.labels if n in keep)
-    if len(kept) == len(rho.labels):
+    return tuple(i for i, n in enumerate(rho.names) if n in names)
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every label not named in ``keep`` (original order kept)."""
+    pos = _label_positions(rho, keep)
+    if len(pos) == len(rho.labels):
         return rho
-    k = len(rho.labels)
-    row = list(range(k))
-    col = [k + i if rho.labels[i][0] in keep else i for i in range(k)]
-    out = [i for i in range(k) if rho.labels[i][0] in keep]
-    out += [k + i for i in range(k) if rho.labels[i][0] in keep]
-    reduced = np.einsum(rho.tensor(), row + col, out)
-    d = int(np.prod([dd for _, dd in kept])) if kept else 1
-    reduced = reduced.reshape(d, d)
+    reduced = _reduce(rho.matrix, rho.dims, pos)
     reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(kept, reduced)
+    return DensityMatrix(tuple(rho.labels[i] for i in pos), reduced)
 
 
 def dephase(rho: DensityMatrix, labels) -> DensityMatrix:
@@ -151,64 +159,40 @@ def dephase(rho: DensityMatrix, labels) -> DensityMatrix:
     Idempotent and trace preserving; realizes conditioning on a variable
     that has been measured without recording the outcome.
     """
-    names = set(_group(labels))
-    unknown = names - set(rho.names)
-    if unknown:
-        raise ValueError(f"unknown labels {sorted(unknown)}")
-    if not names:
+    pos = _label_positions(rho, labels)
+    if not pos:
         return rho
-    d = rho.dim
-    idx = np.arange(d)
-    mask = np.ones((d, d), dtype=bool)
-    stride = d
-    for name, dim_ in rho.labels:
-        stride //= dim_
-        if name in names:
-            comp = (idx // stride) % dim_
-            mask &= comp[:, None] == comp[None, :]
-    return DensityMatrix(rho.labels, rho.matrix * mask)
+    return DensityMatrix(rho.labels, rho.matrix * _dephase_mask(rho.dims, pos))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Shannon entropy of the spectrum, in nats; 0 ln 0 := 0."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    if w.size and float(w.min()) < EIG_REJECT:
-        raise InvalidStateError(
-            f"smallest eigenvalue {float(w.min()):.3g} is below {EIG_REJECT:.1g}"
-        )
-    w = np.clip(w.real, 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum())
+    return float(_spectral_entropy(rho.matrix))
 
 
-def _entropy_of(rho: DensityMatrix, names) -> float:
-    return von_neumann_entropy(partial_trace(rho, names))
-
-
-def _check_partition(rho: DensityMatrix, *groups) -> None:
-    flat: list[str] = []
-    for g in groups:
-        flat.extend(g)
+def _partition(rho: DensityMatrix, *groups) -> list[tuple[int, ...]]:
+    """Label positions of each group; the groups must partition the labels."""
+    groups = [_group(g) for g in groups]
+    flat = [n for g in groups for n in g]
     if len(set(flat)) != len(flat):
         raise ValueError("label groups must be disjoint")
     if set(flat) != set(rho.names):
         raise ValueError(
             f"groups {sorted(flat)} must partition the labels {sorted(rho.names)}"
         )
+    return [_label_positions(rho, g) for g in groups]
 
 
 def quantum_conditional_entropy(rho: DensityMatrix, x, y) -> float:
     """S(x|y) = S(x,y) - S(y)."""
-    x, y = _group(x), _group(y)
-    _check_partition(rho, x, y)
-    return von_neumann_entropy(rho) - _entropy_of(rho, y)
+    _, y = _partition(rho, x, y)
+    return float(_spectral_entropy(rho.matrix) - _entropy_on(rho.matrix, rho.dims, y))
 
 
 def quantum_mutual_information(rho: DensityMatrix, x, y) -> float:
     """S(x:y) = S(x) + S(y) - S(x,y)."""
-    x, y = _group(x), _group(y)
-    _check_partition(rho, x, y)
-    return _entropy_of(rho, x) + _entropy_of(rho, y) - von_neumann_entropy(rho)
+    x, y = _partition(rho, x, y)
+    return float(_cmi(rho.matrix, rho.dims, x, y))
 
 
 def quantum_cmi(rho: DensityMatrix, x, y, z=()) -> float:
@@ -216,15 +200,69 @@ def quantum_cmi(rho: DensityMatrix, x, y, z=()) -> float:
 
     With an empty ``z`` this is the mutual information.
     """
-    x, y, z = _group(x), _group(y), _group(z)
-    _check_partition(rho, x, y, z)
-    if not z:
-        return quantum_mutual_information(rho, x, y)
+    x, y, z = _partition(rho, x, y, z)
+    return float(_cmi(rho.matrix, rho.dims, x, y, z))
+
+
+# -- the batched core: raw (..., D, D) stacks over labels of dimensions
+# ``dims``, label groups given as positions; no DensityMatrix is built here
+
+
+def _spectral_entropy(mats: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy of each matrix of a Hermitian stack, in nats.
+
+    The one spectrum check on computed states: an eigenvalue below
+    ``EIG_REJECT`` anywhere in the stack raises InvalidStateError;
+    roundoff above it is clipped away, and 0 ln 0 := 0.
+    """
+    w = np.linalg.eigvalsh(mats)
+    _check_spectrum(w)
+    w = np.clip(w, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0.0, w * np.log(w), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def _reduce(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Partial trace of a stack onto the label positions ``keep``."""
+    k, keep = len(dims), sorted(keep)
+    tens = mats.reshape((-1,) + dims * 2)
+    cols = [k + i + 1 if i in keep else i + 1 for i in range(k)]
+    out = [0] + [i + 1 for i in keep] + [k + i + 1 for i in keep]
+    d = math.prod(dims[i] for i in keep)
+    reduced = np.einsum(tens, list(range(k + 1)) + cols, out)
+    return reduced.reshape(mats.shape[:-2] + (d, d))
+
+
+def _dephase_mask(dims: tuple[int, ...], positions) -> np.ndarray:
+    """(D, D) mask of the blocks diagonal in the labels at ``positions``."""
+    d = math.prod(dims)
+    idx = np.arange(d)
+    mask = np.ones((d, d), dtype=bool)
+    stride = d
+    for pos, dim in enumerate(dims):
+        stride //= dim
+        if pos in positions:
+            comp = (idx // stride) % dim
+            mask &= comp[:, None] == comp[None, :]
+    return mask
+
+
+def _entropy_on(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """Entropy of each state's reduction onto the label positions ``keep``."""
+    if not keep:
+        return np.zeros(mats.shape[:-2])
+    return _spectral_entropy(_reduce(mats, dims, keep))
+
+
+def _cmi(mats: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndarray:
+    """S(x:y|z) of each state of a stack; ``x``, ``y`` and ``z`` are
+    disjoint position tuples covering every label (empty ``z``: the MI)."""
     return (
-        _entropy_of(rho, x + z)
-        + _entropy_of(rho, y + z)
-        - _entropy_of(rho, z)
-        - von_neumann_entropy(rho)
+        _entropy_on(mats, dims, x + z)
+        + _entropy_on(mats, dims, y + z)
+        - _entropy_on(mats, dims, z)
+        - _spectral_entropy(mats)
     )
 
 
@@ -369,9 +407,7 @@ def diagonal_blocks(rho: DensityMatrix, lam_name: str, atol: float = 1e-10) -> D
     L = front.dims[0]
     d = front.dim // L
     mat = front.matrix
-    off = mat.copy()
-    for k in range(L):
-        off[k * d : (k + 1) * d, k * d : (k + 1) * d] = 0.0
+    off = mat[~_dephase_mask(front.dims, (0,))]
     residual = float(np.max(np.abs(off))) if off.size else 0.0
     if residual > atol:
         raise ValueError(
@@ -411,16 +447,14 @@ def cmi_diagonal(ext: DiagonalExtension, x=None, y=None) -> float:
                 "components carry more than two labels; pass the x and y groups"
             )
         x, y = (names[0],), (names[1],)
-    x, y = _group(x), _group(y)
-    _check_partition(ext.components[0], x, y)
-    total = 0.0
-    for p, comp in zip(ext.weights, ext.components):
-        if p == 0.0:
-            continue
-        total += p * (
-            _entropy_of(comp, x) + _entropy_of(comp, y) - von_neumann_entropy(comp)
-        )
-    return float(total)
+    elif x is None or y is None:
+        raise ValueError("pass both the x and the y group, or neither")
+    first = ext.components[0]
+    x, y = _partition(first, x, y)
+    live = ext.weights > 0.0
+    mats = np.stack([c.matrix for c, on in zip(ext.components, live) if on])
+    per = _cmi(mats, first.dims, x, y)
+    return float(sum(ext.weights[live] * per))
 
 
 def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> DensityMatrix:

@@ -22,9 +22,11 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _unit_columns(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _unit_columns(rng: np.random.Generator, shape: tuple, batch: tuple = ()) -> np.ndarray:
+    """Gaussian tables of ``shape``, unit-norm along its first axis, stacked over ``batch``."""
+    shape = batch + shape
     table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    norms = np.sqrt((np.abs(table) ** 2).sum(axis=0, keepdims=True))
+    norms = np.sqrt((np.abs(table) ** 2).sum(axis=len(batch), keepdims=True))
     return table / norms
 
 

@@ -7,7 +7,9 @@ ensemble decomposition with at most n members arises from a rank-one
 n-outcome measurement on the purifying system, and every such
 measurement comes from the first columns of an n-by-n unitary. The
 unitary is driven by a Hermitian generator whose real parameters are
-optimized by restarted coordinate descent.
+optimized by restarted coordinate descent. Each objective evaluation
+measures all members' marginal entropies in one call of the batched
+entropy kernel of :mod:`qbnets.qinfo`.
 
 The trivial single-member extension (the state itself) is always
 feasible and is always scored first, so the reported value can never
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qinfo import DensityMatrix, DiagonalExtension, cmi_diagonal
+from .qinfo import DensityMatrix, DiagonalExtension, _spectral_entropy, cmi_diagonal
 
 RANK_TOL = 1e-12
 WEIGHT_TOL = 1e-12
@@ -76,11 +78,7 @@ def _avg_member_entropy(phi: np.ndarray, p: np.ndarray) -> float:
     phi = phi[live]
     pw = p[live]
     rho_x = np.einsum("lxy,lzy->lxz", phi, phi.conj()) / pw[:, None, None]
-    w = np.linalg.eigvalsh(rho_x)
-    w = np.clip(w, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0.0, w * np.log(w), 0.0)
-    return float(-(pw * terms.sum(axis=1)).sum())
+    return float((pw * _spectral_entropy(rho_x)).sum())
 
 
 def _coordinate_descent(objective, theta: np.ndarray, budget: int):

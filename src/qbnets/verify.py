@@ -16,15 +16,16 @@ Three kinds of experiment, all seeded and reproducible:
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
-(including swapping the two tested sets) and the per-case model trials
-are run batched; this is what makes the full sweep finish in minutes.
+(including swapping the two tested sets), and each case's model trials
+are sampled as one stack and measured by one call of the batched CMI
+kernel of :mod:`qbnets.qinfo`; this is what makes the full sweep finish
+in about a minute.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -41,8 +42,8 @@ from .graph import (
 )
 from .network import posterior_oracle
 from .qbp import propagate_polytree
-from .qinfo import net_to_density, quantum_cmi
-from .sampling import random_evidence, random_polytree_dag, random_qbnet
+from .qinfo import _cmi, _dephase_mask, net_to_density, quantum_cmi
+from .sampling import _unit_columns, random_evidence, random_polytree_dag, random_qbnet
 
 
 def _dag_description(dag: Dag) -> str:
@@ -375,26 +376,6 @@ def sides_assignable(dag: Dag, a, b, z=()) -> bool:
     return _sides_assignable_masks(_parent_masks(dag), mask(a), mask(b), mask(z))
 
 
-def _batch_entropies(rho: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(rho)
-    w = np.clip(w, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0.0, w * np.log(w), 0.0)
-    return -terms.sum(axis=-1)
-
-
-def _batch_reduce(rho: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a (trials, D, D) stack over the axes not in ``keep``."""
-    k = len(dims)
-    tens = rho.reshape((rho.shape[0],) + dims + dims)
-    rows = list(range(1, k + 1))
-    cols = [k + i + 1 if i in keep else i + 1 for i in range(k)]
-    out = [0] + [i + 1 for i in keep] + [k + i + 1 for i in keep]
-    reduced = np.einsum(tens, [0] + rows + cols, out)
-    d = math.prod(dims[i] for i in keep) if keep else 1
-    return reduced.reshape(rho.shape[0], d, d)
-
-
 def _census_case_cmi(
     parents: tuple[int, ...],
     masks: tuple[int, int, int],
@@ -402,59 +383,34 @@ def _census_case_cmi(
     rng: np.random.Generator,
     card: int,
 ) -> float:
-    """Largest |CMI| over a batch of sampled nets for one census case."""
-    n = len(parents)
-    a_mask, b_mask, z_mask = masks
+    """Largest |CMI| over a batch of sampled nets for one census case.
 
+    The ``trials`` nets are sampled as one stack and multiplied into a
+    small dense joint; the stack of reduced states, dephased on z, goes
+    through one call of the batched CMI kernel.
+    """
+    n = len(parents)
     amp = np.ones((trials,) + (card,) * n, dtype=np.complex128)
     for j in range(n):
         pa = sorted(_bits(parents[j]))
-        shape = (trials, card) + (card,) * len(pa)
-        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        table /= np.sqrt((np.abs(table) ** 2).sum(axis=1, keepdims=True))
+        table = _unit_columns(rng, (card,) * (1 + len(pa)), batch=(trials,))
         labels = sorted([j] + pa)
         order = [0] + [1 + ([j] + pa).index(l) for l in labels]
-        table = table.transpose(order)
-        amp = amp * table.reshape(
+        amp = amp * table.transpose(order).reshape(
             [trials] + [card if i in labels else 1 for i in range(n)]
         )
 
-    keep = sorted(_bits(a_mask | b_mask | z_mask))
+    keep = sorted(_bits(masks[0] | masks[1] | masks[2]))
     rest = [i for i in range(n) if i not in keep]
-    dk = card ** len(keep)
     stacked = amp.transpose([0] + [1 + i for i in keep] + [1 + i for i in rest])
-    stacked = stacked.reshape(trials, dk, -1)
+    stacked = stacked.reshape(trials, card ** len(keep), -1)
     rho = np.einsum("tkr,tlr->tkl", stacked, stacked.conj())
 
-    if z_mask:
-        z_pos = [keep.index(i) for i in _bits(z_mask)]
-        idx = np.arange(dk)
-        mask = np.ones((dk, dk), dtype=bool)
-        stride = dk
-        for pos in range(len(keep)):
-            stride //= card
-            if pos in z_pos:
-                comp = (idx // stride) % card
-                mask &= comp[:, None] == comp[None, :]
-        rho = rho * mask
-
     dims = (card,) * len(keep)
-    a_pos = tuple(keep.index(i) for i in _bits(a_mask))
-    z_pos = tuple(keep.index(i) for i in _bits(z_mask))
-    b_pos = tuple(keep.index(i) for i in _bits(b_mask))
-    az = tuple(sorted(a_pos + z_pos))
-    bz = tuple(sorted(b_pos + z_pos))
-
-    s_abz = _batch_entropies(rho)
-    s_az = _batch_entropies(_batch_reduce(rho, dims, az))
-    s_bz = _batch_entropies(_batch_reduce(rho, dims, bz))
-    s_z = (
-        _batch_entropies(_batch_reduce(rho, dims, tuple(sorted(z_pos))))
-        if z_pos
-        else np.zeros(trials)
-    )
-    cmi = s_az + s_bz - s_z - s_abz
-    return float(np.max(np.abs(cmi)))
+    a, b, z = (tuple(keep.index(i) for i in _bits(m)) for m in masks)
+    if z:
+        rho = rho * _dephase_mask(dims, z)
+    return float(np.max(np.abs(_cmi(rho, dims, a, b, z))))
 
 
 @dataclass(frozen=True)

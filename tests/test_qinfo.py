@@ -25,6 +25,7 @@ from qbnets import (
     reordered,
     von_neumann_entropy,
 )
+from qbnets.qinfo import _cmi, _group, _reduce, _spectral_entropy
 from qbnets.sampling import (
     random_dag,
     random_density_matrix,
@@ -261,6 +262,19 @@ class TestCmiDiagonal:
             expect = quantum_cmi(ext.assemble("lam"), "x", "y", "lam")
             assert got == pytest.approx(expect, abs=1e-10)
 
+    def test_one_group_alone_rejected(self):
+        rng = np.random.default_rng(15)
+        labels = (("x", 2), ("y", 2), ("w", 2))
+        ext = DiagonalExtension(
+            [0.5, 0.5], [random_density_matrix(labels, rng) for _ in range(2)]
+        )
+        for groups in ({"x": "x"}, {"y": ("y", "w")}):
+            with pytest.raises(ValueError, match="both"):
+                cmi_diagonal(ext, **groups)
+        assert cmi_diagonal(ext, x="x", y=("y", "w")) == pytest.approx(
+            quantum_cmi(ext.assemble("lam"), "x", ("y", "w"), "lam"), abs=1e-10
+        )
+
     def test_zero_cmi_forces_product_components(self):
         rng = np.random.default_rng(13)
         comps = []
@@ -278,6 +292,60 @@ class TestCmiDiagonal:
                 np.testing.assert_allclose(
                     comp.matrix, np.kron(x.matrix, y.matrix), atol=1e-5
                 )
+
+
+class TestBatchedCore:
+    LABELS = (("a", 2), ("b", 3), ("c", 2))
+    DIMS = (2, 3, 2)
+
+    def stack(self, count=6):
+        rng = np.random.default_rng(16)
+        states = [random_density_matrix(self.LABELS, rng) for _ in range(count)]
+        return states, np.stack([rho.matrix for rho in states])
+
+    def test_entropy_kernel_matches_per_state(self):
+        states, mats = self.stack()
+        got = _spectral_entropy(mats.reshape((2, 3) + mats.shape[1:]))
+        assert got.shape == (2, 3)
+        for value, rho in zip(got.ravel(), states):
+            assert value == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, y, z",
+        [("a", "b", "c"), ("c", "a", "b"), (("a", "c"), "b", ()), ("b", ("a", "c"), ())],
+    )
+    def test_cmi_kernel_matches_per_state(self, x, y, z):
+        states, mats = self.stack()
+        rho0 = states[0]
+        pos = [tuple(rho0.names.index(n) for n in _group(g)) for g in (x, y, z)]
+        got = _cmi(mats, self.DIMS, *pos)
+        assert got.shape == (len(states),)
+        for value, rho in zip(got, states):
+            assert value == pytest.approx(quantum_cmi(rho, x, y, z), abs=1e-12)
+
+    def test_reduce_of_product_stack_keeps_the_kept_factors(self):
+        rng = np.random.default_rng(17)
+        factors = [
+            [random_density_matrix((("q", d),), rng).matrix for d in self.DIMS]
+            for _ in range(4)
+        ]
+        mats = np.stack([np.kron(np.kron(a, b), c) for a, b, c in factors])
+        got = _reduce(mats, self.DIMS, (0, 2))
+        for value, (a, _, c) in zip(got, factors):
+            np.testing.assert_allclose(value, np.kron(a, c), atol=1e-14)
+
+    def test_negative_eigenvalue_in_stack_rejected(self):
+        _, mats = self.stack()
+        mats[3] = np.diag([1.0 + 1e-6, -1e-6] + [0.0] * (mats.shape[-1] - 2))
+        with pytest.raises(InvalidStateError, match="eigenvalue"):
+            _spectral_entropy(mats)
+        with pytest.raises(InvalidStateError, match="eigenvalue"):
+            _cmi(mats, self.DIMS, (0,), (1,), (2,))
+
+    def test_roundoff_below_the_threshold_clipped(self):
+        _, mats = self.stack()
+        mats[3] = np.diag([1.0 + 1e-12, -1e-12] + [0.0] * (mats.shape[-1] - 2))
+        assert _spectral_entropy(mats)[3] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestNetToDensity:

@@ -4,7 +4,8 @@ A :class:`LabeledAmplitude` pairs a complex ndarray with a sorted tuple
 of node indices, one index per axis. Everything amplitude-shaped in this
 package (joint tensors, kets over hidden variables, belief-propagation
 messages) is one of these, so the alignment and broadcasting rules live
-here and nowhere else.
+here and nowhere else. The folded messages the message-passing drivers
+send are real and non-negative, and are stored as real arrays.
 
 Labels are canonicalized to ascending order; products align shared
 labels entrywise and never sum. Summation is always explicit, via

@@ -10,13 +10,16 @@ entrywise product over disjoint hidden axes. Like the dense paths, it
 raises :class:`~qbnets.errors.CapacityError` before building a product
 of more than ``DEFAULT_CAP`` entries.
 
-:func:`run_bipartite` folds every generation onto the carriers: each
-message m(c, H) on an edge with root c becomes m'(c) = ||m(c, .)||_2
+:func:`run_bipartite` folds every message onto its root: a message
+m(c, H) on an edge with root c becomes m'(c) = ||m(c, .)||_2
 (:func:`~qbnets.amplitudes.fold`). The updates only multiply messages
 entrywise over disjoint hidden axes and never sum amplitudes over one,
 so sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2 for every carrier
 configuration, and every belief is unchanged; a message never holds
-more than one entry per state of its root.
+more than one entry per state of its root. Folded, the updates are
+Pearl's lambda/pi propagation on the real weights |F_a|^2 (and an
+all-ones weight per root), which :func:`run_bipartite` squares once per
+run and runs through the message core of :mod:`qbnets.qbp`.
 
 Updates are synchronous: one iteration recomputes every message from
 the previous generation (messages between non-adjacent pairs simply do
@@ -35,9 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .amplitudes import LabeledAmplitude, fold, labeled, multiply
-from .errors import ConvergenceError, ImpossibleEvidenceError, StructureError
+from .errors import ConvergenceError, StructureError
 from .graph import Dag
 from .network import QBNet, _capped_multiply, node_tpm
+from .qbp import _assert_disjoint, _fold_update, _squared_table, _unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,29 +153,6 @@ def _uniform(net: FactorGraphNet, i: int) -> LabeledAmplitude:
     return labeled((i,), np.full(card, 1.0 / math.sqrt(card)))
 
 
-def _unit(data: LabeledAmplitude) -> LabeledAmplitude:
-    norm = data.norm()
-    if norm == 0.0:
-        raise ImpossibleEvidenceError(
-            "factor constraints cannot all hold: a message vanished identically"
-        )
-    return data.scaled(1.0 / norm)
-
-
-def _assert_disjoint(parts: Sequence[LabeledAmplitude], shared: set[int]) -> None:
-    owner: dict[int, int] = {}
-    for k, part in enumerate(parts):
-        for label in part.labels:
-            if label in shared:
-                continue
-            if label in owner:
-                raise AssertionError(
-                    f"hidden root {label} arrived from two directions; the "
-                    f"skeleton walked is not a tree"
-                )
-            owner[label] = k
-
-
 def init_messages(net: FactorGraphNet) -> MessageState:
     to_root = {}
     to_factor = {}
@@ -188,7 +169,7 @@ def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
     for i in range(net.root_count):
         for a in net.factors_of(i):
             parts = [state.to_root[(b, i)] for b in net.factors_of(i) if b != a]
-            _assert_disjoint(parts, {i})
+            _assert_disjoint(parts, (i,))
             data = _uniform(net, i) if not parts else parts[0]
             for part in parts[1:]:
                 data = _capped_multiply(data, part)
@@ -198,7 +179,7 @@ def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
     for a, f in enumerate(net.factors):
         for i in f.neighbors:
             parts = [state.to_factor[(a, k)] for k in f.neighbors if k != i]
-            _assert_disjoint(parts, set(f.neighbors))
+            _assert_disjoint(parts, f.neighbors)
             data = net.factor_amplitude(a)
             for part in parts:
                 data = _capped_multiply(data, part)
@@ -216,14 +197,15 @@ def _folded(state: MessageState) -> MessageState:
 
 
 def _state_gap(a: MessageState, b: MessageState) -> float:
-    gap = 0.0
-    for mine, theirs in ((a.to_root, b.to_root), (a.to_factor, b.to_factor)):
-        for key, amp in mine.items():
-            other = theirs[key]
-            if amp.labels != other.labels:
-                return math.inf
-            gap = max(gap, float(np.max(np.abs(amp.data - other.data))))
-    return gap
+    """The largest entry-wise move between two generations, or inf if
+    any message changed labels."""
+    both = ((a.to_root, b.to_root), (a.to_factor, b.to_factor))
+    pairs = [(amp, theirs[key]) for mine, theirs in both for key, amp in mine.items()]
+    if any(x.labels != y.labels for x, y in pairs):
+        return math.inf
+    new = np.concatenate([np.zeros(0), *(x.data.ravel() for x, _ in pairs)])
+    old = np.concatenate([np.zeros(0), *(y.data.ravel() for _, y in pairs)])
+    return float(np.max(np.abs(new - old), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +234,6 @@ class BipartiteBeliefs:
     factors: dict[int, FactorBelief]
 
 
-def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
-    squared = np.abs(amp.data) ** 2
-    drop = tuple(k for k, l in enumerate(amp.labels) if l not in keep)
-    table = squared.sum(axis=drop) if drop else squared
-    # reorder axes from sorted label order to the requested order
-    kept = tuple(l for l in amp.labels if l in keep)
-    table = np.transpose(table, tuple(kept.index(l) for l in keep))
-    total = float(table.sum())
-    if total == 0.0:
-        raise ImpossibleEvidenceError("belief table vanished identically")
-    return table / total
-
-
 def bipartite_beliefs(
     net: FactorGraphNet, state: MessageState, tol: float = 1e-12
 ) -> BipartiteBeliefs:
@@ -286,7 +255,7 @@ def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
     roots = {}
     for i in range(net.root_count):
         parts = [state.to_root[(a, i)] for a in net.factors_of(i)]
-        _assert_disjoint(parts, {i})
+        _assert_disjoint(parts, (i,))
         data = _uniform(net, i) if not parts else parts[0]
         for part in parts[1:]:
             data = multiply(data, part)
@@ -297,7 +266,7 @@ def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
     for a, f in enumerate(net.factors):
         data = net.factor_amplitude(a)
         parts = [state.to_factor[(a, k)] for k in f.neighbors]
-        _assert_disjoint(parts, set(f.neighbors))
+        _assert_disjoint(parts, f.neighbors)
         for part in parts:
             data = multiply(data, part)
         amp = _unit(data)
@@ -311,24 +280,32 @@ def run_bipartite(
 ) -> BipartiteBeliefs:
     """Iterate from the uniform start until stable, then read off beliefs.
 
-    Every generation is folded onto its roots before the next one is
-    computed, so no message grows beyond its root's cardinality. Raises
-    :class:`ConvergenceError` if ``max_sweeps`` iterations (by default
-    the number of edges plus 3) leave the messages still moving by more
-    than ``tol``.
+    Every generation is folded onto its roots, so no message grows beyond
+    its root's cardinality. Raises :class:`ConvergenceError` if
+    ``max_sweeps`` iterations (by default the number of edges plus 3)
+    leave the folded messages still moving by more than ``tol``.
     """
     edges = sum(len(f.neighbors) for f in net.factors)
-    limit = max_sweeps if max_sweeps is not None else edges + 3
+    limit = max(max_sweeps if max_sweeps is not None else edges + 3, 1)
+    weights = [np.abs(f.table) ** 2 for f in net.factors]
+    ones = [np.ones(card) for _, card in net.roots]
+    factors_of = [net.factors_of(i) for i in range(net.root_count)]
     state = init_messages(net)
-    for _ in range(max(limit, 1)):
-        new = _folded(bipartite_iterate(net, state))
+    for _ in range(limit):
+        to_root, to_factor = {}, {}
+        for a, f in enumerate(net.factors):
+            for i in f.neighbors:
+                parts = [state.to_root[(b, i)] for b in factors_of[i] if b != a]
+                to_factor[(a, i)] = _fold_update(ones[i], (i,), parts, i)
+                parts = [state.to_factor[(a, k)] for k in f.neighbors if k != i]
+                to_root[(a, i)] = _fold_update(weights[a], f.neighbors, parts, i)
+        new = MessageState(to_root, to_factor)
         gap = _state_gap(new, state)
         state = new
         if gap <= tol:
             return _read_beliefs(net, state)
     raise ConvergenceError(
-        f"messages are not a fixed point: the last of {max(limit, 1)} iterations "
-        f"moved them by {gap:.3g}"
+        f"messages are not a fixed point: the last of {limit} iterations moved them by {gap:.3g}"
     )
 
 

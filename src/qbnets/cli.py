@@ -9,6 +9,7 @@ usage and input-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +55,10 @@ def _parse_evidence(dag, spec: str) -> dict[int, int]:
         if "=" not in item:
             raise ValueError(f"evidence item {item!r} is not name=state")
         name, _, value = item.partition("=")
-        evidence[dag.index(name)] = int(value)
+        node = dag.index(name)
+        if node in evidence:
+            raise ValueError(f"evidence names node {name!r} twice")
+        evidence[node] = int(value)
     return evidence
 
 
@@ -249,10 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

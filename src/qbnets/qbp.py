@@ -13,37 +13,39 @@ pure tensor algebra on them:
 
 Applied literally, a message would carry the edge variable (its
 carrier c) plus one hidden axis H for every unobserved node of the
-sending subtree, so its size would grow exponentially with that
-subtree. :func:`propagate_polytree` instead folds every message it sends
-onto its carrier, m'(c) = ||m(c, .)||_2 (:func:`~qbnets.amplitudes.fold`).
-This is exact: no rule ever sums amplitudes over an unobserved axis, so
-for every carrier configuration sum_H |prod_k m_k|^2 =
-prod_k sum_{H_k} |m_k|^2, and every belief table is unchanged. Each
-rule's intermediate is then at most one family table: a node, its
-parents and one carrier.
+sending subtree, so its size grows exponentially with that subtree.
+The rule functions stay literal: handed unfolded messages they return
+the paper's messages, and raise :class:`~qbnets.errors.CapacityError`
+before building a product of more than ``DEFAULT_CAP`` entries.
 
-The rule functions themselves do not fold; handed unfolded messages
-they return the literal messages of the paper, and raise
-:class:`~qbnets.errors.CapacityError` before building a product of more
-than ``DEFAULT_CAP`` entries. Each outgoing message is
-rescaled to unit 2-norm; the rules are stated up to normalization, and
-the final probability tables renormalize anyway. On a polytree one
-collect sweep and one distribute sweep reach the exact fixed point; a
-further sweep reproduces every message bit-for-bit.
+:func:`propagate_polytree` folds every message onto its carrier,
+m'(c) = ||m(c, .)||_2 (:func:`~qbnets.amplitudes.fold`). This is exact:
+no rule ever sums amplitudes over an unobserved axis, so for every
+carrier configuration sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2.
+Folded, the rules are Pearl's lambda/pi propagation on the real family
+weights W_j = |A_j|^2, observed axes masked: the squared message m'^2
+from node j is W_j contracted with the squared messages from its other
+neighbors. The private message core below (shared with
+:mod:`qbnets.bipartite`) squares every table once per run and sends
+each message as one such contraction, rescaled to unit 2-norm. On a
+polytree one collect sweep and one distribute sweep reach the exact
+fixed point; a further sweep reproduces every message.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, fold, labeled, multiply, one_hot
+# ``multiply`` is imported for benchmarks/tracer.py, which patches it in
+# every module that holds it; the core here never multiplies kets.
+from .amplitudes import LabeledAmplitude, labeled, multiply  # noqa: F401
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, tpm_amplitude, validate_evidence
+from .network import QBNet, _capped_multiply, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,39 +88,8 @@ class Belief:
 
 
 def _masked_tpm(net: QBNet, node: int, evidence: Mapping[int, int]) -> LabeledAmplitude:
-    amp = tpm_amplitude(net, node)
-    for label in amp.labels:
-        if label in evidence:
-            amp = multiply(amp, one_hot(label, amp.card(label), evidence[label]))
-    return amp
-
-
-def _assert_disjoint_hidden(messages: Sequence[AmplitudeMessage], local: Iterable[int]) -> None:
-    """Hidden labels must be owned by exactly one incoming subtree."""
-    local = set(local)
-    owner: dict[int, AmplitudeMessage] = {}
-    for msg in messages:
-        for label in msg.hidden:
-            if label in local or label in owner:
-                raise AssertionError(
-                    f"hidden label {label} reached node-local combination "
-                    f"twice; the graph walked is not a polytree"
-                )
-            owner[label] = msg
-
-
-def _finish(
-    data: LabeledAmplitude, carrier: int, evidence: Mapping[int, int]
-) -> LabeledAmplitude:
-    """Collapse observed non-carrier axes and rescale to unit norm."""
-    drop = [l for l in data.labels if l in evidence and l != carrier]
-    out = data.sum_over(drop)
-    norm = out.norm()
-    if norm == 0.0:
-        raise ImpossibleEvidenceError(
-            "impossible evidence: a subtree's amplitude vanished identically"
-        )
-    return out.scaled(1.0 / norm)
+    axes = (node, *net.tpms[node].parents)
+    return labeled(axes, _masked(net.tpms[node].table, axes, evidence))
 
 
 def _expect_messages(
@@ -157,11 +128,11 @@ def compute_pi(
     evidence = validate_evidence(net.dag, evidence or {})
     parents = net.dag.parents(node)
     _expect_messages(parent_messages, parents, "pi", {p: p for p in parents})
-    _assert_disjoint_hidden(parent_messages, [node, *parents])
+    _assert_disjoint([m.data for m in parent_messages], [node, *parents])
     data = _masked_tpm(net, node, evidence)
     for msg in sorted(parent_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "pi", node, _finish(data, node, evidence))
+    return AmplitudeMessage(node, node, "pi", node, _unit(data, evidence, node))
 
 
 def compute_lambda(
@@ -178,11 +149,11 @@ def compute_lambda(
     evidence = validate_evidence(net.dag, evidence or {})
     children = net.dag.children(node)
     _expect_messages(child_messages, children, "lambda", {c: node for c in children})
-    _assert_disjoint_hidden(child_messages, [node])
+    _assert_disjoint([m.data for m in child_messages], [node])
     data = labeled((node,), np.ones(net.dag.cardinality(node)))
     for msg in sorted(child_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "lambda", node, _finish(data, node, evidence))
+    return AmplitudeMessage(node, node, "lambda", node, _unit(data, evidence, node))
 
 
 def rule1_lambda_to_parent(
@@ -218,12 +189,12 @@ def rule1_lambda_to_parent(
     if lambda_message.kind != "lambda" or lambda_message.carrier != node:
         raise SchedulingError("rule 1 needs the node's own lambda aggregate")
     incoming = [lambda_message, *other_parent_messages]
-    _assert_disjoint_hidden(incoming, [node, *parents])
+    _assert_disjoint([m.data for m in incoming], [node, *parents])
     data = _masked_tpm(net, node, evidence)
     data = _capped_multiply(data, lambda_message.data)
     for msg in sorted(other_parent_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, parent, "lambda", parent, _finish(data, parent, evidence))
+    return AmplitudeMessage(node, parent, "lambda", parent, _unit(data, evidence, parent))
 
 
 def rule2_pi_to_child(
@@ -247,7 +218,7 @@ def rule2_pi_to_child(
     if not children:
         if pi_message.kind != "pi" or pi_message.carrier != node:
             raise SchedulingError("rule 2 needs the node's own pi aggregate")
-        data = _finish(pi_message.data, node, evidence)
+        data = _unit(pi_message.data, evidence, node)
         return AmplitudeMessage(node, child, "pi", node, data)
     if child not in children:
         raise ValueError(f"node {child} is not a child of node {node}")
@@ -256,11 +227,72 @@ def rule2_pi_to_child(
     if pi_message.kind != "pi" or pi_message.carrier != node:
         raise SchedulingError("rule 2 needs the node's own pi aggregate")
     incoming = [pi_message, *other_child_messages]
-    _assert_disjoint_hidden(incoming, [node])
+    _assert_disjoint([m.data for m in incoming], [node])
     data = pi_message.data
     for msg in sorted(other_child_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, child, "pi", node, _finish(data, node, evidence))
+    return AmplitudeMessage(node, child, "pi", node, _unit(data, evidence, node))
+
+
+# The message core of both folded drivers (here and in qbnets.bipartite).
+# A folded ket is real, non-negative and labelled by its carrier alone.
+
+
+def _unit(
+    amp: LabeledAmplitude, evidence: Collection[int] = (), carrier: int | None = None
+) -> LabeledAmplitude:
+    """``amp`` with its observed axes other than ``carrier`` collapsed,
+    rescaled to unit 2-norm."""
+    if evidence:
+        amp = amp.sum_over(l for l in amp.labels if l in evidence and l != carrier)
+    norm = amp.norm()
+    if norm == 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
+    return amp.scaled(1.0 / norm)
+
+
+def _assert_disjoint(parts: Iterable[LabeledAmplitude], local: Collection[int]) -> None:
+    """Each part may meet ``local`` only in its carrier, and no two parts
+    may share a hidden label; otherwise the graph walked is not a tree."""
+    owned: set[int] = set()
+    for part in parts:
+        hidden = [l for l in part.labels if l not in local]
+        if len(part.labels) - len(hidden) > 1 or owned.intersection(hidden):
+            raise AssertionError("a hidden label reached one combination twice; not a tree")
+        owned.update(hidden)
+
+
+def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int]) -> np.ndarray:
+    """``table`` (one axis per label of ``axes``) with each observed axis masked."""
+    if not any(label in evidence for label in axes):
+        return table
+    index = tuple(evidence.get(label, slice(None)) for label in axes)
+    out = np.zeros_like(table)
+    out[index] = table[index]
+    return out
+
+
+def _contract(table: np.ndarray, axes: tuple[int, ...], vectors, keep: tuple[int, ...]):
+    """``table`` times each ``(vector, label)`` of ``vectors`` along that
+    label's axis, summed over every axis not in ``keep``, axes as in ``keep``."""
+    operands: list = [table, list(range(len(axes)))]
+    for vector, label in vectors:
+        operands += [vector, [axes.index(label)]]
+    return np.einsum(*operands, [axes.index(label) for label in keep])
+
+
+def _fold_update(weight: np.ndarray, axes: tuple[int, ...], incoming, carrier: int):
+    """Pearl's update on a squared family weight: the unit folded ket
+    sqrt(mu) over ``carrier``, mu being ``weight`` contracted with the
+    squares of the ``incoming`` folded kets."""
+    mu = _contract(weight, axes, ((m.data.real**2, m.labels[0]) for m in incoming), (carrier,))
+    return _unit(LabeledAmplitude((carrier,), np.sqrt(mu)))
+
+
+def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
+    """The squared norm of ``amp`` over ``keep`` (axes in that order), normalized."""
+    table = _contract(np.abs(amp.data) ** 2, amp.labels, (), keep)
+    return table / table.sum()
 
 
 def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
@@ -293,25 +325,20 @@ def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
     return sends
 
 
-def _edge_message(
-    net: QBNet,
-    sender: int,
-    receiver: int,
-    inbox: dict[tuple[int, int], AmplitudeMessage],
-    evidence: Mapping[int, int],
-) -> AmplitudeMessage:
-    dag = net.dag
+def _family_weights(net: QBNet, evidence: Mapping[int, int]) -> list[np.ndarray]:
+    """Per node j, W_j = |A_j|^2 with each observed axis masked."""
+    tables = (_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms))
+    return [np.abs(table) ** 2 for table in tables]
+
+
+def _edge_message(dag: Dag, weights, sender: int, receiver: int, inbox: dict) -> AmplitudeMessage:
+    """The folded lambda (to a parent) or pi (to a child) message from
+    ``sender``, out of the messages from its other neighbors."""
     parents = dag.parents(sender)
-    children = dag.children(sender)
-    from_children = [inbox[(c, sender)] for c in children if c != receiver]
-    from_parents = [inbox[(p, sender)] for p in parents if p != receiver]
-    if receiver in parents:
-        lam = compute_lambda(net, sender, from_children, evidence)
-        msg = rule1_lambda_to_parent(net, sender, receiver, lam, from_parents, evidence)
-    else:
-        pi = compute_pi(net, sender, from_parents, evidence)
-        msg = rule2_pi_to_child(net, sender, receiver, pi, from_children, evidence)
-    return replace(msg, data=fold(msg.data, msg.carrier))
+    incoming = [inbox[(k, sender)].data for k in (*dag.children(sender), *parents) if k != receiver]
+    kind, carrier = ("lambda", receiver) if receiver in parents else ("pi", sender)
+    data = _fold_update(weights[sender], (sender, *parents), incoming, carrier)
+    return AmplitudeMessage(sender, receiver, kind, carrier, data)
 
 
 def propagate_polytree(
@@ -320,11 +347,11 @@ def propagate_polytree(
     """Exact posteriors for every node of a polytree net.
 
     One collect sweep and one distribute sweep compute all fixed-point
-    messages, each folded onto its carrier as it is sent, so every
-    message holds one entry per state of its edge variable. Each node's
-    belief is the entrywise product of its lambda and pi aggregates, and
-    the returned table is the squared norm of that ket over the node's
-    unobserved parents, normalized over the node's states.
+    messages, each folded onto its carrier, so every message holds one
+    entry per state of its edge variable. Each node's belief is the unit
+    ket of its masked table times every message it received, over the
+    node and its unobserved parents; the returned table is the squared
+    norm of that ket over the parents, normalized over the node's states.
 
     Raises
     ------
@@ -333,33 +360,23 @@ def propagate_polytree(
     ImpossibleEvidenceError
         if the evidence has probability zero.
     """
-    if not is_polytree(net.dag):
+    dag = net.dag
+    if not is_polytree(dag):
         raise StructureError("belief propagation here requires a polytree skeleton")
-    evidence = validate_evidence(net.dag, evidence or {})
+    evidence = validate_evidence(dag, evidence or {})
+    weights = _family_weights(net, evidence)
 
     inbox: dict[tuple[int, int], AmplitudeMessage] = {}
-    for sender, receiver in _skeleton_sweeps(net.dag):
-        inbox[(sender, receiver)] = _edge_message(net, sender, receiver, inbox, evidence)
+    for sender, receiver in _skeleton_sweeps(dag):
+        inbox[(sender, receiver)] = _edge_message(dag, weights, sender, receiver, inbox)
 
     beliefs: dict[int, Belief] = {}
-    for node in range(net.dag.node_count):
-        lam = compute_lambda(
-            net, node, [inbox[(c, node)] for c in net.dag.children(node)], evidence
-        )
-        pi = compute_pi(
-            net, node, [inbox[(p, node)] for p in net.dag.parents(node)], evidence
-        )
-        _assert_disjoint_hidden([lam, pi], [])
-        amp = _finish(multiply(lam.data, pi.data), node, evidence)
-        squared = np.abs(amp.data) ** 2
-        axis = amp.labels.index(node)
-        drop = tuple(k for k in range(len(amp.labels)) if k != axis)
-        table = squared.sum(axis=drop) if drop else squared
-        total = float(table.sum())
-        if total == 0.0:
-            raise ImpossibleEvidenceError(
-                "impossible evidence: every state of node "
-                f"{net.dag.name(node)} has zero posterior mass"
-            )
-        beliefs[node] = Belief(node, amp, table / total)
+    for node, tpm in enumerate(net.tpms):
+        axes = (node, *tpm.parents)
+        kets = (inbox[(k, node)].data for k in (*dag.children(node), *tpm.parents))
+        keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
+        vectors = ((m.data, m.labels[0]) for m in kets)
+        table = _masked(tpm.table, axes, evidence)
+        amp = _unit(LabeledAmplitude(keep, _contract(table, axes, vectors, keep)))
+        beliefs[node] = Belief(node, amp, _squared_table(amp, (node,)))
     return beliefs

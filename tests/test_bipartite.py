@@ -199,3 +199,45 @@ class TestCapacity:
         state = MessageState(init_messages(net).to_root, to_factor)
         with pytest.raises(CapacityError):
             bipartite_iterate(net, state)
+
+
+class TestMessageCore:
+    def test_loop_calls_no_literal_update_and_no_product(self, monkeypatch):
+        # beliefs are read once from the fixed point; the message loop
+        # itself never calls bipartite_iterate or multiply
+        from qbnets import amplitudes, bipartite, network, qbp
+
+        def refuse(*args):
+            raise AssertionError("the driver called the literal update")
+
+        monkeypatch.setattr(bipartite, "bipartite_iterate", refuse)
+        products, sweeps = [], []
+        real_multiply, real_gap = amplitudes.multiply, bipartite._state_gap
+
+        def counting_multiply(a, b):
+            products.append(1)
+            return real_multiply(a, b)
+
+        def counting_gap(a, b):
+            sweeps.append(1)
+            return real_gap(a, b)
+
+        for module in (amplitudes, bipartite, network, qbp):
+            monkeypatch.setattr(module, "multiply", counting_multiply)
+        monkeypatch.setattr(bipartite, "_state_gap", counting_gap)
+        fg = FactorGraphNet(
+            roots=[("a", 2), ("b", 3), ("c", 2), ("d", 2)],
+            factors=[
+                ("f", (0, 1), np.array([[1.0, 0.2, 0.5j], [0.1, 1.0, 0.3]])),
+                ("g", (1, 2, 3), np.arange(1.0, 13.0).reshape(3, 2, 2)),
+                ("h", (3,), np.array([0.4, 1.0j])),
+            ],
+        )
+        counts = []
+        for tol in (1e9, 1e-12):
+            products.clear()
+            sweeps.clear()
+            run_bipartite(fg, tol=tol)
+            counts.append((len(sweeps), len(products)))
+        assert counts[0][0] == 1 and counts[1][0] > 1
+        assert counts[0][1] == counts[1][1]

@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qbnets import posterior_oracle
+from qbnets import Dag, posterior_oracle
 from qbnets.cli import main
 from qbnets.io import (
     density_to_json,
@@ -133,6 +135,32 @@ class TestInfer:
         code, out, _ = run(capsys, "infer", screened_net_file, "--method", "oracle", "--query", "x")
         assert code == 0
         assert list(json.loads(out)["posteriors"].keys()) == ["x"]
+
+    def test_repeated_evidence_node_is_usage_error(self, capsys, screened_net_file):
+        code, out, err = run(capsys, "infer", screened_net_file, "--evidence", "y=1,y=0")
+        assert code == 2 and out == "" and "twice" in err
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        # the parser is built once per process; no flag may leak into the next call
+        dag = Dag([("a", 2), ("b", 3), ("c", 2), ("d", 2)], [(0, 1), (3, 1), (1, 2)])
+        path = str(tmp_path / "net.json")
+        save_json(path, qbnet_to_json(random_qbnet(dag, np.random.default_rng(4))))
+        calls = [
+            ("--query", "a"),
+            ("--method", "oracle"),
+            ("--evidence", "c=1,d=0"),
+            (),
+            ("--evidence", "b=2", "--method", "oracle", "--query", "a,c"),
+            ("--query", "b,d"),
+        ]
+        for flags in calls:
+            argv = ["infer", path, *flags]
+            fresh = subprocess.run(
+                [sys.executable, "-m", "qbnets.cli", *argv], capture_output=True, text=True
+            )
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert code == 0
 
 
 class TestEntropy:

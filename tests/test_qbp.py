@@ -177,6 +177,14 @@ class TestPropagate:
         with pytest.raises(ImpossibleEvidenceError):
             propagate_polytree(net, {1: 1})
 
+    def test_non_integer_evidence_rejected(self):
+        net = chain_net()
+        for evidence in ({1: 1.7}, {0.5: 1}, {1: "1"}):
+            with pytest.raises(ValueError, match="not an integer"):
+                propagate_polytree(net, evidence)
+        beliefs = propagate_polytree(net, {np.int64(1): np.int32(1)})
+        np.testing.assert_allclose(beliefs[1].table, [0, 1], atol=1e-12)
+
     def test_disconnected_components_independent(self):
         dag = Dag([("a", 2), ("b", 3)], [])
         net = random_qbnet(dag, np.random.default_rng(9))
@@ -221,7 +229,7 @@ class TestPropagate:
 class TestStability:
     def test_second_sweep_changes_nothing(self):
         # recompute every fixed-point message from its own inputs
-        from qbnets.qbp import _edge_message, _skeleton_sweeps
+        from qbnets.qbp import _edge_message, _family_weights, _skeleton_sweeps
 
         rng = np.random.default_rng(23)
         dag = random_polytree_dag(rng, 7)
@@ -231,11 +239,12 @@ class TestStability:
             propagate_polytree(net, evidence)
         except ImpossibleEvidenceError:
             evidence = {}
+        weights = _family_weights(net, evidence)
         inbox = {}
         for s, r in _skeleton_sweeps(net.dag):
-            inbox[(s, r)] = _edge_message(net, s, r, inbox, evidence)
+            inbox[(s, r)] = _edge_message(net.dag, weights, s, r, inbox)
         for s, r in _skeleton_sweeps(net.dag):
-            again = _edge_message(net, s, r, inbox, evidence)
+            again = _edge_message(net.dag, weights, s, r, inbox)
             assert again.data.labels == inbox[(s, r)].data.labels
             np.testing.assert_allclose(
                 again.data.data, inbox[(s, r)].data.data, atol=1e-12
@@ -419,3 +428,83 @@ class TestCapacity:
         other = [self.message(4, 0, "lambda", 0, range(15, 25))]
         with pytest.raises(CapacityError):
             rule2_pi_to_child(self.net(), 0, 3, pi, other)
+
+
+def recorded_messages(monkeypatch):
+    """Patch the driver's per-message hook to keep every message it sends."""
+    inbox = {}
+    edge_message = qbp._edge_message
+
+    def recording(dag, weights, sender, receiver, box):
+        inbox[(sender, receiver)] = edge_message(dag, weights, sender, receiver, box)
+        return inbox[(sender, receiver)]
+
+    monkeypatch.setattr(qbp, "_edge_message", recording)
+    return inbox
+
+
+def forbid(monkeypatch, module, *names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the driver called a literal rule or amplitude product")
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+
+
+class TestMessageCore:
+    def test_evidence_validated_once_per_run(self, monkeypatch):
+        dag = Dag([("a", 2), ("b", 3), ("c", 2), ("d", 2)], [(0, 1), (3, 1), (1, 2)])
+        net = random_qbnet(dag, np.random.default_rng(60))
+        calls = []
+        validate = qbp.validate_evidence
+
+        def counting(*args):
+            calls.append(args)
+            return validate(*args)
+
+        monkeypatch.setattr(qbp, "validate_evidence", counting)
+        propagate_polytree(net, {2: 1, 3: 0})
+        assert len(calls) == 1
+
+    def test_driver_calls_no_rule_and_no_product(self, monkeypatch):
+        from qbnets import amplitudes, network
+
+        forbid(monkeypatch, qbp, "compute_pi", "compute_lambda", "rule1_lambda_to_parent",
+               "rule2_pi_to_child", "multiply")
+        forbid(monkeypatch, amplitudes, "multiply")
+        forbid(monkeypatch, network, "multiply")
+        for trial in range(10):
+            rng = np.random.default_rng([61, trial])
+            dag = random_polytree_dag(rng, 8, max_card=3)
+            net = random_qbnet(dag, rng)
+            try:
+                propagate_polytree(net, random_evidence(dag, rng))
+            except ImpossibleEvidenceError:
+                pass
+
+    def test_belief_amplitude_is_the_public_rules_at_the_fixed_point(self, monkeypatch):
+        inbox = recorded_messages(monkeypatch)
+        seen = {"card 3": 0, "several parents": 0, "observed parent": 0}
+        for trial in range(40):
+            rng = np.random.default_rng([62, trial])
+            dag = random_polytree_dag(rng, int(rng.integers(3, 9)), max_card=3)
+            net = random_qbnet(dag, rng)
+            evidence = random_evidence(dag, rng, observe_prob=0.5)
+            inbox.clear()
+            try:
+                beliefs = propagate_polytree(net, evidence)
+            except ImpossibleEvidenceError:
+                continue
+            for node, belief in beliefs.items():
+                from_children = [inbox[(c, node)] for c in dag.children(node)]
+                from_parents = [inbox[(p, node)] for p in dag.parents(node)]
+                lam = compute_lambda(net, node, from_children, evidence)
+                pi = compute_pi(net, node, from_parents, evidence)
+                want = qbp._unit(multiply(lam.data, pi.data))
+                assert belief.amplitude.labels == want.labels
+                np.testing.assert_allclose(belief.amplitude.data, want.data, rtol=0, atol=1e-12)
+                parents = dag.parents(node)
+                seen["card 3"] += dag.cardinality(node) == 3
+                seen["several parents"] += len(parents) > 1
+                seen["observed parent"] += any(p in evidence for p in parents)
+        assert min(seen.values()) >= 5, seen

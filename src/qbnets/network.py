@@ -107,7 +107,7 @@ class QBNet:
 def validate_evidence(dag: Dag, evidence: Mapping[int, int]) -> dict[int, int]:
     out = {}
     for node, value in evidence.items():
-        if not all(isinstance(x, (int, np.integer)) for x in (node, value)):
+        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (node, value)):
             raise ValueError(f"evidence {node!r}: {value!r} is not an integer node and state")
         node, value = int(node), int(value)
         if not 0 <= node < dag.node_count:

@@ -45,7 +45,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, labeled, multiply  # noqa: F401
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, validate_evidence
+from .network import QBNet, _capped_multiply, _contract, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +92,11 @@ def _masked_tpm(net: QBNet, node: int, evidence: Mapping[int, int]) -> LabeledAm
     return labeled(axes, _masked(net.tpms[node].table, axes, evidence))
 
 
+def _collapsed(amp: LabeledAmplitude, evidence: Mapping[int, int], carrier: int):
+    """A rule's product with its observed axes other than ``carrier`` summed out."""
+    return amp.sum_over(l for l in amp.labels if l in evidence and l != carrier)
+
+
 def _expect_messages(
     messages: Sequence[AmplitudeMessage],
     senders: Iterable[int],
@@ -132,7 +137,7 @@ def compute_pi(
     data = _masked_tpm(net, node, evidence)
     for msg in sorted(parent_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "pi", node, _unit(data, evidence, node))
+    return AmplitudeMessage(node, node, "pi", node, _unit(_collapsed(data, evidence, node)))
 
 
 def compute_lambda(
@@ -153,7 +158,7 @@ def compute_lambda(
     data = labeled((node,), np.ones(net.dag.cardinality(node)))
     for msg in sorted(child_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "lambda", node, _unit(data, evidence, node))
+    return AmplitudeMessage(node, node, "lambda", node, _unit(_collapsed(data, evidence, node)))
 
 
 def rule1_lambda_to_parent(
@@ -194,7 +199,8 @@ def rule1_lambda_to_parent(
     data = _capped_multiply(data, lambda_message.data)
     for msg in sorted(other_parent_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, parent, "lambda", parent, _unit(data, evidence, parent))
+    data = _unit(_collapsed(data, evidence, parent))
+    return AmplitudeMessage(node, parent, "lambda", parent, data)
 
 
 def rule2_pi_to_child(
@@ -218,7 +224,7 @@ def rule2_pi_to_child(
     if not children:
         if pi_message.kind != "pi" or pi_message.carrier != node:
             raise SchedulingError("rule 2 needs the node's own pi aggregate")
-        data = _unit(pi_message.data, evidence, node)
+        data = _unit(_collapsed(pi_message.data, evidence, node))
         return AmplitudeMessage(node, child, "pi", node, data)
     if child not in children:
         raise ValueError(f"node {child} is not a child of node {node}")
@@ -231,20 +237,15 @@ def rule2_pi_to_child(
     data = pi_message.data
     for msg in sorted(other_child_messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, child, "pi", node, _unit(data, evidence, node))
+    return AmplitudeMessage(node, child, "pi", node, _unit(_collapsed(data, evidence, node)))
 
 
 # The message core of both folded drivers (here and in qbnets.bipartite).
 # A folded ket is real, non-negative and labelled by its carrier alone.
 
 
-def _unit(
-    amp: LabeledAmplitude, evidence: Collection[int] = (), carrier: int | None = None
-) -> LabeledAmplitude:
-    """``amp`` with its observed axes other than ``carrier`` collapsed,
-    rescaled to unit 2-norm."""
-    if evidence:
-        amp = amp.sum_over(l for l in amp.labels if l in evidence and l != carrier)
+def _unit(amp: LabeledAmplitude) -> LabeledAmplitude:
+    """``amp`` rescaled to unit 2-norm."""
     norm = amp.norm()
     if norm == 0.0:
         raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
@@ -272,26 +273,28 @@ def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int
     return out
 
 
-def _contract(table: np.ndarray, axes: tuple[int, ...], vectors, keep: tuple[int, ...]):
-    """``table`` times each ``(vector, label)`` of ``vectors`` along that
-    label's axis, summed over every axis not in ``keep``, axes as in ``keep``."""
-    operands: list = [table, list(range(len(axes)))]
-    for vector, label in vectors:
-        operands += [vector, [axes.index(label)]]
-    return np.einsum(*operands, [axes.index(label) for label in keep])
+def _sum_product(table: np.ndarray, axes: tuple[int, ...], vectors, keep: tuple[int, ...]):
+    """``table`` times each ``(label, vector)`` of ``vectors`` along that
+    label's axis, summed onto ``keep``. Vectors on one axis are multiplied
+    first, so a hub of any degree stays within NumPy's einsum operand limit."""
+    merged: dict[int, np.ndarray] = {}
+    for label, vector in vectors:
+        merged[label] = merged[label] * vector if label in merged else vector
+    parts = [(axes, table), *(((label,), vector) for label, vector in merged.items())]
+    return _contract(parts, keep, dict(zip(axes, table.shape)), table.size)
 
 
 def _fold_update(weight: np.ndarray, axes: tuple[int, ...], incoming, carrier: int):
     """Pearl's update on a squared family weight: the unit folded ket
     sqrt(mu) over ``carrier``, mu being ``weight`` contracted with the
     squares of the ``incoming`` folded kets."""
-    mu = _contract(weight, axes, ((m.data.real**2, m.labels[0]) for m in incoming), (carrier,))
+    mu = _sum_product(weight, axes, ((m.labels[0], m.data.real**2) for m in incoming), (carrier,))
     return _unit(LabeledAmplitude((carrier,), np.sqrt(mu)))
 
 
 def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
     """The squared norm of ``amp`` over ``keep`` (axes in that order), normalized."""
-    table = _contract(np.abs(amp.data) ** 2, amp.labels, (), keep)
+    table = _sum_product(np.abs(amp.data) ** 2, amp.labels, (), keep)
     return table / table.sum()
 
 
@@ -375,8 +378,8 @@ def propagate_polytree(
         axes = (node, *tpm.parents)
         kets = (inbox[(k, node)].data for k in (*dag.children(node), *tpm.parents))
         keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
-        vectors = ((m.data, m.labels[0]) for m in kets)
+        vectors = ((m.labels[0], m.data) for m in kets)
         table = _masked(tpm.table, axes, evidence)
-        amp = _unit(LabeledAmplitude(keep, _contract(table, axes, vectors, keep)))
+        amp = _unit(LabeledAmplitude(keep, _sum_product(table, axes, vectors, keep)))
         beliefs[node] = Belief(node, amp, _squared_table(amp, (node,)))
     return beliefs

@@ -241,3 +241,27 @@ class TestMessageCore:
             counts.append((len(sweeps), len(products)))
         assert counts[0][0] == 1 and counts[1][0] > 1
         assert counts[0][1] == counts[1][1]
+
+    def test_root_in_more_factors_than_einsum_operands(self):
+        # root 0 sits in 70 unary factors and two pairwise ones: each of
+        # its messages and its belief combine about 70 incoming kets, more
+        # than one np.einsum call takes. The literal updates agree.
+        rng = np.random.default_rng(64)
+
+        def table(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        fg = FactorGraphNet(
+            roots=[("a", 3), ("b", 2), ("c", 2)],
+            factors=[(f"u{k}", (0,), table(3)) for k in range(70)]
+            + [("f", (0, 1), table(3, 2)), ("g", (2, 0), table(2, 3))],
+        )
+        state = init_messages(fg)
+        for _ in range(10):
+            state = bipartite_iterate(fg, state)
+        want = bipartite_beliefs(fg, state)
+        got = run_bipartite(fg)
+        for i, rb in got.roots.items():
+            np.testing.assert_allclose(rb.table, want.roots[i].table, rtol=0, atol=1e-12)
+        for a, fb in got.factors.items():
+            np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-12)

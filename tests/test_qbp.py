@@ -179,7 +179,7 @@ class TestPropagate:
 
     def test_non_integer_evidence_rejected(self):
         net = chain_net()
-        for evidence in ({1: 1.7}, {0.5: 1}, {1: "1"}):
+        for evidence in ({1: 1.7}, {0.5: 1}, {1: "1"}, {1: True}, {True: 1}):
             with pytest.raises(ValueError, match="not an integer"):
                 propagate_polytree(net, evidence)
         beliefs = propagate_polytree(net, {np.int64(1): np.int32(1)})
@@ -508,3 +508,17 @@ class TestMessageCore:
                 seen["several parents"] += len(parents) > 1
                 seen["observed parent"] += any(p in evidence for p in parents)
         assert min(seen.values()) >= 5, seen
+
+    def test_hub_with_more_neighbors_than_einsum_operands(self):
+        # a root -> hub -> 70 leaves: every message out of the hub and the
+        # hub's belief combine 70 incoming kets, more than one np.einsum
+        # call takes. Most leaves have one state, so enumeration is cheap.
+        cards = [2, 3] + [2] * 8 + [1] * 62
+        edges = [(0, 1)] + [(1, leaf) for leaf in range(2, 72)]
+        dag = Dag([(f"v{i}", card) for i, card in enumerate(cards)], edges)
+        net = random_qbnet(dag, np.random.default_rng(63))
+        for evidence in ({}, {2: 1, 3: 0, 5: 1, **{leaf: 0 for leaf in range(20, 50)}}):
+            beliefs = propagate_polytree(net, evidence)
+            for node, card in enumerate(cards):
+                want = brute_posterior(net, [node], evidence) if card > 1 else [1.0]
+                np.testing.assert_allclose(beliefs[node].table, want, rtol=0, atol=1e-10)

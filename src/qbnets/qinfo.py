@@ -6,10 +6,15 @@ of partial traces; their classical twins operate on plain probability
 tables. Every quantum entropy, partial trace, dephasing and CMI in the
 package runs on one batched core of raw-array kernels that take stacks
 with leading batch axes (the census and the squashed-entanglement
-objective pass stacks). A :class:`DensityMatrix` is validated once, at
-the boundary where it is built; the information functions reduce its raw
-matrix without building intermediate states, and the entropy kernel
-holds the one eigenvalue check on computed states.
+objective pass stacks). Density-matrix stacks go through the dense CMI
+kernel; a stack of pure-state purifications goes through the
+purification kernel, which takes each entropy of the dephased state from
+Gram matrices of the kets' blocks, on whichever side is smaller (a pure
+state's reductions share their nonzero spectrum with their complement's),
+so the census never forms a density matrix. A :class:`DensityMatrix` is
+validated once, at the boundary where it is built; the information
+functions reduce its raw matrix without building intermediate states,
+and the entropy kernel holds the one eigenvalue check on computed states.
 A :class:`DiagonalExtension` is an ensemble {P(lam), rho^lam}
 whose assembled state is block diagonal in the lam basis; its
 conditional mutual information reduces to a weighted sum of per-block
@@ -204,8 +209,9 @@ def quantum_cmi(rho: DensityMatrix, x, y, z=()) -> float:
     return float(_cmi(rho.matrix, rho.dims, x, y, z))
 
 
-# -- the batched core: raw (..., D, D) stacks over labels of dimensions
-# ``dims``, label groups given as positions; no DensityMatrix is built here
+# -- the batched core: raw (..., D, D) stacks (or, for the purification
+# kernel, (..., *dims, r) kets) over labels of dimensions ``dims``, label
+# groups given as positions; no DensityMatrix is built here
 
 
 def _spectral_entropy(mats: np.ndarray) -> np.ndarray:
@@ -213,14 +219,13 @@ def _spectral_entropy(mats: np.ndarray) -> np.ndarray:
 
     The one spectrum check on computed states: an eigenvalue below
     ``EIG_REJECT`` anywhere in the stack raises InvalidStateError;
-    roundoff above it is clipped away, and 0 ln 0 := 0.
+    roundoff above it is clipped away, and 0 ln 0 := 0. A 1 x 1 matrix
+    is its own eigenvalue.
     """
-    w = np.linalg.eigvalsh(mats)
+    w = mats[..., 0].real if mats.shape[-1] == 1 else np.linalg.eigvalsh(mats)
     _check_spectrum(w)
     w = np.clip(w, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(w > 0.0, w * np.log(w), 0.0)
-    return -terms.sum(axis=-1)
+    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def _reduce(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -264,6 +269,39 @@ def _cmi(mats: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndarray:
         - _entropy_on(mats, dims, z)
         - _spectral_entropy(mats)
     )
+
+
+def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndarray:
+    """S(x:y|z) of each state psi psi^dagger of a stack, dephased on ``z``.
+
+    ``psi`` has shape (..., *dims, r): an unnormalized purification of
+    each state over the labels of dimensions ``dims``, its last axis the
+    purifying system; ``x``, ``y`` and ``z`` are disjoint position tuples
+    covering every label. No dense state is built. Dephasing on ``z``
+    makes the state block diagonal, one block psi_z psi_z^dagger per
+    value of ``z``, so each entropy is the sum over blocks of the entropy
+    of the block's reduction. The reduction of a block onto a group g has
+    the nonzero spectrum of the Gram matrix M M^dagger and of M^dagger M
+    alike (Schmidt decomposition), with M the block as a matrix from the
+    g labels to the other kept labels and the purifying system; the
+    smaller of the two goes to :func:`_spectral_entropy`.
+    """
+    lead = psi.ndim - len(dims) - 1
+    dz = math.prod(dims[i] for i in z)
+
+    def entropy(group) -> np.ndarray:
+        if not group and not z:
+            return np.zeros(psi.shape[:lead])
+        rest = [i for i in range(len(dims)) if i not in group and i not in z]
+        order = [lead + i for i in (*z, *group, *rest)]
+        blocks = psi.transpose(list(range(lead)) + order + [psi.ndim - 1])
+        dg = math.prod(dims[i] for i in group)
+        blocks = blocks.reshape(psi.shape[:lead] + (dz, dg, -1))
+        adj = blocks.conj().swapaxes(-1, -2)
+        gram = blocks @ adj if dg <= blocks.shape[-1] else adj @ blocks
+        return _spectral_entropy(gram).sum(axis=-1)
+
+    return entropy(x) + entropy(y) - entropy(()) - entropy(x + y)
 
 
 class ClassicalDistribution:

@@ -16,16 +16,21 @@ Three kinds of experiment, all seeded and reproducible:
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
-(including swapping the two tested sets), and each case's model trials
-are sampled as one stack and measured by one call of the batched CMI
-kernel of :mod:`qbnets.qinfo`; this is what makes the full sweep finish
-in about a minute.
+(including swapping the two tested sets) by reducing the triples of one
+labeled copy of each unlabeled DAG under its automorphisms. Each case's
+model trials are sampled as one stack of joint kets and measured by one
+call of the purification CMI kernel of :mod:`qbnets.qinfo`, which never
+forms a density matrix; the full sweep takes about ten seconds.
+
+Every run must do work: a trial or model count below one, and a
+negative or non-finite tolerance, raise ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -42,7 +47,7 @@ from .graph import (
 )
 from .network import posterior_oracle
 from .qbp import propagate_polytree
-from .qinfo import _cmi, _dephase_mask, net_to_density, quantum_cmi
+from .qinfo import _purified_cmi, net_to_density, quantum_cmi
 from .sampling import _unit_columns, random_evidence, random_polytree_dag, random_qbnet
 
 
@@ -78,6 +83,17 @@ def _triple_names(dag: Dag, m) -> tuple[str, ...]:
     return tuple(dag.name(i) for i in as_multinode(m))
 
 
+def _require_positive(name: str, value: int) -> None:
+    """Reject a count that would make a run vacuous."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _sampled_cmi(dag: Dag, a, b, z, seed: int, trial: int) -> float:
     rng = np.random.default_rng([seed, trial])
     net = random_qbnet(dag, rng)
@@ -99,6 +115,8 @@ def check_dsep_forward(
     otherwise ``passed`` can be False on a d-separated triple (in
     a -> c <- b with c traced out, a and b end up entangled).
     """
+    _require_positive("trials", trials)
+    _require_tolerance("tol", tol)
     a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
     if not d_separated(dag, a, b, z):
         raise ValueError("forward check requires a d-separated triple")
@@ -130,6 +148,8 @@ def search_dsep_witness(
 ) -> TrialReport:
     """Converse search: on a non-separated triple, find a model with CMI
     above ``threshold``. Stops at the first witness."""
+    _require_positive("trials", trials)
+    _require_tolerance("threshold", threshold)
     a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
     if d_separated(dag, a, b, z):
         raise ValueError("witness search requires a triple that is not d-separated")
@@ -186,6 +206,8 @@ def bp_campaign(
     The report is a pure function of the arguments: the same seed gives
     a bit-identical report.
     """
+    _require_positive("count", count)
+    _require_tolerance("tol", tol)
     max_dev = 0.0
     worst = None
     for t in range(count):
@@ -274,61 +296,56 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     number of deduplicated classes, number of labeled cases covered).
     Only the d-separated classes are returned; they are the ones the
     forward statement is about.
+
+    Isomorph-free reduction (McKay, J. Algorithms 26:306, 1998): a DAG's
+    canonical form is the least of its n! relabeled integers, and only
+    the first labeled copy of each unlabeled DAG is kept. On that copy
+    the triples are reduced under its automorphisms (the relabelings
+    that give back the same integer) times the A/B swap, and each orbit
+    keeps its first triple in :func:`_assignment_codes` order. So every
+    class is represented by its smallest (DAG index, triple index) case,
+    and the cases come in that order: the case list, and with it each
+    ``default_rng([seed, n, idx])`` stream of the census, depends only
+    on the classes, not on how they are found.
     """
     dags = enumerate_dags(n)
     codes = _assignment_codes(n)
     if codes.size == 0:
         return [], 0, 0
-    perms = list(itertools.permutations(range(n)))
-    pow4 = 4 ** np.arange(n, dtype=np.int64)
-    swap = np.array([0, 2, 1, 3], dtype=np.int64)
-
-    packed = []
-    for perm in perms:
-        inv = np.argsort(np.array(perm))
-        permuted = codes[:, inv]
-        packed.append(permuted @ pow4)
-        packed.append(swap[permuted] @ pow4)
+    perms = list(itertools.permutations(range(n)))  # identity first
 
     dag_masks = np.array(dags, dtype=np.int64)
     pow2n = (1 << n) ** np.arange(n, dtype=np.int64)
-    dag_ints = []
-    for perm in perms:
+    relabeled_ints = np.empty((len(perms), len(dags)), dtype=np.int64)
+    for k, perm in enumerate(perms):
         table = np.array([_permute_mask(m, perm) for m in range(1 << n)], dtype=np.int64)
         relabeled = np.empty_like(dag_masks)
         relabeled[:, list(perm)] = table[dag_masks]
-        ints = relabeled @ pow2n
-        dag_ints.append(ints)
-        dag_ints.append(ints)  # swapping A and B leaves the graph alone
+        relabeled_ints[k] = relabeled @ pow2n
+    _, first_copies = np.unique(relabeled_ints.min(axis=0), return_index=True)
 
-    base = np.int64(4**n)
-    keys = None
-    buf = np.empty((len(dags), codes.shape[0]), dtype=np.int64)
-    for variant in range(len(packed)):
-        np.multiply(dag_ints[variant][:, None], base, out=buf)
-        np.add(buf, packed[variant][None, :], out=buf)
-        if keys is None:
-            keys = buf.copy()
-        else:
-            np.minimum(keys, buf, out=keys)
+    # triple codes packed with node 0 most significant, so that packed
+    # order is the order of ``codes``; one row per relabeling, plain and
+    # with A and B swapped
+    pow4 = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    images = np.stack([codes[:, np.argsort(perm)] for perm in perms])
+    packed = images @ pow4
+    swapped = np.array([0, 2, 1, 3], dtype=np.int64)[images] @ pow4
+    bits = 1 << np.arange(n, dtype=np.int64)
+    triples = np.stack([(codes == c) @ bits for c in (1, 2, 3)], axis=1)
 
-    _, first = np.unique(keys.ravel(), return_index=True)
-    t_count = codes.shape[0]
     cases = []
-    for flat in sorted(int(i) for i in first):
-        parents = dags[flat // t_count]
-        code = codes[flat % t_count]
-        a = b = z = 0
-        for i, c in enumerate(code):
-            if c == 1:
-                a |= 1 << i
-            elif c == 2:
-                b |= 1 << i
-            elif c == 3:
-                z |= 1 << i
-        if _d_separated_masks(parents, a, b, z):
-            cases.append((parents, (a, b, z)))
-    return cases, int(len(first)), len(dags) * t_count
+    classes = 0
+    for d in sorted(int(i) for i in first_copies):
+        auts = relabeled_ints[:, d] == relabeled_ints[0, d]
+        orbit_min = np.minimum(packed[auts].min(axis=0), swapped[auts].min(axis=0))
+        reps = np.flatnonzero(orbit_min == packed[0])
+        classes += len(reps)
+        parents = dags[d]
+        for a, b, z in triples[reps].tolist():
+            if _d_separated_masks(parents, a, b, z):
+                cases.append((parents, (a, b, z)))
+    return cases, classes, len(dags) * codes.shape[0]
 
 
 def _sides_assignable_masks(parents, a: int, b: int, z: int) -> bool:
@@ -386,8 +403,11 @@ def _census_case_cmi(
     """Largest |CMI| over a batch of sampled nets for one census case.
 
     The ``trials`` nets are sampled as one stack and multiplied into a
-    small dense joint; the stack of reduced states, dephased on z, goes
-    through one call of the batched CMI kernel.
+    small dense joint ket. Its kept nodes stay as axes and the others
+    fold into one purifying axis, so the stack is a purification of the
+    reduced states; :func:`qbnets.qinfo._purified_cmi` takes the CMI,
+    dephased on z, from Gram spectra of its z-blocks, without forming a
+    density matrix.
     """
     n = len(parents)
     amp = np.ones((trials,) + (card,) * n, dtype=np.complex128)
@@ -402,15 +422,11 @@ def _census_case_cmi(
 
     keep = sorted(_bits(masks[0] | masks[1] | masks[2]))
     rest = [i for i in range(n) if i not in keep]
-    stacked = amp.transpose([0] + [1 + i for i in keep] + [1 + i for i in rest])
-    stacked = stacked.reshape(trials, card ** len(keep), -1)
-    rho = np.einsum("tkr,tlr->tkl", stacked, stacked.conj())
-
     dims = (card,) * len(keep)
+    psi = amp.transpose([0] + [1 + i for i in keep] + [1 + i for i in rest])
+    psi = psi.reshape((trials,) + dims + (-1,))
     a, b, z = (tuple(keep.index(i) for i in _bits(m)) for m in masks)
-    if z:
-        rho = rho * _dephase_mask(dims, z)
-    return float(np.max(np.abs(_cmi(rho, dims, a, b, z))))
+    return float(np.max(np.abs(_purified_cmi(psi, dims, a, b, z))))
 
 
 @dataclass(frozen=True)
@@ -450,12 +466,15 @@ def dsep_forward_census(
     """Forward d-separation check over all DAGs with up to ``max_nodes`` nodes.
 
     Every disjoint (A, B, Z) triple on every DAG is covered; cases are
-    collapsed up to relabeling (the tested property is label-invariant),
-    and each surviving d-separated class gets ``trials`` random
-    ``card``-ary models. ``passed`` demands zero violations over every
-    separated class, which quantum nets do not satisfy: with ``card``
-    >= 2 and a small ``tol`` it is False for any census that reaches
-    n = 3, where a -> c <- b with c traced out entangles a and b.
+    collapsed up to relabeling (the tested property is label-invariant)
+    by :func:`canonical_separated_cases`, and each surviving d-separated
+    class gets ``trials`` random ``card``-ary models, drawn from
+    ``default_rng([seed, n, idx])`` with ``idx`` the class's place in
+    the case list and measured by :func:`_census_case_cmi` from Gram
+    spectra of the sampled kets. ``passed`` demands zero violations over
+    every separated class, which quantum nets do not satisfy: with
+    ``card`` >= 2 and a small ``tol`` it is False for any census that
+    reaches n = 3, where a -> c <- b with c traced out entangles a and b.
 
     The report therefore splits the classes by :func:`sides_assignable`.
     Tracing out a node that bridges the two tested sides (a common
@@ -464,6 +483,10 @@ def dsep_forward_census(
     ``violations_assignable`` is zero, which is the form of the forward
     statement that survives partial tracing.
     """
+    _require_positive("max_nodes", max_nodes)
+    _require_positive("trials", trials)
+    _require_positive("card", card)
+    _require_tolerance("tol", tol)
     start = time.perf_counter()
     labeled_cases = 0
     classes = 0

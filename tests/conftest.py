@@ -161,3 +161,54 @@ def brute_d_separated(dag, a, b, z):
                 for p in dag.parents(node):
                     frontier.append((p, "up"))
     return True
+
+
+def key_matrix_separated_cases(n):
+    """Isomorphism classes of (DAG, triple) cases by brute-force keys.
+
+    The reference for ``verify.canonical_separated_cases``: every
+    labeled case gets the key min over all n! relabelings and the A/B
+    swap of (relabeled DAG integer, packed triple), and each class is
+    represented by its first case in (DAG index, triple index) order.
+    Builds a (DAGs x triples) key matrix, so keep n <= 4.
+    """
+    from qbnets.graph import _d_separated_masks
+    from qbnets.verify import _assignment_codes, _permute_mask, enumerate_dags
+
+    dags = enumerate_dags(n)
+    codes = _assignment_codes(n)
+    if codes.size == 0:
+        return [], 0, 0
+    perms = list(itertools.permutations(range(n)))
+    pow4 = 4 ** np.arange(n, dtype=np.int64)
+    swap = np.array([0, 2, 1, 3], dtype=np.int64)
+    dag_masks = np.array(dags, dtype=np.int64)
+    pow2n = (1 << n) ** np.arange(n, dtype=np.int64)
+    keys = None
+    for perm in perms:
+        permuted = codes[:, np.argsort(np.array(perm))]
+        table = np.array([_permute_mask(m, perm) for m in range(1 << n)], dtype=np.int64)
+        relabeled = np.empty_like(dag_masks)
+        relabeled[:, list(perm)] = table[dag_masks]
+        dag_ints = (relabeled @ pow2n)[:, None] * np.int64(4**n)
+        for packed in (permuted @ pow4, swap[permuted] @ pow4):
+            variant = dag_ints + packed[None, :]
+            keys = variant if keys is None else np.minimum(keys, variant)
+
+    _, first = np.unique(keys.ravel(), return_index=True)
+    t_count = codes.shape[0]
+    cases = []
+    for flat in sorted(int(i) for i in first):
+        parents = dags[flat // t_count]
+        code = codes[flat % t_count]
+        a = b = z = 0
+        for i, c in enumerate(code):
+            if c == 1:
+                a |= 1 << i
+            elif c == 2:
+                b |= 1 << i
+            elif c == 3:
+                z |= 1 << i
+        if _d_separated_masks(parents, a, b, z):
+            cases.append((parents, (a, b, z)))
+    return cases, int(len(first)), len(dags) * t_count

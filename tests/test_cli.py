@@ -280,6 +280,19 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["passed"]
 
+    def test_zero_trials_exits_two(self, capsys, tmp_path, screened_pair_dag):
+        net = random_qbnet(screened_pair_dag, np.random.default_rng(6))
+        path = tmp_path / "net.json"
+        save_json(path, qbnet_to_json(net))
+        for b in ("y", "x0"):  # forward check, then witness search
+            code, out, err = run(
+                capsys, "verify", "dsep", "--dag", str(path),
+                "--a", "x", "--b", b, "--z", "lam", "--trials", "0",
+            )
+            assert code == 2 and out == "" and "trials" in err
+        code, out, err = run(capsys, "verify", "bp", "--trials", "0")
+        assert code == 2 and out == "" and "count" in err
+
 
 class TestErrorHandling:
     def test_malformed_json_exits_two_with_line(self, capsys, tmp_path):

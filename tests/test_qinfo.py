@@ -25,7 +25,14 @@ from qbnets import (
     reordered,
     von_neumann_entropy,
 )
-from qbnets.qinfo import _cmi, _group, _reduce, _spectral_entropy
+from qbnets.qinfo import (
+    _cmi,
+    _dephase_mask,
+    _group,
+    _purified_cmi,
+    _reduce,
+    _spectral_entropy,
+)
 from qbnets.sampling import (
     random_dag,
     random_density_matrix,
@@ -346,6 +353,57 @@ class TestBatchedCore:
         _, mats = self.stack()
         mats[3] = np.diag([1.0 + 1e-12, -1e-12] + [0.0] * (mats.shape[-1] - 2))
         assert _spectral_entropy(mats)[3] == pytest.approx(0.0, abs=1e-10)
+
+
+class TestPurifiedCmi:
+    """The purification kernel against the dense kernel on psi psi^dagger."""
+
+    @staticmethod
+    def dense(psi, dims, z):
+        d = int(np.prod(dims))
+        kets = psi.reshape(psi.shape[: psi.ndim - len(dims) - 1] + (d, -1))
+        rho = kets @ kets.conj().swapaxes(-1, -2)
+        return rho * _dephase_mask(dims, z) if z else rho
+
+    @pytest.mark.parametrize(
+        "dims, x, y, z",
+        [
+            ((2, 2), (0,), (1,), ()),
+            ((3, 3), (1,), (0,), ()),
+            ((2, 3, 2), (0,), (1,), (2,)),
+            ((2, 3, 2), (2,), (0,), (1,)),
+            ((3, 2, 2), (0, 2), (1,), ()),
+            ((2, 3, 2, 3), (1,), (3,), (0, 2)),
+            ((2, 2, 3, 2), (0, 3), (2,), (1,)),
+        ],
+    )
+    # r = 1: every S(x,y,z) block's Gram is taken on the purifying side;
+    # r = 13 exceeds every kept dimension, so every Gram is on the kept side
+    @pytest.mark.parametrize("r", [1, 2, 13])
+    def test_matches_dense_kernel(self, dims, x, y, z, r):
+        rng = np.random.default_rng([18, len(dims), r])
+        shape = (2, 3) + dims + (r,)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi /= np.sqrt((np.abs(psi) ** 2).sum(axis=tuple(range(2, psi.ndim)), keepdims=True))
+        got = _purified_cmi(psi, dims, x, y, z)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, _cmi(self.dense(psi, dims, z), dims, x, y, z), atol=1e-12)
+
+    def test_screened_product_has_zero_cmi(self):
+        # |psi> = sum_z sqrt(p_z) |z> |u_z>_x |v_z>_y |w_z>_r: zero CMI given z,
+        # though x and y are correlated through z
+        rng = np.random.default_rng(19)
+
+        def unit(*shape):
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+        p = np.array([0.3, 0.7])
+        u, v, w = unit(2, 3), unit(2, 2), unit(2, 4)
+        psi = np.einsum("z,zx,zy,zr->zxyr", np.sqrt(p), u, v, w)
+        assert _purified_cmi(psi, (2, 3, 2), (1,), (2,), (0,)) == pytest.approx(0.0, abs=1e-12)
+        mi = _purified_cmi(psi, (2, 3, 2), (1,), (2,))
+        assert mi > 1e-3
 
 
 class TestNetToDensity:

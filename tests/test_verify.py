@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ from qbnets import (
     sides_assignable,
 )
 from qbnets.verify import _census_case_cmi, canonical_separated_cases
+
+from conftest import key_matrix_separated_cases
 
 
 class TestForwardCheck:
@@ -78,6 +81,41 @@ class TestBpCampaign:
         assert r1.to_json() == r2.to_json()
 
 
+class TestVacuousRunsRejected:
+    @pytest.mark.parametrize(
+        "kwargs", [{"trials": 0}, {"trials": -3}, {"tol": -1e-9}, {"tol": float("nan")}]
+    )
+    def test_forward_check(self, screened_pair_dag, kwargs):
+        with pytest.raises(ValueError, match="trials|tol"):
+            check_dsep_forward(screened_pair_dag, [3], [4], [0], **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"trials": 0}, {"threshold": -1.0}, {"threshold": float("inf")}]
+    )
+    def test_witness_search(self, cross_pair_dag, kwargs):
+        with pytest.raises(ValueError, match="trials|threshold"):
+            search_dsep_witness(cross_pair_dag, [3], [4], [0], **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -1}, {"tol": float("nan")}])
+    def test_bp_campaign(self, kwargs):
+        with pytest.raises(ValueError, match="count|tol"):
+            bp_campaign(**{"count": 2, **kwargs})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"trials": 0},
+            {"max_nodes": 0},
+            {"card": 0},
+            {"tol": -1.0},
+            {"tol": float("inf")},
+        ],
+    )
+    def test_census(self, kwargs):
+        with pytest.raises(ValueError, match="trials|max_nodes|card|tol"):
+            dsep_forward_census(**{"max_nodes": 2, **kwargs})
+
+
 class TestEnumeration:
     def test_dag_counts(self):
         # known counts of labeled DAGs
@@ -109,26 +147,77 @@ class TestSidesAssignable:
         assert sides_assignable(screened_pair_dag, [3], [4], [0])
 
 
-class TestCensusMachinery:
-    def test_batched_cmi_matches_library_path(self):
-        # fast path vs the readable net_to_density route on one case
-        dag = Dag([("a", 2), ("b", 2), ("c", 2)], [(0, 2), (1, 2)])
-        parents = (0, 0, 3)
-        got = _census_case_cmi(parents, (1, 2, 0), 1, np.random.default_rng([0, 99]), 2)
-        # recompute with library calls and an identically-seeded net
-        rng = np.random.default_rng([0, 99])
-        tables = []
-        for j, pa in ((0, ()), (1, ()), (2, (0, 1))):
-            shape = (1, 2) + (2,) * len(pa)
-            t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            t /= np.sqrt((np.abs(t) ** 2).sum(axis=1, keepdims=True))
-            tables.append(t[0])
-        from qbnets import QBNet, node_tpm
+class TestCanonicalization:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_key_matrix_reference(self, n):
+        got = canonical_separated_cases(n)
+        assert repr(got) == repr(key_matrix_separated_cases(n))
 
-        net = QBNet(dag, [node_tpm(j, dag.parents(j), t) for j, t in enumerate(tables)])
-        rho = net_to_density(net, keep=[0, 1])
-        expect = abs(quantum_cmi(rho, "a", "b", ()))
-        assert got == pytest.approx(expect, abs=1e-10)
+    # sha256 of repr(case list) and (classes, labeled cases, separated cases)
+    PINNED = {
+        3: ("8f51b728e2e447d86f3daf0f75eedc7818654152e75e8085260ff51f98896baf", (42, 450, 11)),
+        4: ("bfc6ad1ae693c46a9a6f07502f2cc80603318ea570b04c49c508599bafbc329b", (1_333, 59_730, 209)),
+        5: (
+            "41d91e36a2041953d04f4dde7351919979db1387836dce21a73f93ad78b27201",
+            (72_584, 16_690_170, 6_637),
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_case_list_pinned(self, n):
+        # the census draws class idx's models from default_rng([seed, n, idx]),
+        # so the case list and its order are part of every census answer
+        digest, counts = self.PINNED[n]
+        cases, classes, labeled = canonical_separated_cases(n)
+        assert (classes, labeled, len(cases)) == counts
+        assert hashlib.sha256(repr(cases).encode()).hexdigest() == digest
+
+
+def _library_case_cmi(parents, masks, trials, rng, card):
+    """Largest |CMI| of one census case through net_to_density and quantum_cmi,
+    on nets rebuilt from the same draws as the census's batched sampler."""
+    from qbnets import QBNet, node_tpm
+
+    n = len(parents)
+    pa = [[p for p in range(n) if parents[j] >> p & 1] for j in range(n)]
+    dag = Dag([(f"n{j}", card) for j in range(n)], [(p, j) for j in range(n) for p in pa[j]])
+    tables = []
+    for j in range(n):
+        shape = (trials, card) + (card,) * len(pa[j])
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tables.append(t / np.sqrt((np.abs(t) ** 2).sum(axis=1, keepdims=True)))
+    a, b, z = ([i for i in range(n) if m >> i & 1] for m in masks)
+    worst = 0.0
+    for trial in range(trials):
+        net = QBNet(dag, [node_tpm(j, pa[j], tables[j][trial]) for j in range(n)])
+        rho = net_to_density(net, keep=a + b, diag=z)
+        names = [[f"n{i}" for i in g] for g in (a, b, z)]
+        worst = max(worst, abs(quantum_cmi(rho, *names)))
+    return worst
+
+
+class TestCensusMachinery:
+    # (parents, masks, trials, card)
+    LIBRARY_CASES = [
+        # a -> c <- b, c traced, z empty
+        ((0, 0, 3), (1, 2, 0), 1, 2),
+        ((0, 0, 3), (1, 2, 0), 4, 3),
+        # lam screens x from y; x0 and y0 traced, z = {lam}
+        ((0, 1, 1, 3, 5), (8, 16, 1), 4, 2),
+        # a -> c <- b -> d, c traced, z = {d}
+        ((0, 0, 3, 2), (1, 2, 8), 4, 2),
+        ((0, 0, 3, 2), (1, 2, 8), 3, 3),
+        # no hidden node, z = {c} in a chain a -> c -> b
+        ((0, 4, 1), (1, 2, 4), 4, 2),
+    ]
+
+    def test_batched_cmi_matches_library_path(self):
+        for parents, masks, trials, card in self.LIBRARY_CASES:
+            got = _census_case_cmi(parents, masks, trials, np.random.default_rng([0, 99]), card)
+            expect = _library_case_cmi(
+                parents, masks, trials, np.random.default_rng([0, 99]), card
+            )
+            assert got == pytest.approx(expect, abs=1e-12), (parents, masks, card)
 
     def test_census_small_scope(self):
         report = dsep_forward_census(max_nodes=3, trials=20, seed=0)

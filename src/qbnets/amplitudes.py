@@ -26,9 +26,6 @@ class LabeledAmplitude:
     labels: tuple[int, ...]
     data: np.ndarray
 
-    def card(self, label: int) -> int:
-        return self.data.shape[self.labels.index(label)]
-
     @property
     def size(self) -> int:
         return int(self.data.size)
@@ -55,22 +52,11 @@ class LabeledAmplitude:
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.data, self.data).real)
 
-    def unit(self) -> "LabeledAmplitude":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize an all-zero amplitude")
-        return LabeledAmplitude(self.labels, self.data / n)
-
     def scaled(self, factor: complex) -> "LabeledAmplitude":
         return LabeledAmplitude(self.labels, self.data * factor)
 
     def item(self) -> complex:
         return complex(self.data.reshape(()).item())
-
-    def allclose(self, other: "LabeledAmplitude", atol: float = 1e-10) -> bool:
-        return self.labels == other.labels and np.allclose(
-            self.data, other.data, rtol=0.0, atol=atol
-        )
 
     def __repr__(self) -> str:
         return f"LabeledAmplitude(labels={self.labels}, shape={self.data.shape})"

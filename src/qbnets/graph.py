@@ -1,8 +1,15 @@
-"""Directed acyclic graphs, multinode set algebra, and d-separation.
+"""Directed acyclic graphs, multinode set algebra, and graph separation.
 
-The d-separation predicate here is purely topological: it never looks at
-amplitudes or probabilities, so the same function serves the classical
-and the quantum independence theorems.
+Two separation predicates, both purely topological: they never look at
+amplitudes or probabilities, so the same functions serve the classical
+and the quantum independence theorems. :func:`d_separated` is the
+classical d-separation test; :func:`sides_assignable` asks whether the
+off-triple nodes split into two sides that stay d-separated, the
+condition under which the quantum forward statement survives partial
+tracing. Both run on one bitmask core, :func:`_moral_separated`:
+reachability in a moral graph once the conditioning nodes are deleted,
+on the ancestral closure of the triple for the first and on the whole
+DAG for the second.
 """
 
 from __future__ import annotations
@@ -253,33 +260,35 @@ def _parent_masks(dag: Dag) -> list[int]:
     return masks
 
 
-def _d_separated_masks(parents: Sequence[int], a: int, b: int, z: int) -> bool:
-    """Bitmask core of the d-separation test.
-
-    Reachability on the moralized ancestral graph of ``a | b | z``:
-    take the ancestral closure, marry co-parents, drop edge directions,
-    delete the conditioning nodes, and ask whether ``a`` still reaches
-    ``b``.
-    """
-    n = len(parents)
-    anc = a | b | z
-    frontier = anc
+def _ancestral(parents: Sequence[int], nodes: int) -> int:
+    """``nodes`` together with all of their ancestors, as a bitmask."""
+    frontier = nodes
     while frontier:
         step = 0
         for i in _bits(frontier):
             step |= parents[i]
-        frontier = step & ~anc
-        anc |= frontier
+        frontier = step & ~nodes
+        nodes |= frontier
+    return nodes
 
-    adj = [0] * n
-    for c in _bits(anc):
-        ps = parents[c] & anc
+
+def _moral_separated(parents: Sequence[int], nodes: int, a: int, b: int, z: int) -> bool:
+    """Does ``a`` fail to reach ``b`` in the moral graph of ``nodes`` minus ``z``?
+
+    The moral graph of the subgraph induced on ``nodes`` marries the
+    co-parents of every child and drops edge directions. The one
+    reachability core behind both :func:`d_separated` and
+    :func:`sides_assignable`.
+    """
+    adj = [0] * len(parents)
+    for c in _bits(nodes):
+        ps = parents[c] & nodes
         for p in _bits(ps):
             adj[p] |= 1 << c
             adj[c] |= 1 << p
             adj[p] |= ps & ~(1 << p)
 
-    alive = anc & ~z
+    alive = nodes & ~z
     reach = a & alive
     frontier = reach
     while frontier:
@@ -289,6 +298,28 @@ def _d_separated_masks(parents: Sequence[int], a: int, b: int, z: int) -> bool:
         frontier = step & alive & ~reach
         reach |= frontier
     return not reach & b
+
+
+def _d_separated_masks(parents: Sequence[int], a: int, b: int, z: int) -> bool:
+    """Bitmask d-separation: moral separation on the ancestral closure of
+    ``a | b | z`` (Lauritzen, Dawid, Larsen & Leimer, Networks 20:491, 1990)."""
+    return _moral_separated(parents, _ancestral(parents, a | b | z), a, b, z)
+
+
+def _sides_assignable_masks(parents: Sequence[int], a: int, b: int, z: int) -> bool:
+    """Bitmask side-assignability: moral separation on the whole DAG."""
+    return _moral_separated(parents, (1 << len(parents)) - 1, a, b, z)
+
+
+def _triple_masks(dag: Dag, a, b, z) -> tuple[list[int], int, int, int]:
+    """Parent masks and (a, b, z) bitmasks of a checked, disjoint triple."""
+    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
+    for m in (a, b, z):
+        m.validate(dag)
+    if not (a.isdisjoint(b) and a.isdisjoint(z) and b.isdisjoint(z)):
+        raise ValueError("multinodes a, b, z must be pairwise disjoint")
+    a, b, z = (sum(1 << i for i in m) for m in (a, b, z))
+    return _parent_masks(dag), a, b, z
 
 
 def d_separated(dag: Dag, a, b, z=()) -> bool:
@@ -308,16 +339,32 @@ def d_separated(dag: Dag, a, b, z=()) -> bool:
         middles, colliders blocked unless they or a descendant are
         observed).
     """
-    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
-    for m in (a, b, z):
-        m.validate(dag)
-    if not (a.isdisjoint(b) and a.isdisjoint(z) and b.isdisjoint(z)):
-        raise ValueError("multinodes a, b, z must be pairwise disjoint")
+    return _d_separated_masks(*_triple_masks(dag, a, b, z))
 
-    def mask(m: Multinode) -> int:
-        out = 0
-        for i in m:
-            out |= 1 << i
-        return out
 
-    return _d_separated_masks(_parent_masks(dag), mask(a), mask(b), mask(z))
+def sides_assignable(dag: Dag, a, b, z=()) -> bool:
+    """Can the off-triple nodes be split into an a-side and a b-side?
+
+    True when some partition of the remaining nodes into H_a and H_b
+    keeps (a | H_a) d-separated from (b | H_b) given z. When it exists,
+    tracing the hidden nodes out is a local channel on each side, so the
+    dephased conditional mutual information of the reduced state is
+    forced to zero; when it does not, tracing can entangle the two sides
+    and the reduced CMI is free to be positive. Arguments are checked
+    as in :func:`d_separated`.
+
+    Those sets cover every node, so their ancestral closure is the whole
+    DAG, and the split exists iff ``a`` does not reach ``b`` in the moral
+    graph of the whole DAG once z is deleted. If it does not, put the
+    hidden nodes ``a`` reaches on a's side and the rest on b's side.
+    Conversely, any a-b path would cross between the sides on a moral edge.
+
+    The condition is sufficient, not necessary. A hidden sink whose
+    parents are all hidden drops out exactly: tracing it is a channel on
+    its parents, which are traced out as well. So in 0->2, 1->3,
+    {0,1}->4 with a={2}, b={3}, z={} the triple is unassignable (node 4
+    joins the two sides) yet the CMI is zero in every model, as for
+    the same graph without node 4. In the five-node census at seed 404
+    the only unassignable classes with zero CMI are three of this shape.
+    """
+    return _sides_assignable_masks(*_triple_masks(dag, a, b, z))

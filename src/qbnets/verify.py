@@ -3,8 +3,9 @@
 Three kinds of experiment, all seeded and reproducible:
 
 * forward d-separation checks: on a d-separated triple whose hidden
-  nodes can be assigned to the two sides (:func:`sides_assignable`),
-  every sampled net gives (numerically) zero conditional mutual
+  nodes can be assigned to the two sides
+  (:func:`qbnets.graph.sides_assignable`, one moral-graph reachability
+  test), every sampled net gives (numerically) zero conditional mutual
   information once the conditioning nodes are dephased. On other
   d-separated triples the CMI can be positive: tracing out a coherent
   common child entangles its parents;
@@ -41,9 +42,10 @@ from .graph import (
     Dag,
     _bits,
     _d_separated_masks,
-    _parent_masks,
+    _sides_assignable_masks,
     as_multinode,
     d_separated,
+    sides_assignable,
 )
 from .network import posterior_oracle
 from .qbp import propagate_polytree
@@ -348,51 +350,6 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     return cases, classes, len(dags) * codes.shape[0]
 
 
-def _sides_assignable_masks(parents, a: int, b: int, z: int) -> bool:
-    n = len(parents)
-    hidden = ((1 << n) - 1) & ~(a | b | z)
-    hidden_bits = list(_bits(hidden))
-    for pick in range(1 << len(hidden_bits)):
-        ha = 0
-        for k, bit in enumerate(hidden_bits):
-            if pick >> k & 1:
-                ha |= 1 << bit
-        if _d_separated_masks(parents, a | ha, b | (hidden & ~ha), z):
-            return True
-    return False
-
-
-def sides_assignable(dag: Dag, a, b, z=()) -> bool:
-    """Can the off-triple nodes be split into an a-side and a b-side?
-
-    True when some partition of the remaining nodes into H_a and H_b
-    keeps (a | H_a) d-separated from (b | H_b) given z. When it exists,
-    tracing the hidden nodes out is a local channel on each side, so the
-    dephased conditional mutual information of the reduced state is
-    forced to zero; when it does not, tracing can entangle the two sides
-    and the reduced CMI is free to be positive.
-
-    The condition is sufficient, not necessary. A hidden sink whose
-    parents are all hidden drops out exactly: tracing it is a channel on
-    its parents, which are traced out as well. So in 0->2, 1->3,
-    {0,1}->4 with a={2}, b={3}, z={} the triple is unassignable (node 4
-    joins the two sides) yet the CMI is zero in every model, as for
-    the same graph without node 4. In the five-node census at seed 404
-    the only unassignable classes with zero CMI are three of this shape.
-    """
-    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
-    for m in (a, b, z):
-        m.validate(dag)
-
-    def mask(m) -> int:
-        out = 0
-        for i in m:
-            out |= 1 << i
-        return out
-
-    return _sides_assignable_masks(_parent_masks(dag), mask(a), mask(b), mask(z))
-
-
 def _census_case_cmi(
     parents: tuple[int, ...],
     masks: tuple[int, int, int],
@@ -476,8 +433,8 @@ def dsep_forward_census(
     ``card`` >= 2 and a small ``tol`` it is False for any census that
     reaches n = 3, where a -> c <- b with c traced out entangles a and b.
 
-    The report therefore splits the classes by :func:`sides_assignable`.
-    Tracing out a node that bridges the two tested sides (a common
+    The report therefore splits the classes by
+    :func:`qbnets.graph.sides_assignable`. Tracing out a node that bridges the two tested sides (a common
     child, say) can entangle them even though they are d-separated, so
     violations occur only in the unassignable classes;
     ``violations_assignable`` is zero, which is the form of the forward

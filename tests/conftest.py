@@ -212,3 +212,25 @@ def key_matrix_separated_cases(n):
         if _d_separated_masks(parents, a, b, z):
             cases.append((parents, (a, b, z)))
     return cases, int(len(first)), len(dags) * t_count
+
+
+def split_search_assignable(parents, a, b, z):
+    """Side-assignability by trying every split of the hidden nodes.
+
+    The reference for ``graph._sides_assignable_masks``: 2^|hidden|
+    d-separation tests, one per split of the off-triple nodes between
+    the a-side and the b-side.
+    """
+    from qbnets.graph import _bits, _d_separated_masks
+
+    n = len(parents)
+    hidden = ((1 << n) - 1) & ~(a | b | z)
+    hidden_bits = list(_bits(hidden))
+    for pick in range(1 << len(hidden_bits)):
+        ha = 0
+        for k, bit in enumerate(hidden_bits):
+            if pick >> k & 1:
+                ha |= 1 << bit
+        if _d_separated_masks(parents, a | ha, b | (hidden & ~ha), z):
+            return True
+    return False

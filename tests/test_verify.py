@@ -8,6 +8,7 @@ from qbnets import (
     Dag,
     bp_campaign,
     check_dsep_forward,
+    d_separated,
     dsep_forward_census,
     enumerate_dags,
     net_to_density,
@@ -15,9 +16,10 @@ from qbnets import (
     search_dsep_witness,
     sides_assignable,
 )
-from qbnets.verify import _census_case_cmi, canonical_separated_cases
+from qbnets.graph import _d_separated_masks, _sides_assignable_masks
+from qbnets.verify import _assignment_codes, _census_case_cmi, canonical_separated_cases
 
-from conftest import key_matrix_separated_cases
+from conftest import key_matrix_separated_cases, split_search_assignable
 
 
 class TestForwardCheck:
@@ -125,13 +127,16 @@ class TestEnumeration:
         assert len(enumerate_dags(4)) == 543
 
     def test_separated_class_reps_are_separated(self):
-        from qbnets.graph import _d_separated_masks
-
         cases, classes, labeled = canonical_separated_cases(3)
         assert labeled == 25 * 18
         assert classes >= len(cases)
         for parents, (a, b, z) in cases:
             assert _d_separated_masks(parents, a, b, z)
+
+
+@pytest.fixture(scope="module")
+def census_cases():
+    return {n: canonical_separated_cases(n)[0] for n in range(1, 6)}
 
 
 class TestSidesAssignable:
@@ -145,6 +150,46 @@ class TestSidesAssignable:
 
     def test_screened_pair_assignable(self, screened_pair_dag):
         assert sides_assignable(screened_pair_dag, [3], [4], [0])
+
+    def test_hidden_sink_with_hidden_parents_not_assignable(self):
+        # sufficient, not necessary: node 4 joins the sides, yet the CMI is zero
+        dag = Dag([(f"n{i}", 2) for i in range(5)], [(0, 2), (1, 3), (0, 4), (1, 4)])
+        assert d_separated(dag, [2], [3], [])
+        assert not sides_assignable(dag, [2], [3], [])
+
+    @pytest.mark.parametrize(
+        "a, b, z", [([0], [0], []), ([0], [2], [0]), ([0], [2], [1, 2])], ids=["ab", "az", "bz"]
+    )
+    def test_overlapping_triple_rejected(self, a, b, z):
+        chain = Dag([("x", 2), ("lam", 2), ("y", 2)], [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="disjoint"):
+            sides_assignable(chain, a, b, z)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_split_search_on_every_labeled_triple(self, n):
+        codes = _assignment_codes(n)
+        triples = [
+            tuple(sum(1 << i for i, c in enumerate(code) if c == k) for k in (1, 2, 3))
+            for code in codes.tolist()
+        ]
+        for parents in enumerate_dags(n):
+            for a, b, z in triples:
+                assignable = _sides_assignable_masks(parents, a, b, z)
+                assert assignable == split_search_assignable(parents, a, b, z)
+                assert not assignable or _d_separated_masks(parents, a, b, z)
+
+    def test_matches_split_search_on_five_node_classes(self, census_cases):
+        for parents, masks in census_cases[5]:
+            assert _sides_assignable_masks(parents, *masks) == split_search_assignable(parents, *masks)
+
+    def test_assignable_class_counts(self, census_cases):
+        # the census's assignable_classes for n <= 4 and n <= 5, without any CMI
+        counts = [
+            sum(_sides_assignable_masks(parents, *masks) for parents, masks in census_cases[n])
+            for n in range(1, 6)
+        ]
+        assert sum(counts[:4]) == 193
+        assert sum(counts) == 5_628
 
 
 class TestCanonicalization:

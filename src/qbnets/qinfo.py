@@ -220,9 +220,21 @@ def _spectral_entropy(mats: np.ndarray) -> np.ndarray:
     The one spectrum check on computed states: an eigenvalue below
     ``EIG_REJECT`` anywhere in the stack raises InvalidStateError;
     roundoff above it is clipped away, and 0 ln 0 := 0. A 1 x 1 matrix
-    is its own eigenvalue.
+    is its own eigenvalue. A 2 x 2 matrix [[a, b*], [b, d]] has the
+    eigenvalues m -+ sqrt(h^2 + |b|^2), with m = (a + d) / 2 and
+    h = (a - d) / 2, which saves one LAPACK call per matrix (the census
+    Gram blocks, squashed-entanglement members and qubit reductions).
     """
-    w = mats[..., 0].real if mats.shape[-1] == 1 else np.linalg.eigvalsh(mats)
+    size = mats.shape[-1]
+    if size == 1:
+        w = mats[..., 0].real
+    elif size == 2:
+        a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
+        m = 0.5 * (a + d)
+        r = np.hypot(0.5 * (a - d), np.abs(mats[..., 1, 0]))
+        w = np.stack([m - r, m + r], axis=-1)
+    else:
+        w = np.linalg.eigvalsh(mats)
     _check_spectrum(w)
     w = np.clip(w, 0.0, 1.0)
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)

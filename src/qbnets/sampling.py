@@ -25,9 +25,12 @@ def rng_from(seed) -> np.random.Generator:
 def _unit_columns(rng: np.random.Generator, shape: tuple, batch: tuple = ()) -> np.ndarray:
     """Gaussian tables of ``shape``, unit-norm along its first axis, stacked over ``batch``."""
     shape = batch + shape
-    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    norms = np.sqrt((np.abs(table) ** 2).sum(axis=len(batch), keepdims=True))
-    return table / norms
+    return _unit_norm(rng.normal(size=shape) + 1j * rng.normal(size=shape), len(batch))
+
+
+def _unit_norm(table: np.ndarray, axis: int) -> np.ndarray:
+    """``table`` scaled to unit 2-norm along ``axis``."""
+    return table / np.sqrt((np.abs(table) ** 2).sum(axis=axis, keepdims=True))
 
 
 def random_qbnet(dag: Dag, rng) -> QBNet:

@@ -15,9 +15,16 @@ The trivial single-member extension (the state itself) is always
 feasible and is always scored first, so the reported value can never
 exceed half the mutual information. For a pure input every extension
 has identical components, so the trivial answer is already exact and no
-search is run. The minimization is heuristic: the result is a certified
-upper bound on the true minimum, together with the witness extension
-that achieves it.
+search is run.
+
+The minimization is heuristic, and the value bounds two quantities from
+above. The C-squashed entanglement is the infimum of half the CMI over
+extensions with a classical lam, such as the ones searched here; the
+squashed entanglement E_sq takes the infimum over every quantum
+extension, so E_sq <= C-squashed <= value. The witness extension
+achieves the value. Since every searched member is pure, a searched
+extension scores at least the entanglement of formation, so the value
+never falls below min(I / 2, E_F).
 """
 
 from __future__ import annotations
@@ -142,7 +149,9 @@ def squashed_entanglement(
     -------
     EsqResult
         ``value`` is half the CMI of ``witness`` (recomputed exactly);
-        the witness always assembles back to ``rho``.
+        the witness always assembles back to ``rho``. It is an upper
+        bound, E_sq <= C-squashed entanglement <= ``value``, with no
+        certificate of how close it is to either.
     """
     if len(rho.labels) != 2:
         raise ValueError("squashed entanglement needs exactly two label groups")

@@ -18,10 +18,15 @@ Three kinds of experiment, all seeded and reproducible:
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
 (including swapping the two tested sets) by reducing the triples of one
-labeled copy of each unlabeled DAG under its automorphisms. Each case's
-model trials are sampled as one stack of joint kets and measured by one
-call of the purification CMI kernel of :mod:`qbnets.qinfo`, which never
-forms a density matrix; the full sweep takes about ten seconds.
+labeled copy of each unlabeled DAG under its automorphisms. The classes
+are measured in slices of a few cases: cases on the same DAG share each
+node's table product into their sampled joint kets, and cases with
+equal set sizes share one call of the purification CMI kernel of
+:mod:`qbnets.qinfo`, which never forms a density matrix. Each case still
+draws its models from its own generator, so no answer depends on the
+slicing. The full sweep takes about five seconds, and it logs one INFO
+line per node count to the ``qbnets.verify`` logger, a child of
+``qbnets``; the library adds no handler.
 
 Every run must do work: a trial or model count below one, and a
 negative or non-finite tolerance, raise ValueError.
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -50,7 +56,9 @@ from .graph import (
 from .network import posterior_oracle
 from .qbp import propagate_polytree
 from .qinfo import _purified_cmi, net_to_density, quantum_cmi
-from .sampling import _unit_columns, random_evidence, random_polytree_dag, random_qbnet
+from .sampling import _unit_norm, random_evidence, random_polytree_dag, random_qbnet
+
+_log = logging.getLogger(__name__)
 
 
 def _dag_description(dag: Dag) -> str:
@@ -350,40 +358,87 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     return cases, classes, len(dags) * codes.shape[0]
 
 
-def _census_case_cmi(
-    parents: tuple[int, ...],
-    masks: tuple[int, int, int],
+# cases per batched CMI evaluation of the census: large enough to share
+# each kernel call among many cases, small enough to keep memory flat
+# (32 runs the n <= 4 census about 5 % faster for about 0.3 MB more peak)
+_CENSUS_SLICE = 16
+
+
+def _census_kets(
+    cases: list[tuple[tuple[int, ...], tuple[int, int, int]]],
     trials: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     card: int,
-) -> float:
-    """Largest |CMI| over a batch of sampled nets for one census case.
+) -> np.ndarray:
+    """Sampled joint kets of census cases on n nodes, (cases, trials, *[card] * n).
 
-    The ``trials`` nets are sampled as one stack and multiplied into a
-    small dense joint ket. Its kept nodes stay as axes and the others
-    fold into one purifying axis, so the stack is a purification of the
-    reduced states; :func:`qbnets.qinfo._purified_cmi` takes the CMI,
-    dephased on z, from Gram spectra of its z-blocks, without forming a
-    density matrix.
+    Case i draws its ``trials`` nets from ``rngs[i]`` as one case
+    sampled alone would: node by node, the real part of the node's
+    tables before the imaginary part, each column scaled to unit norm as
+    :func:`qbnets.sampling._unit_columns` does. Consecutive cases on the
+    same DAG stack their tables, so each node's table is normalized and
+    multiplied into the kets of the whole run of cases at once.
     """
-    n = len(parents)
-    amp = np.ones((trials,) + (card,) * n, dtype=np.complex128)
-    for j in range(n):
-        pa = sorted(_bits(parents[j]))
-        table = _unit_columns(rng, (card,) * (1 + len(pa)), batch=(trials,))
-        labels = sorted([j] + pa)
-        order = [0] + [1 + ([j] + pa).index(l) for l in labels]
-        amp = amp * table.transpose(order).reshape(
-            [trials] + [card if i in labels else 1 for i in range(n)]
-        )
+    n = len(cases[0][0])
+    kets = np.ones((len(cases), trials) + (card,) * n, dtype=np.complex128)
+    start = 0
+    for parents, run in itertools.groupby(cases, key=lambda case: case[0]):
+        stop = start + len(list(run))
+        amp = kets[start:stop]
+        for j in range(n):
+            pa = sorted(_bits(parents[j]))
+            shape = (2, trials) + (card,) * (1 + len(pa))
+            raw = np.stack([rng.normal(size=shape) for rng in rngs[start:stop]])
+            table = _unit_norm(raw[:, 0] + 1j * raw[:, 1], 2)
+            labels = sorted([j] + pa)
+            order = [0, 1] + [2 + ([j] + pa).index(l) for l in labels]
+            absent = [2 + i for i in range(n) if i not in labels]
+            amp *= np.expand_dims(table.transpose(order), absent)
+        start = stop
+    return kets
 
-    keep = sorted(_bits(masks[0] | masks[1] | masks[2]))
-    rest = [i for i in range(n) if i not in keep]
-    dims = (card,) * len(keep)
-    psi = amp.transpose([0] + [1 + i for i in keep] + [1 + i for i in rest])
-    psi = psi.reshape((trials,) + dims + (-1,))
-    a, b, z = (tuple(keep.index(i) for i in _bits(m)) for m in masks)
-    return float(np.max(np.abs(_purified_cmi(psi, dims, a, b, z))))
+
+def _census_cmis(
+    cases: list[tuple[tuple[int, ...], tuple[int, int, int]]],
+    trials: int,
+    rngs: list[np.random.Generator],
+    card: int,
+) -> np.ndarray:
+    """Largest |CMI| over each census case's sampled nets, one per case.
+
+    The cases share a node count. Each case's kets (:func:`_census_kets`)
+    have their node axes reordered to (z, a, b, rest) and merged into
+    one axis per set, the traced rest becoming the purifying axis, so the
+    stack is a purification of the reduced states.
+    :func:`qbnets.qinfo._purified_cmi` takes the CMI, dephased on z,
+    from Gram spectra of the z-blocks without forming a density matrix,
+    in one call for all cases with equal (|a|, |b|, |z|). With z first,
+    every block layout it takes but the one for S(b, z) is a view of
+    the reordered kets.
+    """
+    n = len(cases[0][0])
+    kets = _census_kets(cases, trials, rngs, card).reshape(len(cases), trials, -1)
+    index = np.arange(card**n).reshape((card,) * n)
+    orders = np.empty((len(cases), card**n), dtype=np.intp)
+    shapes: dict[tuple[int, int, int], list[int]] = {}
+    for i, (_, (a, b, z)) in enumerate(cases):
+        rest = [k for k in range(n) if not (a | b | z) >> k & 1]
+        orders[i] = index.transpose([*_bits(z), *_bits(a), *_bits(b), *rest]).ravel()
+        shapes.setdefault((a.bit_count(), b.bit_count(), z.bit_count()), []).append(i)
+
+    out = np.empty(len(cases))
+    for (na, nb, nz), members in shapes.items():
+        dims = ((card**nz,) if nz else ()) + (card**na, card**nb)
+        psi = kets[
+            np.array(members)[:, None, None],
+            np.arange(trials)[:, None],
+            orders[members][:, None, :],
+        ]
+        psi = psi.reshape((-1,) + dims + (card ** (n - na - nb - nz),))
+        x, y = len(dims) - 2, len(dims) - 1
+        cmi = _purified_cmi(psi, dims, (x,), (y,), (0,) if nz else ())
+        out[members] = np.abs(cmi).reshape(len(members), trials).max(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -427,18 +482,23 @@ def dsep_forward_census(
     by :func:`canonical_separated_cases`, and each surviving d-separated
     class gets ``trials`` random ``card``-ary models, drawn from
     ``default_rng([seed, n, idx])`` with ``idx`` the class's place in
-    the case list and measured by :func:`_census_case_cmi` from Gram
-    spectra of the sampled kets. ``passed`` demands zero violations over
-    every separated class, which quantum nets do not satisfy: with
-    ``card`` >= 2 and a small ``tol`` it is False for any census that
-    reaches n = 3, where a -> c <- b with c traced out entangles a and b.
+    the case list. :func:`_census_cmis` measures them from Gram spectra
+    of the sampled kets, a slice of cases per call. ``passed`` demands
+    zero violations over every separated class, which quantum nets do
+    not satisfy: with ``card`` >= 2 and a small ``tol`` it is False for
+    any census that reaches n = 3, where a -> c <- b with c traced out
+    entangles a and b.
 
     The report therefore splits the classes by
-    :func:`qbnets.graph.sides_assignable`. Tracing out a node that bridges the two tested sides (a common
-    child, say) can entangle them even though they are d-separated, so
+    :func:`qbnets.graph.sides_assignable`. Tracing out a node that
+    bridges the two tested sides (a common child, say) can entangle them
+    even though they are d-separated, so
     violations occur only in the unassignable classes;
     ``violations_assignable`` is zero, which is the form of the forward
     statement that survives partial tracing.
+
+    Each node count logs one INFO line: labeled cases, classes,
+    separated classes and seconds.
     """
     _require_positive("max_nodes", max_nodes)
     _require_positive("trials", trials)
@@ -456,25 +516,32 @@ def dsep_forward_census(
     violations_assignable = 0
     worst = None
     for n in range(1, max_nodes + 1):
+        n_start = time.perf_counter()
         cases, n_classes, n_labeled = canonical_separated_cases(n)
         labeled_cases += n_labeled
         classes += n_classes
         separated += len(cases)
-        for idx, (parents, masks) in enumerate(cases):
-            rng = np.random.default_rng([seed, n, idx])
-            cmi = _census_case_cmi(parents, masks, trials, rng, card)
-            models += trials
-            assignable = _sides_assignable_masks(parents, *masks)
-            if assignable:
-                assignable_count += 1
-                max_cmi_assignable = max(max_cmi_assignable, cmi)
+        for lo in range(0, len(cases), _CENSUS_SLICE):
+            chunk = cases[lo : lo + _CENSUS_SLICE]
+            rngs = [np.random.default_rng([seed, n, lo + k]) for k in range(len(chunk))]
+            cmis = _census_cmis(chunk, trials, rngs, card)
+            for (parents, masks), cmi in zip(chunk, cmis.tolist()):
+                models += trials
+                assignable = _sides_assignable_masks(parents, *masks)
+                if assignable:
+                    assignable_count += 1
+                    max_cmi_assignable = max(max_cmi_assignable, cmi)
+                    if cmi > tol:
+                        violations_assignable += 1
+                if cmi > max_cmi:
+                    max_cmi = cmi
+                    worst = f"n={n} parents={parents} a,b,z={masks}"
                 if cmi > tol:
-                    violations_assignable += 1
-            if cmi > max_cmi:
-                max_cmi = cmi
-                worst = f"n={n} parents={parents} a,b,z={masks}"
-            if cmi > tol:
-                violations += 1
+                    violations += 1
+        _log.info(
+            "census n=%d: %d labeled cases, %d classes, %d separated, %.3f s",
+            n, n_labeled, n_classes, len(cases), time.perf_counter() - n_start,
+        )
     return CensusReport(
         max_nodes=max_nodes,
         trials=trials,

@@ -234,3 +234,71 @@ def split_search_assignable(parents, a, b, z):
         if _d_separated_masks(parents, a | ha, b | (hidden & ~ha), z):
             return True
     return False
+
+
+def per_case_census_kets(parents, trials, rng, card):
+    """Sampled joint kets of one census case, (trials, *[card] * n).
+
+    The census's sampler one case at a time, the reference for
+    ``verify._census_kets``: node by node, each node's ``trials`` tables
+    from one ``sampling._unit_columns`` call, multiplied into a dense
+    joint ket.
+    """
+    from qbnets.graph import _bits
+    from qbnets.sampling import _unit_columns
+
+    n = len(parents)
+    amp = np.ones((trials,) + (card,) * n, dtype=np.complex128)
+    for j in range(n):
+        pa = sorted(_bits(parents[j]))
+        table = _unit_columns(rng, (card,) * (1 + len(pa)), batch=(trials,))
+        labels = sorted([j] + pa)
+        order = [0] + [1 + ([j] + pa).index(l) for l in labels]
+        amp = amp * table.transpose(order).reshape(
+            [trials] + [card if i in labels else 1 for i in range(n)]
+        )
+    return amp
+
+
+def per_case_census_cmi(parents, masks, trials, rng, card):
+    """Largest |CMI| over one census case's sampled nets, case by case.
+
+    The reference for ``verify._census_cmis``: the kept nodes of
+    :func:`per_case_census_kets` stay as separate axes in node order,
+    the others fold into one purifying axis, and one purification-kernel
+    call takes the CMI dephased on z.
+    """
+    from qbnets.graph import _bits
+    from qbnets.qinfo import _purified_cmi
+
+    n = len(parents)
+    amp = per_case_census_kets(parents, trials, rng, card)
+    keep = sorted(_bits(masks[0] | masks[1] | masks[2]))
+    rest = [i for i in range(n) if i not in keep]
+    dims = (card,) * len(keep)
+    psi = amp.transpose([0] + [1 + i for i in keep] + [1 + i for i in rest])
+    psi = psi.reshape((trials,) + dims + (-1,))
+    a, b, z = (tuple(keep.index(i) for i in _bits(m)) for m in masks)
+    return float(np.max(np.abs(_purified_cmi(psi, dims, a, b, z))))
+
+
+_SIGMA_Y2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def wootters_eof(matrix):
+    """Entanglement of formation of a two-qubit state, in nats (Wootters,
+    PRL 80:2245, 1998).
+
+    The concurrence is C = max(0, l1 - l2 - l3 - l4), with l the
+    decreasing square roots of the eigenvalues of the Hermitian
+    sqrt(rho) rho~ sqrt(rho), rho~ the spin flip of rho; E_F is the binary
+    entropy of (1 + sqrt(1 - C^2)) / 2.
+    """
+    rho = np.asarray(matrix, dtype=np.complex128)
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    flipped = _SIGMA_Y2 @ rho.conj() @ _SIGMA_Y2
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ flipped @ root), 0.0, None))[::-1]
+    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    p = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
+    return float(sum(-q * np.log(q) for q in (p, 1.0 - p) if q > 0.0))

@@ -355,6 +355,51 @@ class TestBatchedCore:
         assert _spectral_entropy(mats)[3] == pytest.approx(0.0, abs=1e-10)
 
 
+class TestTwoByTwoEntropy:
+    """The closed-form 2 x 2 branch of the entropy kernel against LAPACK."""
+
+    @staticmethod
+    def eigvalsh_entropy(mats):
+        w = np.clip(np.linalg.eigvalsh(mats), 0.0, 1.0)
+        return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+
+    @pytest.mark.parametrize("batch", [(), (16,), (50, 4)])
+    def test_matches_eigvalsh_on_random_stacks(self, batch):
+        rng = np.random.default_rng([20, len(batch)])
+        g = rng.normal(size=batch + (2, 2)) + 1j * rng.normal(size=batch + (2, 2))
+        # about half the stack rank one
+        g[..., :, 1] *= (rng.random(batch) < 0.5)[..., None]
+        mats = g @ g.conj().swapaxes(-1, -2)
+        mats /= np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
+        got = _spectral_entropy(mats)
+        assert got.shape == batch
+        np.testing.assert_allclose(got, self.eigvalsh_entropy(mats), rtol=0, atol=1e-14)
+
+    def test_matches_eigvalsh_on_edge_spectra(self):
+        v = np.array([0.6, 0.8j])
+        mats = np.stack(
+            [
+                np.outer(v, v.conj()),  # rank one
+                np.diag([0.3, 0.7]),  # diagonal
+                np.eye(2) / 2,  # degenerate
+                np.zeros((2, 2)),  # all zero
+                np.diag([0.0, 1.0]),  # pure, diagonal
+            ]
+        ).astype(complex)
+        got = _spectral_entropy(mats)
+        np.testing.assert_allclose(got, self.eigvalsh_entropy(mats), rtol=0, atol=1e-14)
+        assert got[2] == pytest.approx(np.log(2.0), abs=1e-15)
+        assert got[3] == 0.0
+
+    def test_negative_eigenvalue_rejected(self):
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        bad = q @ np.diag([1.0 + 1e-6, -1e-6]) @ q.conj().T
+        mats = np.stack([np.eye(2) / 2, bad, np.diag([1.0, 0.0])]).astype(complex)
+        with pytest.raises(InvalidStateError, match="eigenvalue"):
+            _spectral_entropy(mats)
+
+
 class TestPurifiedCmi:
     """The purification kernel against the dense kernel on psi psi^dagger."""
 

@@ -10,6 +10,8 @@ from qbnets import (
 )
 from qbnets.sampling import random_density_matrix
 
+from conftest import wootters_eof
+
 LN2 = np.log(2.0)
 
 
@@ -106,3 +108,30 @@ class TestLocalUnitaryInvariance:
             rho = bell_state(haar_unitary(rng), haar_unitary(rng))
             result = squashed_entanglement(rho)
             assert result.value == pytest.approx(LN2, abs=1e-3)
+
+
+class TestWoottersFloor:
+    """Members are pure, so the search's optimum is min(1/2 I, E_F): a value
+    below it would be a bug, not a good optimizer."""
+
+    def test_oracle_anchors(self):
+        assert wootters_eof(bell_state().matrix) == pytest.approx(LN2, abs=1e-12)
+        rng = np.random.default_rng(22)
+        a = random_density_matrix((("x", 2),), rng)
+        b = random_density_matrix((("y", 2),), rng)
+        assert wootters_eof(np.kron(a.matrix, b.matrix)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_value_at_least_min_of_half_mi_and_eof(self):
+        rng = np.random.default_rng(23)
+        states = [random_density_matrix((("x", 2), ("y", 2)), rng) for _ in range(4)]
+        for p in (0.5, 0.65, 0.8, 0.95):
+            bell = bell_state(haar_unitary(rng), haar_unitary(rng)).matrix
+            noise = random_density_matrix((("x", 2), ("y", 2)), rng).matrix
+            states.append(DensityMatrix((("x", 2), ("y", 2)), p * bell + (1 - p) * noise))
+        entangled = 0
+        for rho in states:
+            floor = min(0.5 * quantum_mutual_information(rho, "x", "y"), wootters_eof(rho.matrix))
+            entangled += floor > 1e-3
+            result = squashed_entanglement(rho, restarts=2, budget=200)
+            assert result.value >= floor - 1e-12
+        assert entangled >= 4  # the floor is not trivially zero

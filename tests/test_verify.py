@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -17,9 +18,20 @@ from qbnets import (
     sides_assignable,
 )
 from qbnets.graph import _d_separated_masks, _sides_assignable_masks
-from qbnets.verify import _assignment_codes, _census_case_cmi, canonical_separated_cases
+from qbnets.verify import (
+    _CENSUS_SLICE,
+    _assignment_codes,
+    _census_cmis,
+    _census_kets,
+    canonical_separated_cases,
+)
 
-from conftest import key_matrix_separated_cases, split_search_assignable
+from conftest import (
+    key_matrix_separated_cases,
+    per_case_census_cmi,
+    per_case_census_kets,
+    split_search_assignable,
+)
 
 
 class TestForwardCheck:
@@ -258,7 +270,9 @@ class TestCensusMachinery:
 
     def test_batched_cmi_matches_library_path(self):
         for parents, masks, trials, card in self.LIBRARY_CASES:
-            got = _census_case_cmi(parents, masks, trials, np.random.default_rng([0, 99]), card)
+            got = _census_cmis(
+                [(parents, masks)], trials, [np.random.default_rng([0, 99])], card
+            )[0]
             expect = _library_case_cmi(
                 parents, masks, trials, np.random.default_rng([0, 99]), card
             )
@@ -276,3 +290,85 @@ class TestCensusMachinery:
         r1 = dsep_forward_census(max_nodes=3, trials=5, seed=1)
         r2 = dsep_forward_census(max_nodes=3, trials=5, seed=1)
         assert r1.to_json(include_wall_time=False) == r2.to_json(include_wall_time=False)
+
+    def test_census_logs_one_line_per_node_count(self, caplog):
+        with caplog.at_level(logging.INFO, logger="qbnets"):
+            report = dsep_forward_census(max_nodes=3, trials=2, seed=0)
+        lines = [r.getMessage() for r in caplog.records if r.name.startswith("qbnets")]
+        assert len(lines) == 3
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+        # n = 3: 25 labeled DAGs x 18 triples, 42 classes, 11 of them separated
+        assert lines[2].startswith("census n=3: 450 labeled cases, 42 classes, 11 separated, ")
+        assert lines[2].endswith(" s")
+        assert report.labeled_cases == sum(int(line.split()[2]) for line in lines)
+        # the library leaves handling to the application
+        assert logging.getLogger("qbnets").handlers == []
+        assert logging.getLogger("qbnets.verify").handlers == []
+
+
+class TestBatchedCensus:
+    """The census's batched sampler and CMI against the per-case routine
+    of ``tests/conftest.py``, on every case with n <= 4."""
+
+    TRIALS = 50
+    SEEDS_CARDS = [(1, 2), (2, 2), (1, 3), (2, 3)]
+
+    @pytest.fixture(scope="class")
+    def reference(self, census_cases):
+        """Per-case largest |CMI|, {(seed, card): {n: [one per case]}}."""
+        return {
+            (seed, card): {
+                n: [
+                    per_case_census_cmi(
+                        parents, masks, self.TRIALS, np.random.default_rng([seed, n, idx]), card
+                    )
+                    for idx, (parents, masks) in enumerate(census_cases[n])
+                ]
+                for n in range(2, 5)
+            }
+            for seed, card in self.SEEDS_CARDS
+        }
+
+    @pytest.mark.parametrize("seed, card", SEEDS_CARDS)
+    def test_kets_equal_per_case_kets_bit_for_bit(self, census_cases, seed, card):
+        # the sample streams are unchanged: same draws, same arithmetic
+        for n in range(2, 5):
+            cases = census_cases[n]
+            rngs = [np.random.default_rng([seed, n, idx]) for idx in range(len(cases))]
+            kets = _census_kets(cases, self.TRIALS, rngs, card)
+            for idx, (parents, _) in enumerate(cases):
+                expect = per_case_census_kets(
+                    parents, self.TRIALS, np.random.default_rng([seed, n, idx]), card
+                )
+                assert np.array_equal(kets[idx], expect), (n, idx)
+
+    @pytest.mark.parametrize("seed, card", SEEDS_CARDS)
+    def test_cmis_match_per_case_reference(self, census_cases, reference, seed, card):
+        for n in range(2, 5):
+            cases = census_cases[n]
+            # in slices, as the census feeds it
+            rngs = [np.random.default_rng([seed, n, idx]) for idx in range(len(cases))]
+            got = np.concatenate([
+                _census_cmis(
+                    cases[lo : lo + _CENSUS_SLICE], self.TRIALS, rngs[lo : lo + _CENSUS_SLICE], card
+                )
+                for lo in range(0, len(cases), _CENSUS_SLICE)
+            ])
+            np.testing.assert_allclose(got, reference[seed, card][n], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed, card", SEEDS_CARDS)
+    def test_report_matches_per_case_reference(self, census_cases, reference, seed, card):
+        report = dsep_forward_census(max_nodes=4, trials=self.TRIALS, seed=seed, card=card)
+        flat = [
+            (cmi, n, case)
+            for n in range(2, 5)
+            for cmi, case in zip(reference[seed, card][n], census_cases[n])
+        ]
+        assignable = [cmi for cmi, _, case in flat if _sides_assignable_masks(case[0], *case[1])]
+        worst, n, (parents, masks) = max(flat, key=lambda item: item[0])
+        assert report.violations == sum(cmi > report.tol for cmi, _, _ in flat)
+        assert report.violations_assignable == sum(cmi > report.tol for cmi in assignable)
+        assert report.assignable_classes == len(assignable)
+        assert report.max_cmi == pytest.approx(worst, rel=0, abs=1e-14)
+        assert report.max_cmi_assignable == pytest.approx(max(assignable), rel=0, abs=1e-14)
+        assert report.worst_case == f"n={n} parents={parents} a,b,z={masks}"

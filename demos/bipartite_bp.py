@@ -1,9 +1,11 @@
 """Message passing on a bipartite net (factor graph with amplitude tables).
 
-Roots exchange ket messages with factor leaves; synchronous iterations
-freeze after diameter-many rounds, and the fixed-point beliefs match
-exact inference on the equivalent qbnet in which every factor is an
-observed binary node.
+Roots exchange ket messages with factor leaves. The literal synchronous
+iterations (``bipartite_iterate``) freeze after diameter-many rounds;
+``run_bipartite`` reaches the same fixed point by sending each message
+once, in one collect and one distribute sweep over the tree skeleton.
+Its beliefs match exact inference on the equivalent qbnet in which every
+factor is an observed binary node.
 """
 
 import numpy as np

@@ -18,15 +18,18 @@ so sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2 for every carrier
 configuration, and every belief is unchanged; a message never holds
 more than one entry per state of its root. Folded, the updates are
 Pearl's lambda/pi propagation on the real weights |F_a|^2 (and an
-all-ones weight per root), which :func:`run_bipartite` squares once per
-run and runs through the message core of :mod:`qbnets.qbp`.
+all-ones weight per root). :func:`run_bipartite` squares them once per
+run and sends each message once over the net's tree skeleton, one
+collect sweep and one distribute sweep, through the message core and
+schedule of :mod:`qbnets.qbp`.
 
-Updates are synchronous: one iteration recomputes every message from
-the previous generation (messages between non-adjacent pairs simply do
-not exist and therefore carry over trivially). On a tree skeleton the
-messages stop changing after at most diameter-many iterations, and the
-fixed point's squared-norm beliefs match exact inference on the
-equivalent qbnet.
+:func:`bipartite_iterate` is synchronous: one iteration recomputes
+every message from the previous generation (messages between
+non-adjacent pairs simply do not exist and therefore carry over
+trivially). On a tree skeleton the messages stop changing after at most
+diameter-many iterations, and this fixed point is the one
+:func:`run_bipartite` reaches; its squared-norm beliefs match exact
+inference on the equivalent qbnet.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import numpy as np
 
 from .amplitudes import LabeledAmplitude, fold, labeled, multiply
 from .errors import ConvergenceError, StructureError
-from .graph import Dag
+from .graph import Dag, is_polytree
 from .network import QBNet, _capped_multiply, node_tpm
-from .qbp import _assert_disjoint, _fold_update, _squared_table, _unit
+from .qbp import _assert_disjoint, _edge_message, _skeleton_sweeps, _squared_table, _unit
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,26 +57,21 @@ class Factor:
 class FactorGraphNet:
     """Roots with cardinalities plus amplitude-table leaf factors.
 
-    The skeleton (roots and factors as vertices, membership as edges)
-    must be acyclic; disconnected roots are allowed.
+    ``skeleton`` is the bipartite skeleton as a :class:`~qbnets.graph.Dag`:
+    the roots, then one binary node per factor, with an edge from each
+    root to each factor that lists it, in the factor's declared neighbor
+    order. Names must be nonempty and distinct across roots and factors;
+    the skeleton must be acyclic, and disconnected roots are allowed.
     """
 
-    __slots__ = ("roots", "factors")
+    __slots__ = ("roots", "factors", "skeleton")
 
     def __init__(
         self,
         roots: Sequence[tuple[str, int]],
         factors: Sequence[tuple[str, Sequence[int], object]],
     ) -> None:
-        clean_roots = []
-        for name, card in roots:
-            name, card = str(name), int(card)
-            if not name:
-                raise ValueError("root names must be nonempty")
-            if card < 1:
-                raise ValueError(f"root {name!r} has cardinality {card}")
-            clean_roots.append((name, card))
-
+        clean_roots = [(str(name), int(card)) for name, card in roots]
         clean_factors = []
         for name, nb, table in factors:
             name = str(name)
@@ -95,32 +93,20 @@ class FactorGraphNet:
                 raise ValueError(f"factor {name!r} table is identically zero")
             clean_factors.append(Factor(name, nb, arr))
 
-        names = [n for n, _ in clean_roots] + [f.name for f in clean_factors]
-        if len(set(names)) != len(names):
-            raise ValueError("root and factor names must all be distinct")
-
-        # acyclicity of the bipartite skeleton via union-find
-        total = len(clean_roots) + len(clean_factors)
-        parent = list(range(total))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, f in enumerate(clean_factors):
-            for i in f.neighbors:
-                ri, fi = find(i), find(len(clean_roots) + a)
-                if ri == fi:
-                    raise StructureError(
-                        "factor graph skeleton has a cycle; exact message "
-                        "passing here requires a tree"
-                    )
-                parent[ri] = fi
+        nr = len(clean_roots)
+        skeleton = Dag(
+            clean_roots + [(f.name, 2) for f in clean_factors],
+            [(i, nr + a) for a, f in enumerate(clean_factors) for i in f.neighbors],
+        )
+        if not is_polytree(skeleton):
+            raise StructureError(
+                "factor graph skeleton has a cycle; exact message "
+                "passing here requires a tree"
+            )
 
         object.__setattr__(self, "roots", tuple(clean_roots))
         object.__setattr__(self, "factors", tuple(clean_factors))
+        object.__setattr__(self, "skeleton", skeleton)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FactorGraphNet is immutable")
@@ -133,7 +119,8 @@ class FactorGraphNet:
         return self.roots[i][1]
 
     def factors_of(self, i: int) -> tuple[int, ...]:
-        return tuple(a for a, f in enumerate(self.factors) if i in f.neighbors)
+        nr = self.root_count
+        return tuple(c - nr for c in self.skeleton.children(i))
 
     def factor_amplitude(self, a: int) -> LabeledAmplitude:
         f = self.factors[a]
@@ -142,7 +129,8 @@ class FactorGraphNet:
 
 @dataclass(frozen=True, eq=False)
 class MessageState:
-    """All messages of one synchronous generation, keyed by (factor, root)."""
+    """One message each way on every skeleton edge, keyed by (factor, root):
+    a generation of :func:`bipartite_iterate`, or the driver's fixed point."""
 
     to_root: dict[tuple[int, int], LabeledAmplitude]
     to_factor: dict[tuple[int, int], LabeledAmplitude]
@@ -275,38 +263,29 @@ def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
     return BipartiteBeliefs(roots, factors)
 
 
-def run_bipartite(
-    net: FactorGraphNet, tol: float = 1e-12, max_sweeps: int | None = None
-) -> BipartiteBeliefs:
-    """Iterate from the uniform start until stable, then read off beliefs.
+def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
+    """Exact beliefs of a factor graph net, each message sent once.
 
-    Every generation is folded onto its roots, so no message grows beyond
-    its root's cardinality. Raises :class:`ConvergenceError` if
-    ``max_sweeps`` iterations (by default the number of edges plus 3)
-    leave the folded messages still moving by more than ``tol``.
+    One collect sweep and one distribute sweep over the tree skeleton
+    reach the fixed point of :func:`bipartite_iterate`, with every
+    message folded onto its root, so none holds more than one entry per
+    state of its root.
     """
-    edges = sum(len(f.neighbors) for f in net.factors)
-    limit = max(max_sweeps if max_sweeps is not None else edges + 3, 1)
-    weights = [np.abs(f.table) ** 2 for f in net.factors]
-    ones = [np.ones(card) for _, card in net.roots]
-    factors_of = [net.factors_of(i) for i in range(net.root_count)]
-    state = init_messages(net)
-    for _ in range(limit):
-        to_root, to_factor = {}, {}
-        for a, f in enumerate(net.factors):
-            for i in f.neighbors:
-                parts = [state.to_root[(b, i)] for b in factors_of[i] if b != a]
-                to_factor[(a, i)] = _fold_update(ones[i], (i,), parts, i)
-                parts = [state.to_factor[(a, k)] for k in f.neighbors if k != i]
-                to_root[(a, i)] = _fold_update(weights[a], f.neighbors, parts, i)
-        new = MessageState(to_root, to_factor)
-        gap = _state_gap(new, state)
-        state = new
-        if gap <= tol:
-            return _read_beliefs(net, state)
-    raise ConvergenceError(
-        f"messages are not a fixed point: the last of {limit} iterations moved them by {gap:.3g}"
-    )
+    skel, nr = net.skeleton, net.root_count
+    weights = [np.ones(card) for _, card in net.roots]
+    # a weight spans (sender, *parents): a factor's leading length-1 axis
+    # stands for the factor node itself
+    weights += [(np.abs(f.table) ** 2)[None] for f in net.factors]
+    inbox = {}
+    for s, r in _skeleton_sweeps(skel):
+        inbox[(s, r)] = _edge_message(skel, weights, s, r, inbox)
+    to_root, to_factor = {}, {}
+    for (s, r), msg in inbox.items():
+        if s < nr:
+            to_factor[(r - nr, s)] = msg.data
+        else:
+            to_root[(s - nr, r)] = msg.data
+    return _read_beliefs(net, MessageState(to_root, to_factor))
 
 
 def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
@@ -319,16 +298,9 @@ def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
     bipartite message passing is tested against.
     """
     nr = net.root_count
-    nodes = list(net.roots)
-    edges = []
     tpms = []
     for i, (_, card) in enumerate(net.roots):
         tpms.append(node_tpm(i, (), np.full(card, 1.0 / math.sqrt(card))))
-    for a, f in enumerate(net.factors):
-        nodes.append((f.name, 2))
-        for i in f.neighbors:
-            edges.append((i, nr + a))
-    dag = Dag(nodes, edges)
     for a, f in enumerate(net.factors):
         scale = float(np.max(np.abs(f.table)))
         on = f.table / scale
@@ -336,4 +308,4 @@ def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
         table = np.stack([off, on], axis=0)
         tpms.append(node_tpm(nr + a, f.neighbors, table))
     evidence = {nr + a: 1 for a in range(len(net.factors))}
-    return QBNet(dag, tpms), evidence
+    return QBNet(net.skeleton, tpms), evidence

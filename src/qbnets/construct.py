@@ -21,9 +21,7 @@ import numpy as np
 from .errors import InvalidStateError, NotReducibleError
 from .graph import Dag
 from .network import QBNet, node_tpm
-from .qinfo import DiagonalExtension
-
-EIG_REJECT = -1e-8
+from .qinfo import EIG_REJECT, DiagonalExtension
 
 
 def _fresh_names(ext: DiagonalExtension) -> tuple[str, str, str, str, str]:

@@ -25,9 +25,9 @@ carrier configuration sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2.
 Folded, the rules are Pearl's lambda/pi propagation on the real family
 weights W_j = |A_j|^2, observed axes masked: the squared message m'^2
 from node j is W_j contracted with the squared messages from its other
-neighbors. The private message core below (shared with
-:mod:`qbnets.bipartite`) squares every table once per run and sends
-each message as one such contraction, rescaled to unit 2-norm. On a
+neighbors. The private message core and schedule below (shared with
+:mod:`qbnets.bipartite`) square every table once per run and send each
+message as one such contraction, rescaled to unit 2-norm. On a
 polytree one collect sweep and one distribute sweep reach the exact
 fixed point; a further sweep reproduces every message.
 """

@@ -130,27 +130,7 @@ def check_dsep_forward(
     a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
     if not d_separated(dag, a, b, z):
         raise ValueError("forward check requires a d-separated triple")
-    start = time.perf_counter()
-    max_cmi = 0.0
-    worst = None
-    for t in range(trials):
-        cmi = abs(_sampled_cmi(dag, a, b, z, seed, t))
-        if cmi > max_cmi:
-            max_cmi, worst = cmi, t
-    return TrialReport(
-        kind="forward",
-        dag=_dag_description(dag),
-        a=_triple_names(dag, a),
-        b=_triple_names(dag, b),
-        z=_triple_names(dag, z),
-        trials=trials,
-        trials_run=trials,
-        seed=seed,
-        max_cmi=max_cmi,
-        witness_seed=worst,
-        passed=max_cmi <= tol,
-        wall_time=time.perf_counter() - start,
-    )
+    return _run_trials("forward", dag, a, b, z, trials, seed, tol)
 
 
 def search_dsep_witness(
@@ -163,19 +143,30 @@ def search_dsep_witness(
     a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
     if d_separated(dag, a, b, z):
         raise ValueError("witness search requires a triple that is not d-separated")
+    return _run_trials("witness", dag, a, b, z, trials, seed, threshold)
+
+
+def _run_trials(kind: str, dag: Dag, a, b, z, trials: int, seed: int, bound: float) -> TrialReport:
+    """Sample up to ``trials`` nets and keep the largest |CMI| and its trial.
+
+    A forward check runs every trial and passes if no CMI exceeds
+    ``bound``; a witness search stops at the first CMI above ``bound``
+    and passes if it found one.
+    """
     start = time.perf_counter()
     max_cmi = 0.0
-    witness = None
+    worst = None
     run = 0
     for t in range(trials):
         run += 1
         cmi = abs(_sampled_cmi(dag, a, b, z, seed, t))
         if cmi > max_cmi:
-            max_cmi, witness = cmi, t
-        if cmi > threshold:
+            max_cmi, worst = cmi, t
+        if kind == "witness" and cmi > bound:
             break
+    found = max_cmi > bound
     return TrialReport(
-        kind="witness",
+        kind=kind,
         dag=_dag_description(dag),
         a=_triple_names(dag, a),
         b=_triple_names(dag, b),
@@ -184,8 +175,8 @@ def search_dsep_witness(
         trials_run=run,
         seed=seed,
         max_cmi=max_cmi,
-        witness_seed=witness,
-        passed=max_cmi > threshold,
+        witness_seed=worst,
+        passed=found if kind == "witness" else not found,
         wall_time=time.perf_counter() - start,
     )
 

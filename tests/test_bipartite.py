@@ -49,6 +49,30 @@ class TestFactorGraphNet:
         with pytest.raises(ValueError, match="twice"):
             FactorGraphNet(roots=[("a", 2)], factors=[("f", (0, 0), np.ones((2, 2)))])
 
+    def test_factor_named_like_a_root_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            FactorGraphNet(roots=[("a", 2), ("b", 2)], factors=[("b", (0,), np.ones(2))])
+
+    def test_empty_factor_name_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            FactorGraphNet(roots=[("a", 2)], factors=[("", (0,), np.ones(2))])
+
+    def test_skeleton_links_each_root_to_its_factors(self):
+        fg = FactorGraphNet(
+            roots=[("a", 2), ("b", 3), ("c", 2)],
+            factors=[("f", (1, 0), np.ones((3, 2))), ("g", (1, 2), np.ones((3, 2)))],
+        )
+        assert fg.skeleton.names == ("a", "b", "c", "f", "g")
+        assert fg.skeleton.cardinalities == (2, 3, 2, 2, 2)
+        assert fg.skeleton.parents(3) == (1, 0) and fg.skeleton.parents(4) == (1, 2)
+
+    def test_factors_of_matches_a_scan_of_the_factors(self):
+        for seed in range(20):
+            fg = random_factor_tree(np.random.default_rng([61, seed]), max_factors=6)
+            for i in range(fg.root_count):
+                scan = tuple(a for a, f in enumerate(fg.factors) if i in f.neighbors)
+                assert fg.factors_of(i) == scan
+
 
 class TestIteration:
     def test_single_unary_factor_converges_in_one_step(self):
@@ -135,6 +159,7 @@ class TestEquivalentQbnet:
         assert net.dag.names == ("x0", "x1", "f0")
         assert net.dag.cardinalities == (2, 2, 2)
         assert evidence == {2: 1}
+        assert net.dag == fg.skeleton
 
     def test_scaling_does_not_change_beliefs(self):
         t = np.array([[1.0, 2.0], [0.5, 1.0j]])
@@ -171,17 +196,32 @@ class TestFold:
                 np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-12)
         assert most_labels >= 3  # the unfolded messages really carried hidden axes
 
-    def test_unconverged_run_raises(self):
-        fg = FactorGraphNet(
-            roots=[("a", 2), ("b", 2), ("c", 2)],
-            factors=[
-                ("f", (0, 1), np.array([[1.0, 0.2], [0.1, 1.0]])),
-                ("g", (1, 2), np.array([[1.0, 0.9], [0.3, 1.0]])),
-            ],
-        )
-        with pytest.raises(ConvergenceError):
-            run_bipartite(fg, max_sweeps=1)
-        run_bipartite(fg, max_sweeps=4)
+    def test_driver_messages_are_a_fixed_point(self, monkeypatch):
+        # the schedule alone reaches the fixed point: the driver never
+        # measures a gap, and one more literal iteration moves nothing
+        from qbnets import bipartite
+
+        states = []
+        real_read = bipartite._read_beliefs
+
+        def capture(net, state):
+            states.append(state)
+            return real_read(net, state)
+
+        def refuse(*args):
+            raise AssertionError("the driver measured a gap between generations")
+
+        for seed in range(12):
+            fg = random_factor_tree(np.random.default_rng([53, seed]))
+            with monkeypatch.context() as m:
+                m.setattr(bipartite, "_read_beliefs", capture)
+                m.setattr(bipartite, "_state_gap", refuse)
+                got = run_bipartite(fg)
+            (state,) = states
+            states.clear()
+            want = bipartite_beliefs(fg, state, tol=1e-12)
+            for i, rb in got.roots.items():
+                np.testing.assert_array_equal(rb.table, want.roots[i].table)
 
 
 class TestCapacity:
@@ -202,45 +242,31 @@ class TestCapacity:
 
 
 class TestMessageCore:
-    def test_loop_calls_no_literal_update_and_no_product(self, monkeypatch):
-        # beliefs are read once from the fixed point; the message loop
-        # itself never calls bipartite_iterate or multiply
-        from qbnets import amplitudes, bipartite, network, qbp
+    def test_driver_sends_each_message_once(self, monkeypatch):
+        # one collect and one distribute sweep: two messages per skeleton
+        # edge, and no literal update or gap between generations
+        from qbnets import bipartite
 
         def refuse(*args):
-            raise AssertionError("the driver called the literal update")
+            raise AssertionError("the driver iterated generations")
+
+        sent = []
+        real_edge_message = bipartite._edge_message
+
+        def counting_edge_message(*args):
+            sent.append(args[2:4])
+            return real_edge_message(*args)
 
         monkeypatch.setattr(bipartite, "bipartite_iterate", refuse)
-        products, sweeps = [], []
-        real_multiply, real_gap = amplitudes.multiply, bipartite._state_gap
-
-        def counting_multiply(a, b):
-            products.append(1)
-            return real_multiply(a, b)
-
-        def counting_gap(a, b):
-            sweeps.append(1)
-            return real_gap(a, b)
-
-        for module in (amplitudes, bipartite, network, qbp):
-            monkeypatch.setattr(module, "multiply", counting_multiply)
-        monkeypatch.setattr(bipartite, "_state_gap", counting_gap)
-        fg = FactorGraphNet(
-            roots=[("a", 2), ("b", 3), ("c", 2), ("d", 2)],
-            factors=[
-                ("f", (0, 1), np.array([[1.0, 0.2, 0.5j], [0.1, 1.0, 0.3]])),
-                ("g", (1, 2, 3), np.arange(1.0, 13.0).reshape(3, 2, 2)),
-                ("h", (3,), np.array([0.4, 1.0j])),
-            ],
-        )
-        counts = []
-        for tol in (1e9, 1e-12):
-            products.clear()
-            sweeps.clear()
-            run_bipartite(fg, tol=tol)
-            counts.append((len(sweeps), len(products)))
-        assert counts[0][0] == 1 and counts[1][0] > 1
-        assert counts[0][1] == counts[1][1]
+        monkeypatch.setattr(bipartite, "_state_gap", refuse)
+        monkeypatch.setattr(bipartite, "_edge_message", counting_edge_message)
+        for seed in range(12):
+            fg = random_factor_tree(np.random.default_rng([59, seed]))
+            sent.clear()
+            run_bipartite(fg)
+            edges = fg.skeleton.edges
+            assert len(sent) == 2 * len(edges)
+            assert set(sent) == set(edges) | {(c, p) for p, c in edges}
 
     def test_root_in_more_factors_than_einsum_operands(self):
         # root 0 sits in 70 unary factors and two pairwise ones: each of

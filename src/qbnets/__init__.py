@@ -6,7 +6,7 @@ information-theoretic independence checks, density-matrix
 constructions, and squashed entanglement.
 """
 
-from .amplitudes import LabeledAmplitude, labeled, marginalize, multiply, one_hot
+from .amplitudes import LabeledAmplitude, labeled, marginalize, multiply
 from .bipartite import (
     BipartiteBeliefs,
     Factor,

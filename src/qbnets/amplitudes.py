@@ -2,10 +2,10 @@
 
 A :class:`LabeledAmplitude` pairs a complex ndarray with a sorted tuple
 of node indices, one index per axis. Everything amplitude-shaped in this
-package (joint tensors, kets over hidden variables, belief-propagation
-messages) is one of these, so the alignment and broadcasting rules live
-here and nowhere else. The folded messages the message-passing drivers
-send are real and non-negative, and are stored as real arrays.
+package (joint tensors, kets over hidden variables, the messages of the
+literal belief-propagation rules) is one of these, so the alignment and
+broadcasting rules live here and nowhere else. The message-passing
+driver sends plain lambda/pi vectors instead (:mod:`qbnets.qbp`).
 
 Labels are canonicalized to ascending order; products align shared
 labels entrywise and never sum. Summation is always explicit, via
@@ -81,14 +81,6 @@ def labeled(labels: Iterable[int], data) -> LabeledAmplitude:
 
 def scalar(value: complex) -> LabeledAmplitude:
     return LabeledAmplitude((), np.asarray(value, dtype=np.complex128))
-
-
-def one_hot(label: int, card: int, value: int) -> LabeledAmplitude:
-    if not 0 <= value < card:
-        raise ValueError(f"state {value} out of range for cardinality {card}")
-    data = np.zeros(card, dtype=np.complex128)
-    data[value] = 1.0
-    return LabeledAmplitude((int(label),), data)
 
 
 def multiply(a: LabeledAmplitude, b: LabeledAmplitude) -> LabeledAmplitude:

@@ -2,34 +2,24 @@
 
 Roots are variables; leaves are factor nodes observed in their "on"
 state, each carrying a complex amplitude table over its neighbor roots.
-Messages are kets exactly as in the polytree case:
-:func:`bipartite_iterate` applies the paper's updates literally, so the
-factor-to-root update keeps every unobserved neighbor as a hidden tensor
-axis rather than summing amplitudes, and the root-to-factor update is an
-entrywise product over disjoint hidden axes. Like the dense paths, it
-raises :class:`~qbnets.errors.CapacityError` before building a product
-of more than ``DEFAULT_CAP`` entries.
-
-:func:`run_bipartite` folds every message onto its root: a message
-m(c, H) on an edge with root c becomes m'(c) = ||m(c, .)||_2
-(:func:`~qbnets.amplitudes.fold`). The updates only multiply messages
-entrywise over disjoint hidden axes and never sum amplitudes over one,
-so sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2 for every carrier
-configuration, and every belief is unchanged; a message never holds
-more than one entry per state of its root. Folded, the updates are
-Pearl's lambda/pi propagation on the real weights |F_a|^2 (and an
-all-ones weight per root). :func:`run_bipartite` squares them once per
-run and sends each message once over the net's tree skeleton, one
-collect sweep and one distribute sweep, through the message core and
-schedule of :mod:`qbnets.qbp`.
-
-:func:`bipartite_iterate` is synchronous: one iteration recomputes
-every message from the previous generation (messages between
+:func:`bipartite_iterate` applies the paper's updates literally, with
+ket messages exactly as in the polytree case: the factor-to-root update
+keeps every unobserved neighbor as a hidden tensor axis rather than
+summing amplitudes, and the root-to-factor update is an entrywise
+product over disjoint hidden axes. Like the dense paths, it raises
+:class:`~qbnets.errors.CapacityError` before building a product of more
+than ``DEFAULT_CAP`` entries. It is synchronous: one iteration
+recomputes every message from the previous generation (messages between
 non-adjacent pairs simply do not exist and therefore carry over
 trivially). On a tree skeleton the messages stop changing after at most
-diameter-many iterations, and this fixed point is the one
-:func:`run_bipartite` reaches; its squared-norm beliefs match exact
-inference on the equivalent qbnet.
+diameter-many iterations.
+
+:func:`run_bipartite` is :func:`~qbnets.qbp.propagate_polytree` on the
+equivalent qbnet of :func:`factor_graph_to_qbnet`, whose skeleton is the
+factor graph's. Its messages are Pearl's lambda/pi vectors on the
+squared tables, each sent once; they are the messages of
+:func:`bipartite_iterate` at its fixed point folded onto their roots
+and squared, so the beliefs are the same.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from .amplitudes import LabeledAmplitude, fold, labeled, multiply
 from .errors import ConvergenceError, StructureError
 from .graph import Dag, is_polytree
 from .network import QBNet, _capped_multiply, node_tpm
-from .qbp import _assert_disjoint, _edge_message, _skeleton_sweeps, _squared_table, _unit
+from .qbp import _assert_disjoint, _squared_table, _unit, propagate_polytree
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +120,7 @@ class FactorGraphNet:
 @dataclass(frozen=True, eq=False)
 class MessageState:
     """One message each way on every skeleton edge, keyed by (factor, root):
-    a generation of :func:`bipartite_iterate`, or the driver's fixed point."""
+    a generation of :func:`bipartite_iterate`."""
 
     to_root: dict[tuple[int, int], LabeledAmplitude]
     to_factor: dict[tuple[int, int], LabeledAmplitude]
@@ -264,28 +254,20 @@ def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
 
 
 def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
-    """Exact beliefs of a factor graph net, each message sent once.
+    """Exact beliefs of a factor graph net.
 
-    One collect sweep and one distribute sweep over the tree skeleton
-    reach the fixed point of :func:`bipartite_iterate`, with every
-    message folded onto its root, so none holds more than one entry per
-    state of its root.
+    This is :func:`~qbnets.qbp.propagate_polytree` on the equivalent
+    qbnet, each message sent once and holding one entry per state of its
+    root. A factor's belief is its node's amplitude at the "on" state.
     """
-    skel, nr = net.skeleton, net.root_count
-    weights = [np.ones(card) for _, card in net.roots]
-    # a weight spans (sender, *parents): a factor's leading length-1 axis
-    # stands for the factor node itself
-    weights += [(np.abs(f.table) ** 2)[None] for f in net.factors]
-    inbox = {}
-    for s, r in _skeleton_sweeps(skel):
-        inbox[(s, r)] = _edge_message(skel, weights, s, r, inbox)
-    to_root, to_factor = {}, {}
-    for (s, r), msg in inbox.items():
-        if s < nr:
-            to_factor[(r - nr, s)] = msg.data
-        else:
-            to_root[(s - nr, r)] = msg.data
-    return _read_beliefs(net, MessageState(to_root, to_factor))
+    beliefs = propagate_polytree(*factor_graph_to_qbnet(net))
+    nr = net.root_count
+    roots = {i: RootBelief(i, beliefs[i].amplitude, beliefs[i].table) for i in range(nr)}
+    factors = {}
+    for a, f in enumerate(net.factors):
+        amp = beliefs[nr + a].amplitude.slice_at({nr + a: 1})
+        factors[a] = FactorBelief(a, amp, _squared_table(amp, f.neighbors))
+    return BipartiteBeliefs(roots, factors)
 
 
 def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
@@ -294,8 +276,9 @@ def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
     Each factor table is rescaled by its largest magnitude so it fits in
     the "on" column of a unit-column table (rescaling a factor never
     changes beliefs); the returned evidence clamps every factor node to
-    its "on" state. Exact inference on this net is the oracle the
-    bipartite message passing is tested against.
+    its "on" state. :func:`run_bipartite` propagates on this net, and
+    exact inference on it is the oracle the bipartite message passing is
+    tested against.
     """
     nr = net.root_count
     tpms = []

@@ -1,7 +1,7 @@
 """Quantum belief propagation on polytrees.
 
-Messages here are kets, not probability tables. The paper's rules are
-pure tensor algebra on them:
+The paper's messages are kets, not probability tables, and its rules
+are pure tensor algebra on them:
 
 * products in the rules are entrywise products over disjoint hidden
   axes (the polytree guarantees disjointness, and it is asserted);
@@ -18,18 +18,18 @@ The rule functions stay literal: handed unfolded messages they return
 the paper's messages, and raise :class:`~qbnets.errors.CapacityError`
 before building a product of more than ``DEFAULT_CAP`` entries.
 
-:func:`propagate_polytree` folds every message onto its carrier,
-m'(c) = ||m(c, .)||_2 (:func:`~qbnets.amplitudes.fold`). This is exact:
-no rule ever sums amplitudes over an unobserved axis, so for every
-carrier configuration sum_H |prod_k m_k|^2 = prod_k sum_{H_k} |m_k|^2.
-Folded, the rules are Pearl's lambda/pi propagation on the real family
-weights W_j = |A_j|^2, observed axes masked: the squared message m'^2
-from node j is W_j contracted with the squared messages from its other
-neighbors. The private message core and schedule below (shared with
-:mod:`qbnets.bipartite`) square every table once per run and send each
-message as one such contraction, rescaled to unit 2-norm. On a
-polytree one collect sweep and one distribute sweep reach the exact
-fixed point; a further sweep reproduces every message.
+:func:`propagate_polytree` sends each message folded onto its carrier,
+as the real vector mu(c) = sum_H |m(c, H)|^2 normalized to sum to one.
+This is exact: no rule ever sums amplitudes over an unobserved axis, so
+for every carrier configuration sum_H |prod_k m_k|^2 = prod_k sum_{H_k}
+|m_k|^2. Folded, the rules are Pearl's lambda/pi propagation on the
+real family weights W_j = |A_j|^2, observed axes masked: the message
+from node j is W_j contracted with the messages from its other
+neighbors. On a polytree one collect sweep and one distribute sweep
+reach the exact fixed point; a further sweep reproduces every message.
+Only the belief readout returns to amplitudes, through sqrt(mu).
+:func:`~qbnets.bipartite.run_bipartite` runs this driver on the
+equivalent net of a factor graph.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, labeled, multiply  # noqa: F401
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, _contract, validate_evidence
+from .network import QBNet, _capped_multiply, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +56,10 @@ class AmplitudeMessage:
     child-to-parent flow. ``carrier`` is the edge variable (the target
     parent for a lambda message, the sending node for a pi message);
     every other label of ``data`` is a hidden unobserved node owned by
-    the sending subtree. Messages sent by :func:`propagate_polytree` are
-    folded and have no hidden labels. Node-local aggregates (the pi and
-    lambda of a node itself) use source == target.
+    the sending subtree. These are the messages of the literal rules;
+    :func:`propagate_polytree` sends plain lambda/pi vectors instead.
+    Node-local aggregates (the pi and lambda of a node itself) use
+    source == target.
     """
 
     source: int
@@ -92,9 +93,13 @@ def _masked_tpm(net: QBNet, node: int, evidence: Mapping[int, int]) -> LabeledAm
     return labeled(axes, _masked(net.tpms[node].table, axes, evidence))
 
 
-def _collapsed(amp: LabeledAmplitude, evidence: Mapping[int, int], carrier: int):
-    """A rule's product with its observed axes other than ``carrier`` summed out."""
-    return amp.sum_over(l for l in amp.labels if l in evidence and l != carrier)
+def _combine(data: LabeledAmplitude, messages, evidence: Mapping[int, int], carrier: int):
+    """The tail of every rule: ``data`` times each message in source
+    order, refused above ``DEFAULT_CAP``, with its observed axes other
+    than ``carrier`` summed out, at unit 2-norm."""
+    for msg in sorted(messages, key=lambda m: m.source):
+        data = _capped_multiply(data, msg.data)
+    return _unit(data.sum_over(l for l in data.labels if l in evidence and l != carrier))
 
 
 def _expect_messages(
@@ -134,10 +139,8 @@ def compute_pi(
     parents = net.dag.parents(node)
     _expect_messages(parent_messages, parents, "pi", {p: p for p in parents})
     _assert_disjoint([m.data for m in parent_messages], [node, *parents])
-    data = _masked_tpm(net, node, evidence)
-    for msg in sorted(parent_messages, key=lambda m: m.source):
-        data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "pi", node, _unit(_collapsed(data, evidence, node)))
+    data = _combine(_masked_tpm(net, node, evidence), parent_messages, evidence, node)
+    return AmplitudeMessage(node, node, "pi", node, data)
 
 
 def compute_lambda(
@@ -156,9 +159,8 @@ def compute_lambda(
     _expect_messages(child_messages, children, "lambda", {c: node for c in children})
     _assert_disjoint([m.data for m in child_messages], [node])
     data = labeled((node,), np.ones(net.dag.cardinality(node)))
-    for msg in sorted(child_messages, key=lambda m: m.source):
-        data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, node, "lambda", node, _unit(_collapsed(data, evidence, node)))
+    data = _combine(data, child_messages, evidence, node)
+    return AmplitudeMessage(node, node, "lambda", node, data)
 
 
 def rule1_lambda_to_parent(
@@ -195,11 +197,8 @@ def rule1_lambda_to_parent(
         raise SchedulingError("rule 1 needs the node's own lambda aggregate")
     incoming = [lambda_message, *other_parent_messages]
     _assert_disjoint([m.data for m in incoming], [node, *parents])
-    data = _masked_tpm(net, node, evidence)
-    data = _capped_multiply(data, lambda_message.data)
-    for msg in sorted(other_parent_messages, key=lambda m: m.source):
-        data = _capped_multiply(data, msg.data)
-    data = _unit(_collapsed(data, evidence, parent))
+    data = _capped_multiply(_masked_tpm(net, node, evidence), lambda_message.data)
+    data = _combine(data, other_parent_messages, evidence, parent)
     return AmplitudeMessage(node, parent, "lambda", parent, data)
 
 
@@ -224,7 +223,7 @@ def rule2_pi_to_child(
     if not children:
         if pi_message.kind != "pi" or pi_message.carrier != node:
             raise SchedulingError("rule 2 needs the node's own pi aggregate")
-        data = _unit(_collapsed(pi_message.data, evidence, node))
+        data = _combine(pi_message.data, (), evidence, node)
         return AmplitudeMessage(node, child, "pi", node, data)
     if child not in children:
         raise ValueError(f"node {child} is not a child of node {node}")
@@ -234,14 +233,8 @@ def rule2_pi_to_child(
         raise SchedulingError("rule 2 needs the node's own pi aggregate")
     incoming = [pi_message, *other_child_messages]
     _assert_disjoint([m.data for m in incoming], [node])
-    data = pi_message.data
-    for msg in sorted(other_child_messages, key=lambda m: m.source):
-        data = _capped_multiply(data, msg.data)
-    return AmplitudeMessage(node, child, "pi", node, _unit(_collapsed(data, evidence, node)))
-
-
-# The message core of both folded drivers (here and in qbnets.bipartite).
-# A folded ket is real, non-negative and labelled by its carrier alone.
+    data = _combine(pi_message.data, other_child_messages, evidence, node)
+    return AmplitudeMessage(node, child, "pi", node, data)
 
 
 def _unit(amp: LabeledAmplitude) -> LabeledAmplitude:
@@ -273,28 +266,32 @@ def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int
     return out
 
 
-def _sum_product(table: np.ndarray, axes: tuple[int, ...], vectors, keep: tuple[int, ...]):
-    """``table`` times each ``(label, vector)`` of ``vectors`` along that
-    label's axis, summed onto ``keep``. Vectors on one axis are multiplied
-    first, so a hub of any degree stays within NumPy's einsum operand limit."""
+# The message core of propagate_polytree. A message is a pair (carrier,
+# mu): Pearl's lambda or pi on the squared family weights, a real vector
+# over the carrier that sums to one.
+
+
+def _sum_product(table: np.ndarray, vectors, keep: tuple[int, ...]) -> np.ndarray:
+    """``table`` times each ``(axis, vector)`` of ``vectors`` along that
+    axis of the table, summed onto the axes ``keep`` (in that order), in
+    one np.einsum call. Vectors on one axis are multiplied first, and
+    those on axis 0 go into the table, so the call takes at most one
+    operand per table axis, which NumPy's operand limit always allows."""
     merged: dict[int, np.ndarray] = {}
-    for label, vector in vectors:
-        merged[label] = merged[label] * vector if label in merged else vector
-    parts = [(axes, table), *(((label,), vector) for label, vector in merged.items())]
-    return _contract(parts, keep, dict(zip(axes, table.shape)), table.size)
-
-
-def _fold_update(weight: np.ndarray, axes: tuple[int, ...], incoming, carrier: int):
-    """Pearl's update on a squared family weight: the unit folded ket
-    sqrt(mu) over ``carrier``, mu being ``weight`` contracted with the
-    squares of the ``incoming`` folded kets."""
-    mu = _sum_product(weight, axes, ((m.labels[0], m.data.real**2) for m in incoming), (carrier,))
-    return _unit(LabeledAmplitude((carrier,), np.sqrt(mu)))
+    for axis, vector in vectors:
+        merged[axis] = merged[axis] * vector if axis in merged else vector
+    if 0 in merged:
+        own = merged.pop(0)
+        table = table * own.reshape(own.shape + (1,) * (table.ndim - 1))
+    args = [table, list(range(table.ndim))]
+    for axis, vector in merged.items():
+        args += [vector, [axis]]
+    return np.einsum(*args, list(keep))
 
 
 def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
     """The squared norm of ``amp`` over ``keep`` (axes in that order), normalized."""
-    table = _sum_product(np.abs(amp.data) ** 2, amp.labels, (), keep)
+    table = _sum_product(np.abs(amp.data) ** 2, (), tuple(amp.labels.index(l) for l in keep))
     return table / table.sum()
 
 
@@ -334,14 +331,21 @@ def _family_weights(net: QBNet, evidence: Mapping[int, int]) -> list[np.ndarray]
     return [np.abs(table) ** 2 for table in tables]
 
 
-def _edge_message(dag: Dag, weights, sender: int, receiver: int, inbox: dict) -> AmplitudeMessage:
-    """The folded lambda (to a parent) or pi (to a child) message from
-    ``sender``, out of the messages from its other neighbors."""
+def _edge_message(
+    dag: Dag, weights, sender: int, receiver: int, inbox: dict
+) -> tuple[int, np.ndarray]:
+    """The lambda (to a parent) or pi (to a child) message from ``sender``,
+    out of the messages from its other neighbors."""
     parents = dag.parents(sender)
-    incoming = [inbox[(k, sender)].data for k in (*dag.children(sender), *parents) if k != receiver]
-    kind, carrier = ("lambda", receiver) if receiver in parents else ("pi", sender)
-    data = _fold_update(weights[sender], (sender, *parents), incoming, carrier)
-    return AmplitudeMessage(sender, receiver, kind, carrier, data)
+    axes = (sender, *parents)
+    incoming = (inbox[(k, sender)] for k in (*dag.children(sender), *parents) if k != receiver)
+    carrier = receiver if receiver in parents else sender
+    vectors = ((axes.index(c), mu) for c, mu in incoming)
+    mu = _sum_product(weights[sender], vectors, (axes.index(carrier),))
+    total = mu.sum()
+    if total == 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
+    return carrier, mu / total
 
 
 def propagate_polytree(
@@ -350,10 +354,10 @@ def propagate_polytree(
     """Exact posteriors for every node of a polytree net.
 
     One collect sweep and one distribute sweep compute all fixed-point
-    messages, each folded onto its carrier, so every message holds one
-    entry per state of its edge variable. Each node's belief is the unit
-    ket of its masked table times every message it received, over the
-    node and its unobserved parents; the returned table is the squared
+    messages, each a lambda or pi vector with one entry per state of its
+    edge variable. Each node's belief is the unit ket of its masked table
+    times the square root of every message it received, over the node
+    and its unobserved parents; the returned table is the squared
     norm of that ket over the parents, normalized over the node's states.
 
     Raises
@@ -369,17 +373,18 @@ def propagate_polytree(
     evidence = validate_evidence(dag, evidence or {})
     weights = _family_weights(net, evidence)
 
-    inbox: dict[tuple[int, int], AmplitudeMessage] = {}
+    inbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for sender, receiver in _skeleton_sweeps(dag):
         inbox[(sender, receiver)] = _edge_message(dag, weights, sender, receiver, inbox)
 
     beliefs: dict[int, Belief] = {}
     for node, tpm in enumerate(net.tpms):
         axes = (node, *tpm.parents)
-        kets = (inbox[(k, node)].data for k in (*dag.children(node), *tpm.parents))
+        incoming = (inbox[(k, node)] for k in (*dag.children(node), *tpm.parents))
+        vectors = ((axes.index(c), np.sqrt(mu)) for c, mu in incoming)
         keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
-        vectors = ((m.labels[0], m.data) for m in kets)
         table = _masked(tpm.table, axes, evidence)
-        amp = _unit(LabeledAmplitude(keep, _sum_product(table, axes, vectors, keep)))
+        data = _sum_product(table, vectors, tuple(axes.index(l) for l in keep))
+        amp = _unit(LabeledAmplitude(keep, data))
         beliefs[node] = Belief(node, amp, _squared_table(amp, (node,)))
     return beliefs

@@ -5,6 +5,7 @@ from qbnets import (
     CapacityError,
     ConvergenceError,
     FactorGraphNet,
+    ImpossibleEvidenceError,
     MessageState,
     StructureError,
     bipartite_beliefs,
@@ -135,6 +136,25 @@ class TestBeliefs:
         beliefs = run_bipartite(net)
         np.testing.assert_allclose(beliefs.roots[1].table, np.full(3, 1 / 3), atol=1e-12)
 
+    def test_factors_with_disjoint_support_are_impossible(self):
+        # f0 allows only a = 0 and f1 only a = 1: no state of a survives
+        unaries = [("f0", (0,), [1.0, 0.0]), ("f1", (0,), [0.0, 1j])]
+        net = FactorGraphNet([("a", 2)], unaries)
+        with pytest.raises(ImpossibleEvidenceError):
+            run_bipartite(net)
+        state = init_messages(net)
+        for _ in range(3):
+            state = bipartite_iterate(net, state)
+        with pytest.raises(ImpossibleEvidenceError):
+            bipartite_beliefs(net, state)
+        # with a third factor on a, the literal update into it multiplies
+        # the two disjoint messages
+        net = FactorGraphNet([("a", 2), ("b", 2)], [*unaries, ("g", (0, 1), np.ones((2, 2)))])
+        with pytest.raises(ImpossibleEvidenceError):
+            run_bipartite(net)
+        with pytest.raises(ImpossibleEvidenceError):
+            bipartite_iterate(net, bipartite_iterate(net, init_messages(net)))
+
     def test_matches_equivalent_qbnet_oracle(self):
         for seed in range(12):
             rng = np.random.default_rng([43, seed])
@@ -199,29 +219,37 @@ class TestFold:
     def test_driver_messages_are_a_fixed_point(self, monkeypatch):
         # the schedule alone reaches the fixed point: the driver never
         # measures a gap, and one more literal iteration moves nothing
-        from qbnets import bipartite
+        from qbnets import bipartite, qbp
 
-        states = []
-        real_read = bipartite._read_beliefs
+        sent = {}
+        real_edge_message = qbp._edge_message
 
-        def capture(net, state):
-            states.append(state)
-            return real_read(net, state)
+        def capture(dag, weights, sender, receiver, inbox):
+            sent[(sender, receiver)] = real_edge_message(dag, weights, sender, receiver, inbox)
+            return sent[(sender, receiver)]
 
         def refuse(*args):
             raise AssertionError("the driver measured a gap between generations")
 
         for seed in range(12):
             fg = random_factor_tree(np.random.default_rng([53, seed]))
+            sent.clear()
             with monkeypatch.context() as m:
-                m.setattr(bipartite, "_read_beliefs", capture)
+                m.setattr(qbp, "_edge_message", capture)
                 m.setattr(bipartite, "_state_gap", refuse)
                 got = run_bipartite(fg)
-            (state,) = states
-            states.clear()
-            want = bipartite_beliefs(fg, state, tol=1e-12)
+            # each vector mu wrapped as the folded ket sqrt(mu), keyed by
+            # (factor, root) as bipartite_iterate keys its messages
+            nr = fg.root_count
+            to_root, to_factor = {}, {}
+            for (s, r), (carrier, mu) in sent.items():
+                key, box = ((r - nr, s), to_factor) if s < nr else ((s - nr, r), to_root)
+                box[key] = labeled((carrier,), np.sqrt(mu))
+            want = bipartite_beliefs(fg, MessageState(to_root, to_factor), tol=1e-12)
             for i, rb in got.roots.items():
-                np.testing.assert_array_equal(rb.table, want.roots[i].table)
+                np.testing.assert_allclose(rb.table, want.roots[i].table, rtol=0, atol=1e-14)
+            for a, fb in got.factors.items():
+                np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-14)
 
 
 class TestCapacity:
@@ -245,13 +273,13 @@ class TestMessageCore:
     def test_driver_sends_each_message_once(self, monkeypatch):
         # one collect and one distribute sweep: two messages per skeleton
         # edge, and no literal update or gap between generations
-        from qbnets import bipartite
+        from qbnets import bipartite, qbp
 
         def refuse(*args):
             raise AssertionError("the driver iterated generations")
 
         sent = []
-        real_edge_message = bipartite._edge_message
+        real_edge_message = qbp._edge_message
 
         def counting_edge_message(*args):
             sent.append(args[2:4])
@@ -259,7 +287,7 @@ class TestMessageCore:
 
         monkeypatch.setattr(bipartite, "bipartite_iterate", refuse)
         monkeypatch.setattr(bipartite, "_state_gap", refuse)
-        monkeypatch.setattr(bipartite, "_edge_message", counting_edge_message)
+        monkeypatch.setattr(qbp, "_edge_message", counting_edge_message)
         for seed in range(12):
             fg = random_factor_tree(np.random.default_rng([59, seed]))
             sent.clear()
@@ -291,3 +319,22 @@ class TestMessageCore:
             np.testing.assert_allclose(rb.table, want.roots[i].table, rtol=0, atol=1e-12)
         for a, fb in got.factors.items():
             np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-12)
+
+    def test_factor_at_numpy_1_rank_limit(self):
+        # one two-state and thirty one-state neighbors: the factor's node in
+        # the equivalent net has a rank-32 table, NumPy 1.x's largest rank,
+        # and its belief combines that table with 31 incoming messages
+        rng = np.random.default_rng(66)
+        shape = (2,) + (1,) * 30
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        fg = FactorGraphNet(
+            roots=[("x0", 2)] + [(f"x{i}", 1) for i in range(1, 31)],
+            factors=[("f", range(31), table)],
+        )
+        got = run_bipartite(fg)
+        net, evidence = factor_graph_to_qbnet(fg)
+        for i, rb in got.roots.items():
+            want = posterior_oracle(net, [i], evidence)
+            np.testing.assert_allclose(rb.table, want, rtol=0, atol=1e-12)
+        want = posterior_oracle(net, range(31), evidence)
+        np.testing.assert_allclose(got.factors[0].table, want, rtol=0, atol=1e-12)

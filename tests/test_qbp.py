@@ -244,11 +244,9 @@ class TestStability:
         for s, r in _skeleton_sweeps(net.dag):
             inbox[(s, r)] = _edge_message(net.dag, weights, s, r, inbox)
         for s, r in _skeleton_sweeps(net.dag):
-            again = _edge_message(net.dag, weights, s, r, inbox)
-            assert again.data.labels == inbox[(s, r)].data.labels
-            np.testing.assert_allclose(
-                again.data.data, inbox[(s, r)].data.data, atol=1e-12
-            )
+            carrier, mu = _edge_message(net.dag, weights, s, r, inbox)
+            assert carrier == inbox[(s, r)][0]
+            np.testing.assert_allclose(mu, inbox[(s, r)][1], atol=1e-12)
 
 
 class TestInvariances:
@@ -375,16 +373,17 @@ class TestFold:
         sent = []
         edge_message = qbp._edge_message
 
-        def recording(*args):
-            msg = edge_message(*args)
-            sent.append(msg)
-            return msg
+        def recording(dag, weights, sender, receiver, box):
+            carrier, mu = edge_message(dag, weights, sender, receiver, box)
+            sent.append((sender, receiver, carrier, mu))
+            return carrier, mu
 
         monkeypatch.setattr(qbp, "_edge_message", recording)
         beliefs = propagate_polytree(net, evidence)
         assert len(sent) == 2 * (n - 1)
-        for msg in sent:
-            assert msg.data.labels == (msg.carrier,) and msg.data.data.shape == (2,)
+        for sender, receiver, carrier, mu in sent:
+            assert carrier == min(sender, receiver) and mu.shape == (2,)
+            assert mu.min() >= 0 and abs(mu.sum() - 1) < 1e-12
         want = chain_forward_backward(net, evidence)
         for node in range(n):
             np.testing.assert_allclose(beliefs[node].table, want[node], rtol=0, atol=1e-10)
@@ -431,13 +430,17 @@ class TestCapacity:
 
 
 def recorded_messages(monkeypatch):
-    """Patch the driver's per-message hook to keep every message it sends."""
+    """Patch the driver's per-message hook to keep every message it sends,
+    each vector mu wrapped as the ket sqrt(mu) the literal rules take."""
     inbox = {}
     edge_message = qbp._edge_message
 
     def recording(dag, weights, sender, receiver, box):
-        inbox[(sender, receiver)] = edge_message(dag, weights, sender, receiver, box)
-        return inbox[(sender, receiver)]
+        carrier, mu = edge_message(dag, weights, sender, receiver, box)
+        kind = "lambda" if carrier == receiver else "pi"
+        ket = labeled((carrier,), np.sqrt(mu))
+        inbox[(sender, receiver)] = AmplitudeMessage(sender, receiver, kind, carrier, ket)
+        return carrier, mu
 
     monkeypatch.setattr(qbp, "_edge_message", recording)
     return inbox
@@ -522,3 +525,17 @@ class TestMessageCore:
             for node, card in enumerate(cards):
                 want = brute_posterior(net, [node], evidence) if card > 1 else [1.0]
                 np.testing.assert_allclose(beliefs[node].table, want, rtol=0, atol=1e-10)
+
+    def test_family_table_at_numpy_1_rank_limit(self):
+        # x has 31 one-state parents and one child: its table has rank 32,
+        # NumPy 1.x's largest rank, and its belief combines that table with
+        # 32 incoming messages. The dense oracle would build a rank-33
+        # tensor, which NumPy 1.x cannot hold, so the reference enumerates.
+        cards = [2] + [1] * 31 + [2]
+        edges = [(p, 0) for p in range(1, 32)] + [(0, 32)]
+        dag = Dag([(f"v{i}", card) for i, card in enumerate(cards)], edges)
+        net = random_qbnet(dag, np.random.default_rng(65))
+        for evidence in ({32: 0}, {32: 1}):
+            beliefs = propagate_polytree(net, evidence)
+            want = brute_posterior(net, [0], evidence)
+            np.testing.assert_allclose(beliefs[0].table, want, rtol=0, atol=1e-12)

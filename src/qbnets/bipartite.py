@@ -52,9 +52,14 @@ class FactorGraphNet:
     root to each factor that lists it, in the factor's declared neighbor
     order. Names must be nonempty and distinct across roots and factors;
     the skeleton must be acyclic, and disconnected roots are allowed.
+
+    The equivalent qbnet on that skeleton is built here, once: uniform
+    roots, and per factor a binary node whose "on" column is the factor
+    table rescaled by its largest magnitude, so it fits in a unit-column
+    table (rescaling a factor never changes beliefs).
     """
 
-    __slots__ = ("roots", "factors", "skeleton")
+    __slots__ = ("roots", "factors", "_net")
 
     def __init__(
         self,
@@ -94,12 +99,25 @@ class FactorGraphNet:
                 "passing here requires a tree"
             )
 
+        tpms = [
+            node_tpm(i, (), np.full(card, 1.0 / math.sqrt(card)))
+            for i, (_, card) in enumerate(clean_roots)
+        ]
+        for a, f in enumerate(clean_factors):
+            on = f.table / float(np.max(np.abs(f.table)))
+            off = np.sqrt(np.clip(1.0 - np.abs(on) ** 2, 0.0, None))
+            tpms.append(node_tpm(nr + a, f.neighbors, np.stack([off, on], axis=0)))
+
         object.__setattr__(self, "roots", tuple(clean_roots))
         object.__setattr__(self, "factors", tuple(clean_factors))
-        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "_net", QBNet(skeleton, tpms))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FactorGraphNet is immutable")
+
+    @property
+    def skeleton(self) -> Dag:
+        return self._net.dag
 
     @property
     def root_count(self) -> int:
@@ -271,24 +289,10 @@ def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
 
 
 def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:
-    """The equivalent qbnet: uniform roots, one observed binary node per factor.
-
-    Each factor table is rescaled by its largest magnitude so it fits in
-    the "on" column of a unit-column table (rescaling a factor never
-    changes beliefs); the returned evidence clamps every factor node to
-    its "on" state. :func:`run_bipartite` propagates on this net, and
-    exact inference on it is the oracle the bipartite message passing is
-    tested against.
+    """The equivalent qbnet that ``net`` built, and evidence clamping every
+    factor node to its "on" state. :func:`run_bipartite` propagates on
+    this net, and exact inference on it is the oracle the bipartite
+    message passing is tested against.
     """
     nr = net.root_count
-    tpms = []
-    for i, (_, card) in enumerate(net.roots):
-        tpms.append(node_tpm(i, (), np.full(card, 1.0 / math.sqrt(card))))
-    for a, f in enumerate(net.factors):
-        scale = float(np.max(np.abs(f.table)))
-        on = f.table / scale
-        off = np.sqrt(np.clip(1.0 - np.abs(on) ** 2, 0.0, None))
-        table = np.stack([off, on], axis=0)
-        tpms.append(node_tpm(nr + a, f.neighbors, table))
-    evidence = {nr + a: 1 for a in range(len(net.factors))}
-    return QBNet(net.skeleton, tpms), evidence
+    return net._net, {nr + a: 1 for a in range(len(net.factors))}

@@ -10,6 +10,10 @@ throughout the test suite. Those build the joint tensor over every node
 and are the dense references. Reduced states instead come from variable
 elimination over the doubled network {A_j, A_j*}, whose intermediates
 follow the net's width rather than its size.
+
+``_contract`` is the package's one contraction core: the elimination
+here and quantum belief propagation in :mod:`qbnets.qbp` both sum
+products of node tables through it, with node labels as indices.
 """
 
 from __future__ import annotations
@@ -185,14 +189,23 @@ _Factor = tuple[tuple[int, ...], np.ndarray]
 def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
     """Sum-product of ``parts`` onto the indices ``out``, in one einsum call.
 
-    Indices are renumbered from 0 for this call alone, so NumPy's limit
-    on subscript symbols bounds the indices of one step, not of the net.
+    One-state axes are dropped before the call and restored in the
+    output, and the other indices are renumbered from 0 for this call
+    alone, so NumPy's limit on subscript symbols bounds the multi-state
+    indices of one step, not the indices of the net.
     """
     local: dict[int, int] = {}
     args: list = []
     for idx, data in parts:
+        if 1 in data.shape:
+            idx = [i for i, d in zip(idx, data.shape) if d != 1]
+            data = data.reshape([d for d in data.shape if d != 1])
         args += [data, [local.setdefault(i, len(local)) for i in idx]]
-    return np.einsum(*args, [local[i] for i in out])
+    subs = [local[i] for i in out if i in local]
+    result = np.einsum(*args, subs)
+    if len(subs) < len(out):
+        result = np.expand_dims(result, [k for k, i in enumerate(out) if i not in local])
+    return result
 
 
 def _contract(
@@ -213,14 +226,15 @@ def _contract(
 def _doubled_contraction(net: QBNet, keep, diag, cap: int) -> np.ndarray:
     """Contract the doubled network {A_j, A_j*} onto the held nodes.
 
-    Node j's ket index is j. Its bra index is a separate one when j is
-    in ``keep`` and j itself otherwise, so kept nodes keep separate ket
+    Node j's ket index is j. Its bra index is n + j when j is in
+    ``keep`` and j itself otherwise, so kept nodes keep separate ket
     and bra indices, ``diag`` nodes share one index, and every other
     node is summed out. Those traced nodes are eliminated one at a time
     (variable elimination), always the one whose intermediate would be
-    smallest, ties going to the lower node index. Returns the product
-    over the held indices, axes ordered as the kept kets, the kept bras,
-    then the ``diag`` nodes, each group ascending.
+    smallest, ties going to the lower node index. The last step also
+    takes one identity on (j, n + j) per ``diag`` node j, which writes
+    the product onto the diagonal blocks of the ``diag`` nodes. Returns
+    the held nodes' kets, then their bras, each group ascending.
 
     Raises
     ------
@@ -231,12 +245,11 @@ def _doubled_contraction(net: QBNet, keep, diag, cap: int) -> np.ndarray:
     """
     dag = net.dag
     n = dag.node_count
-    keep, diag = sorted(keep), sorted(diag)
     kept = set(keep)
     bra = [n + j if j in kept else j for j in range(n)]
     card: dict[int, int] = {}
     for j in range(n):
-        card[j] = card[bra[j]] = dag.cardinality(j)
+        card[j] = card[n + j] = dag.cardinality(j)
 
     factors: dict[int, _Factor] = {}
     where: dict[int, set[int]] = {i: set() for i in card}
@@ -274,7 +287,10 @@ def _doubled_contraction(net: QBNet, keep, diag, cap: int) -> np.ndarray:
             if u in score:
                 score[u] = math.prod(card[i] for i in scope(u))
 
-    out = tuple(keep) + tuple(bra[j] for j in keep) + tuple(diag)
+    for j in diag:
+        add((j, n + j), np.eye(card[j]))
+    kets = sorted(held)
+    out = tuple(kets) + tuple(n + j for j in kets)
     # every part left lies inside the output, so no merged group outgrows it
     return _contract(list(factors.values()), out, card, math.prod(card[i] for i in out))
 

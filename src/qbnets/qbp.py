@@ -28,6 +28,8 @@ from node j is W_j contracted with the messages from its other
 neighbors. On a polytree one collect sweep and one distribute sweep
 reach the exact fixed point; a further sweep reproduces every message.
 Only the belief readout returns to amplitudes, through sqrt(mu).
+Every message, belief and squared table is one sum-product through
+:mod:`qbnets.network`'s contraction core, the one reduced states use.
 :func:`~qbnets.bipartite.run_bipartite` runs this driver on the
 equivalent net of a factor graph.
 """
@@ -45,7 +47,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, labeled, multiply  # noqa: F401
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, validate_evidence
+from .network import QBNet, _capped_multiply, _contract, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,30 +270,15 @@ def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int
 
 # The message core of propagate_polytree. A message is a pair (carrier,
 # mu): Pearl's lambda or pi on the squared family weights, a real vector
-# over the carrier that sums to one.
-
-
-def _sum_product(table: np.ndarray, vectors, keep: tuple[int, ...]) -> np.ndarray:
-    """``table`` times each ``(axis, vector)`` of ``vectors`` along that
-    axis of the table, summed onto the axes ``keep`` (in that order), in
-    one np.einsum call. Vectors on one axis are multiplied first, and
-    those on axis 0 go into the table, so the call takes at most one
-    operand per table axis, which NumPy's operand limit always allows."""
-    merged: dict[int, np.ndarray] = {}
-    for axis, vector in vectors:
-        merged[axis] = merged[axis] * vector if axis in merged else vector
-    if 0 in merged:
-        own = merged.pop(0)
-        table = table * own.reshape(own.shape + (1,) * (table.ndim - 1))
-    args = [table, list(range(table.ndim))]
-    for axis, vector in merged.items():
-        args += [vector, [axis]]
-    return np.einsum(*args, list(keep))
+# over the carrier that sums to one. Each contraction holds one table
+# and is capped at its size, which no merged group outgrows.
 
 
 def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
     """The squared norm of ``amp`` over ``keep`` (axes in that order), normalized."""
-    table = _sum_product(np.abs(amp.data) ** 2, (), tuple(amp.labels.index(l) for l in keep))
+    weight = np.abs(amp.data) ** 2
+    card = dict(zip(amp.labels, weight.shape))
+    table = _contract([(amp.labels, weight)], keep, card, weight.size)
     return table / table.sum()
 
 
@@ -337,11 +324,11 @@ def _edge_message(
     """The lambda (to a parent) or pi (to a child) message from ``sender``,
     out of the messages from its other neighbors."""
     parents = dag.parents(sender)
-    axes = (sender, *parents)
+    axes, table = (sender, *parents), weights[sender]
     incoming = (inbox[(k, sender)] for k in (*dag.children(sender), *parents) if k != receiver)
     carrier = receiver if receiver in parents else sender
-    vectors = ((axes.index(c), mu) for c, mu in incoming)
-    mu = _sum_product(weights[sender], vectors, (axes.index(carrier),))
+    parts = [(axes, table), *(((c,), mu) for c, mu in incoming)]
+    mu = _contract(parts, (carrier,), dict(zip(axes, table.shape)), table.size)
     total = mu.sum()
     if total == 0.0:
         raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
@@ -381,10 +368,10 @@ def propagate_polytree(
     for node, tpm in enumerate(net.tpms):
         axes = (node, *tpm.parents)
         incoming = (inbox[(k, node)] for k in (*dag.children(node), *tpm.parents))
-        vectors = ((axes.index(c), np.sqrt(mu)) for c, mu in incoming)
-        keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
         table = _masked(tpm.table, axes, evidence)
-        data = _sum_product(table, vectors, tuple(axes.index(l) for l in keep))
+        parts = [(axes, table), *(((c,), np.sqrt(mu)) for c, mu in incoming)]
+        keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
+        data = _contract(parts, keep, dict(zip(axes, table.shape)), table.size)
         amp = _unit(LabeledAmplitude(keep, data))
         beliefs[node] = Belief(node, amp, _squared_table(amp, (node,)))
     return beliefs

@@ -538,16 +538,7 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
         raise CapacityError(
             f"reduced state would be {held_dim}-dimensional, above the cap of {cap}"
         )
-    joint = _doubled_contraction(net, keep, diag, cap)
-    # axes of ``joint``: kept kets, kept bras, diag; held position p is
-    # row axis p and column axis h + p of the state
-    h = len(held)
-    pos = {node: p for p, node in enumerate(held)}
-    subs = [pos[i] for i in keep] + [h + pos[i] for i in keep] + [pos[i] for i in diag]
-    args = [joint, subs]
-    for i in diag:
-        args += [np.eye(net.dag.cardinality(i)), [pos[i], h + pos[i]]]
-    rho = np.einsum(*args, list(range(2 * h))).reshape(held_dim, held_dim)
+    rho = _doubled_contraction(net, keep, diag, cap).reshape(held_dim, held_dim)
     rho = 0.5 * (rho + rho.conj().T)
     labels = tuple((net.dag.name(i), net.dag.cardinality(i)) for i in held)
     return DensityMatrix(labels, rho)

@@ -75,6 +75,25 @@ def brute_posterior(net, query, evidence):
     return table / total
 
 
+def brute_reduced_state(net, keep, diag=()):
+    """The reduced state over the sorted ``keep | diag``, dephased on
+    ``diag``, by enumeration: each assignment x pairs with every y that
+    differs from x on ``keep`` alone, adding psi(x) psi(y)* at (x, y)."""
+    dag = net.dag
+    held = sorted({*keep, *diag})
+    dims = [dag.cardinality(i) for i in held]
+    rho = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for x in assignments(dag):
+        row = np.ravel_multi_index([x[i] for i in held], dims)
+        for values in itertools.product(*(range(dag.cardinality(i)) for i in keep)):
+            y = list(x)
+            for i, v in zip(keep, values):
+                y[i] = v
+            col = np.ravel_multi_index([y[i] for i in held], dims)
+            rho[row, col] += brute_joint(net, x) * np.conj(brute_joint(net, y))
+    return rho
+
+
 def dense_reduced_state(net, keep, diag=()):
     """The reduced state by the dense route: the projector of the full
     joint ket, partially traced to ``keep | diag``, dephased on ``diag``."""

@@ -181,6 +181,30 @@ class TestEquivalentQbnet:
         assert evidence == {2: 1}
         assert net.dag == fg.skeleton
 
+    def test_built_once_with_fresh_evidence(self):
+        fg = pair_factor_net()
+        net, evidence = factor_graph_to_qbnet(fg)
+        evidence[2] = 0
+        again, fresh = factor_graph_to_qbnet(fg)
+        assert again is net and fresh == {2: 1}
+
+    def test_run_builds_no_table(self, monkeypatch):
+        from qbnets import bipartite, network
+
+        fg = random_factor_tree(np.random.default_rng(68))
+        want = run_bipartite(fg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_bipartite rebuilt the equivalent net")
+
+        for module, name in ((bipartite, "node_tpm"), (network, "node_tpm"), (bipartite, "QBNet")):
+            monkeypatch.setattr(module, name, refuse)
+        got = run_bipartite(fg)
+        for i, rb in got.roots.items():
+            np.testing.assert_array_equal(rb.table, want.roots[i].table)
+        for a, fb in got.factors.items():
+            np.testing.assert_array_equal(fb.table, want.factors[a].table)
+
     def test_scaling_does_not_change_beliefs(self):
         t = np.array([[1.0, 2.0], [0.5, 1.0j]])
         b1 = run_bipartite(pair_factor_net(t))

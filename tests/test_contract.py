@@ -1,0 +1,77 @@
+"""The one contraction core, ``network._contract``, and the two routes
+that sum through it: belief propagation and reduced states."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qbnets import CapacityError, Dag, net_to_density, propagate_polytree
+from qbnets.network import _MAX_OPERANDS, _contract
+from qbnets.sampling import random_qbnet
+
+from conftest import brute_posterior, brute_reduced_state
+
+
+def broadcast_product(parts, out, card):
+    """Sum-product by broadcasting every part over all indices at once."""
+    labels = sorted(card)
+    total = np.ones([card[i] for i in labels], dtype=complex)
+    for idx, data in parts:
+        order = sorted(range(len(idx)), key=lambda k: idx[k])
+        shape = [card[i] if i in idx else 1 for i in labels]
+        total = total * np.transpose(data, order).reshape(shape)
+    summed = total.sum(axis=tuple(k for k, i in enumerate(labels) if i not in out))
+    held = [i for i in labels if i in out]
+    return np.transpose(summed, [held.index(i) for i in out])
+
+
+class TestContract:
+    card = {7: 2, 60: 1, 3: 3, 99: 1, 42: 2, 5: 1}
+
+    def parts(self, rng, count):
+        labels = list(self.card)
+        parts = []
+        for _ in range(count):
+            idx = tuple(rng.choice(labels, size=int(rng.integers(1, 4)), replace=False).tolist())
+            shape = [self.card[i] for i in idx]
+            parts.append((idx, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        return parts
+
+    def test_more_parts_than_one_einsum_call_takes(self):
+        rng = np.random.default_rng(69)
+        cap = math.prod(self.card.values())
+        for out in ((99, 42, 60, 3), (5, 60), (), (3, 7, 42, 99, 60, 5)):
+            parts = self.parts(rng, 2 * _MAX_OPERANDS + 3)
+            got = _contract(parts, out, self.card, cap)
+            want = broadcast_product(parts, out, self.card)
+            assert np.shape(got) == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_merged_group_held_to_cap(self):
+        parts = self.parts(np.random.default_rng(70), _MAX_OPERANDS + 1)
+        scope = set().union(*(idx for idx, _ in parts[:_MAX_OPERANDS]))
+        with pytest.raises(CapacityError):
+            _contract(parts, (), self.card, math.prod(self.card[i] for i in scope) - 1)
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="NumPy 1.x arrays hold at most 32 axes; the hub's table has 54",
+)
+def test_family_past_the_einsum_subscript_limit():
+    # the hub has 53 one-state parents and one binary child: its table has
+    # rank 54, more axes than np.einsum has subscript letters (52)
+    hub, child = 53, 54
+    cards = [1] * 53 + [2, 2]
+    edges = [(p, hub) for p in range(53)] + [(hub, child)]
+    dag = Dag([(f"v{i}", card) for i, card in enumerate(cards)], edges)
+    net = random_qbnet(dag, np.random.default_rng(71))
+    for evidence in ({}, {child: 0}, {child: 1}):
+        beliefs = propagate_polytree(net, evidence)
+        for node in (0, 52, hub, child):
+            want = brute_posterior(net, [node], evidence)
+            np.testing.assert_allclose(beliefs[node].table, want, rtol=0, atol=1e-12)
+    for keep, diag in (([0], [child]), ([hub], [child]), ([0, hub, child], [])):
+        got = net_to_density(net, keep, diag).matrix
+        np.testing.assert_allclose(got, brute_reduced_state(net, keep, diag), rtol=0, atol=1e-12)

@@ -13,7 +13,6 @@ from .bipartite import (
     FactorBelief,
     FactorGraphNet,
     MessageState,
-    RootBelief,
     bipartite_beliefs,
     bipartite_iterate,
     factor_graph_to_qbnet,

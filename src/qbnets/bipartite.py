@@ -19,7 +19,8 @@ equivalent qbnet of :func:`factor_graph_to_qbnet`, whose skeleton is the
 factor graph's. Its messages are Pearl's lambda/pi vectors on the
 squared tables, each sent once; they are the messages of
 :func:`bipartite_iterate` at its fixed point folded onto their roots
-and squared, so the beliefs are the same.
+and squared, so the beliefs are the same. Root beliefs are
+:class:`~qbnets.qbp.Belief` objects on either route.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .amplitudes import LabeledAmplitude, fold, labeled, multiply
 from .errors import ConvergenceError, StructureError
 from .graph import Dag, is_polytree
 from .network import QBNet, _capped_multiply, node_tpm
-from .qbp import _assert_disjoint, _squared_table, _unit, propagate_polytree
+from .qbp import Belief, _assert_disjoint, _squared_table, _unit, propagate_polytree
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,16 +206,6 @@ def _state_gap(a: MessageState, b: MessageState) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class RootBelief:
-    """A root's posterior. Built from folded messages, ``amplitude``
-    spans the root alone; ``table`` is its normalized squared norm."""
-
-    root: int
-    amplitude: LabeledAmplitude
-    table: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FactorBelief:
     """The joint posterior of a factor's neighbors. Built from folded
     messages, ``amplitude`` spans exactly those neighbor roots."""
@@ -226,7 +217,9 @@ class FactorBelief:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteBeliefs:
-    roots: dict[int, RootBelief]
+    """Posteriors; each root's is a :class:`~qbnets.qbp.Belief` of that root."""
+
+    roots: dict[int, Belief]
     factors: dict[int, FactorBelief]
 
 
@@ -256,7 +249,7 @@ def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
         for part in parts[1:]:
             data = multiply(data, part)
         amp = _unit(data)
-        roots[i] = RootBelief(i, amp, _squared_table(amp, (i,)))
+        roots[i] = Belief(i, amp, _squared_table(amp, (i,)))
 
     factors = {}
     for a, f in enumerate(net.factors):
@@ -280,7 +273,7 @@ def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
     """
     beliefs = propagate_polytree(*factor_graph_to_qbnet(net))
     nr = net.root_count
-    roots = {i: RootBelief(i, beliefs[i].amplitude, beliefs[i].table) for i in range(nr)}
+    roots = {i: beliefs[i] for i in range(nr)}
     factors = {}
     for a, f in enumerate(net.factors):
         amp = beliefs[nr + a].amplitude.slice_at({nr + a: 1})

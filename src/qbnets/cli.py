@@ -97,14 +97,8 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _parse_groups(spec: str, separators: str) -> list[list[str]]:
-    groups = [spec]
-    for sep in separators:
-        split = []
-        for g in groups:
-            split.extend(g.split(sep))
-        groups = split
-    return [[n for n in g.split(",") if n] for g in groups]
+def _parse_groups(spec: str) -> list[list[str]]:
+    return [[n for n in g.split(",") if n] for g in spec.split(":")]
 
 
 def _cmd_entropy(args) -> int:
@@ -114,13 +108,13 @@ def _cmd_entropy(args) -> int:
         x = [n for n in rho.names if n not in y]
         value = quantum_conditional_entropy(rho, x, y)
     elif args.mutual:
-        groups = _parse_groups(args.mutual, ":")
+        groups = _parse_groups(args.mutual)
         if len(groups) != 2:
             raise ValueError("--mutual wants two groups, as in x:y")
         value = quantum_mutual_information(rho, groups[0], groups[1])
     elif args.cmi:
         head, _, z = args.cmi.partition("|")
-        groups = _parse_groups(head, ":")
+        groups = _parse_groups(head)
         if len(groups) != 2 or not z:
             raise ValueError("--cmi wants x:y|z")
         value = quantum_cmi(rho, groups[0], groups[1], [n for n in z.split(",") if n])

@@ -24,20 +24,25 @@ from .network import QBNet, node_tpm
 from .qinfo import EIG_REJECT, DiagonalExtension
 
 
+# the construction's edges over (lam, x0, y0, x, y): every earlier node is a parent
+_EDGES = (
+    (0, 1),
+    (1, 2), (0, 2),
+    (1, 3), (2, 3), (0, 3),
+    (3, 4), (1, 4), (2, 4), (0, 4),
+)
+
+
 def _fresh_names(ext: DiagonalExtension) -> tuple[str, str, str, str, str]:
     (x_name, _), (y_name, _) = ext.component_labels
-    lam = "lam"
-    x0, y0 = f"{x_name}0", f"{y_name}0"
     taken = {x_name, y_name}
-    while lam in taken:
-        lam += "_"
-    taken.add(lam)
-    while x0 in taken:
-        x0 += "_"
-    taken.add(x0)
-    while y0 in taken:
-        y0 += "_"
-    return lam, x0, y0, x_name, y_name
+    fresh = []
+    for name in ("lam", f"{x_name}0", f"{y_name}0"):
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        fresh.append(name)
+    return (*fresh, x_name, y_name)
 
 
 def density_to_qbnet(ext: DiagonalExtension) -> QBNet:
@@ -98,12 +103,7 @@ def density_to_qbnet(ext: DiagonalExtension) -> QBNet:
             (x_name, cx),
             (y_name, cy),
         ],
-        edges=[
-            (0, 1),
-            (1, 2), (0, 2),
-            (1, 3), (2, 3), (0, 3),
-            (3, 4), (1, 4), (2, 4), (0, 4),
-        ],
+        edges=_EDGES,
     )
     tpms = [
         node_tpm(0, (), np.sqrt(ext.weights)),
@@ -113,9 +113,6 @@ def density_to_qbnet(ext: DiagonalExtension) -> QBNet:
         node_tpm(4, (3, 1, 2, 0), a_y),
     ]
     return QBNet(dag, tpms)
-
-
-_ROLE_PARENTS = (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}), frozenset({0, 1, 2, 3}))
 
 
 def _expand_table(net: QBNet, node: int, target_parents: tuple[int, ...]) -> np.ndarray:
@@ -147,7 +144,7 @@ def reduce_qbnet(net: QBNet, atol: float = 1e-10) -> QBNet:
     if dag.node_count != 5:
         raise ValueError("expected a five-node construction-shaped net")
     for j in range(5):
-        extra = set(dag.parents(j)) - _ROLE_PARENTS[j]
+        extra = set(dag.parents(j)) - set(range(j))
         if extra:
             raise ValueError(
                 f"node {dag.name(j)} has parents outside the construction shape"

@@ -157,10 +157,7 @@ def _labels_from_json(obj: dict) -> tuple[tuple[str, int], ...]:
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
-    return [
-        [[float(v.real), float(v.imag)] for v in row]
-        for row in mat
-    ]
+    return [_pairs(row) for row in mat]
 
 
 def _matrix_from_json(rows, what: str) -> np.ndarray:

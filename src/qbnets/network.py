@@ -317,13 +317,9 @@ def vector_amplitude(
 
 
 def marginal_probability(net: QBNet, a, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Probability table over the multinode ``a`` (axes in sorted order)."""
-    a = as_multinode(a)
-    a.validate(net.dag)
-    amp = amplitude_tensor(net, cap)
-    squared = np.abs(amp.data) ** 2
-    drop = tuple(k for k, l in enumerate(amp.labels) if l not in a)
-    return squared.sum(axis=drop) if drop else squared
+    """Probability table over the multinode ``a`` (axes in sorted order):
+    :func:`posterior_oracle` with no evidence, so it stays dense."""
+    return posterior_oracle(net, a, {}, cap)
 
 
 @dataclass(frozen=True, eq=False)

@@ -195,9 +195,9 @@ def quantum_conditional_entropy(rho: DensityMatrix, x, y) -> float:
 
 
 def quantum_mutual_information(rho: DensityMatrix, x, y) -> float:
-    """S(x:y) = S(x) + S(y) - S(x,y)."""
-    x, y = _partition(rho, x, y)
-    return float(_cmi(rho.matrix, rho.dims, x, y))
+    """S(x:y) = S(x) + S(y) - S(x,y): :func:`quantum_cmi` with nothing
+    conditioned on."""
+    return quantum_cmi(rho, x, y)
 
 
 def quantum_cmi(rho: DensityMatrix, x, y, z=()) -> float:
@@ -372,18 +372,15 @@ def classical_conditional_entropy(dist: ClassicalDistribution, x, y) -> float:
 
 
 def classical_mutual_information(dist: ClassicalDistribution, x, y) -> float:
-    x, y = _group(x), _group(y)
-    return (
-        classical_entropy(dist, x)
-        + classical_entropy(dist, y)
-        - classical_entropy(dist, x + y)
-    )
+    """H(x) + H(y) - H(x,y): :func:`classical_cmi` with nothing
+    conditioned on."""
+    return classical_cmi(dist, x, y)
 
 
 def classical_cmi(dist: ClassicalDistribution, x, y, z=()) -> float:
+    """H(x,z) + H(y,z) - H(z) - H(x,y,z); with an empty ``z`` the
+    entropy of no labels is 0 and this is the mutual information."""
     x, y, z = _group(x), _group(y), _group(z)
-    if not z:
-        return classical_mutual_information(dist, x, y)
     return (
         classical_entropy(dist, x + z)
         + classical_entropy(dist, y + z)

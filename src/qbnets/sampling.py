@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bipartite import FactorGraphNet
+from .construct import _EDGES
 from .graph import Dag
 from .network import QBNet, node_tpm
 from .qinfo import DensityMatrix, DiagonalExtension
@@ -156,28 +157,17 @@ def random_reducible_net(rng, max_card: int = 3, full_shape: bool | None = None)
     parent. Both forms are accepted by the reduction.
     """
     rng = rng_from(rng)
-    cl, cx0, cy0, cx, cy = random_cards(rng, 5, max_card)
+    cards = random_cards(rng, 5, max_card)
     if full_shape is None:
         full_shape = bool(rng.integers(0, 2))
-    nodes = [("lam", cl), ("x0", cx0), ("y0", cy0), ("x", cx), ("y", cy)]
-    if full_shape:
-        edges = [
-            (0, 1),
-            (1, 2), (0, 2),
-            (1, 3), (2, 3), (0, 3),
-            (3, 4), (1, 4), (2, 4), (0, 4),
-        ]
-    else:
-        edges = [(0, 1), (1, 2), (0, 2), (1, 3), (0, 3), (3, 4), (1, 4), (2, 4), (0, 4)]
-    dag = Dag(nodes, edges)
-    tpms = []
-    for j in range(5):
-        shape = (dag.cardinality(j),) + tuple(dag.cardinality(p) for p in dag.parents(j))
-        table = _unit_columns(rng, shape)
-        if j == 3 and full_shape:
-            # y0 is the axis matching its position in the declared parents
-            axis = 1 + dag.parents(3).index(2)
-            first = np.take(table, [0], axis=axis)
-            table = np.broadcast_to(first, shape).copy()
-        tpms.append(node_tpm(j, dag.parents(j), table))
-    return QBNet(dag, tpms)
+    edges = _EDGES if full_shape else [e for e in _EDGES if e != (2, 3)]
+    net = random_qbnet(Dag(list(zip(("lam", "x0", "y0", "x", "y"), cards)), edges), rng)
+    if not full_shape:
+        return net
+    # y0 is the axis matching its position in x's declared parents
+    parents = net.dag.parents(3)
+    table = net.tpms[3].table
+    first = np.take(table, [0], axis=1 + parents.index(2))
+    tpms = list(net.tpms)
+    tpms[3] = node_tpm(3, parents, np.broadcast_to(first, table.shape).copy())
+    return QBNet(net.dag, tpms)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qbnets import (
+    Belief,
     CapacityError,
     ConvergenceError,
     FactorGraphNet,
@@ -13,6 +14,7 @@ from qbnets import (
     factor_graph_to_qbnet,
     init_messages,
     posterior_oracle,
+    propagate_polytree,
     run_bipartite,
 )
 from qbnets.amplitudes import labeled
@@ -154,6 +156,20 @@ class TestBeliefs:
             run_bipartite(net)
         with pytest.raises(ImpossibleEvidenceError):
             bipartite_iterate(net, bipartite_iterate(net, init_messages(net)))
+
+    def test_root_beliefs_are_the_polytree_beliefs(self):
+        for seed in range(6):
+            fg = random_factor_tree(np.random.default_rng([44, seed]))
+            polytree = propagate_polytree(*factor_graph_to_qbnet(fg))
+            roots = run_bipartite(fg).roots
+            assert sorted(roots) == list(range(fg.root_count))
+            for i, belief in roots.items():
+                want = polytree[i]
+                assert isinstance(belief, Belief)
+                assert belief.node == want.node == i
+                assert belief.amplitude.labels == want.amplitude.labels
+                np.testing.assert_array_equal(belief.amplitude.data, want.amplitude.data)
+                np.testing.assert_array_equal(belief.table, want.table)
 
     def test_matches_equivalent_qbnet_oracle(self):
         for seed in range(12):

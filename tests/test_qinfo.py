@@ -185,6 +185,26 @@ class TestClassicalInformation:
         assert classical_mutual_information(dist, "x", "y") == pytest.approx(LN2)
         assert classical_conditional_entropy(dist, "x", "y") == pytest.approx(0.0)
 
+    def test_mutual_information_by_hand(self):
+        # no conditioner: the general CMI formula takes H of no labels
+        def h(p):
+            return -float(np.sum(p * np.log(p)))
+
+        rng = np.random.default_rng(8)
+        for labels in ((("x", 2), ("y", 3)), (("x", 3), ("y", 2), ("w", 2))):
+            for _ in range(5):
+                t = rng.random(tuple(d for _, d in labels))
+                t /= t.sum()
+                dist = ClassicalDistribution(labels, t)
+                pxy = t.reshape(t.shape[0], -1)
+                px, py = pxy.sum(axis=1), pxy.sum(axis=0)
+                expect = h(px) + h(py) - h(pxy)
+                y = [n for n, _ in labels[1:]]
+                assert classical_cmi(dist, "x", y) == pytest.approx(expect, abs=1e-14)
+                assert classical_mutual_information(dist, "x", y) == pytest.approx(
+                    expect, abs=1e-14
+                )
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             ClassicalDistribution((("x", 2),), [1.1, -0.1])

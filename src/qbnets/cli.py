@@ -217,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--lam-card", type=int, default=None)
     p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument(
+        "--budget", type=int, default=2000,
+        help="value or value-and-gradient evaluations per restart",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", help="write the witness extension here")
     p.set_defaults(func=_cmd_esq)

@@ -317,7 +317,11 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
 
 
 class ClassicalDistribution:
-    """A labeled nonnegative real table summing to one."""
+    """A labeled nonnegative real table summing to one.
+
+    A total within 1e-10 of one is divided out, so every entropy is of a
+    table that sums to one up to roundoff.
+    """
 
     __slots__ = ("labels", "table")
 
@@ -335,6 +339,7 @@ class ClassicalDistribution:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"table sums to {total!r}, expected 1")
+        arr = arr / total
         arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", arr)
@@ -361,9 +366,12 @@ def _shannon(table: np.ndarray) -> float:
 
 
 def classical_entropy(dist: ClassicalDistribution, of=None) -> float:
+    """Shannon entropy of the labels ``of`` (all of them when None), in
+    nats; an empty group has entropy exactly 0."""
     if of is None:
         return _shannon(dist.table)
-    return _shannon(dist.marginal(of))
+    of = _group(of)
+    return _shannon(dist.marginal(of)) if of else 0.0
 
 
 def classical_conditional_entropy(dist: ClassicalDistribution, x, y) -> float:

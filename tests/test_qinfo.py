@@ -205,6 +205,19 @@ class TestClassicalInformation:
                     expect, abs=1e-14
                 )
 
+    def test_total_off_one_is_divided_out(self):
+        def h(p):
+            return -float(np.sum(p * np.log(p)))
+
+        t = np.random.default_rng(9).random((2, 3))
+        t *= (1.0 + 5e-11) / t.sum()
+        dist = ClassicalDistribution((("x", 2), ("y", 3)), t)
+        assert classical_entropy(dist, ()) == 0.0
+        q = t / t.sum()
+        expect = h(q.sum(axis=1)) + h(q.sum(axis=0)) - h(q)
+        assert classical_mutual_information(dist, "x", "y") == pytest.approx(expect, abs=1e-15)
+        assert classical_cmi(dist, "x", "y", ()) == pytest.approx(expect, abs=1e-15)
+
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             ClassicalDistribution((("x", 2),), [1.1, -0.1])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qbnets import (
     squashed_entanglement,
 )
 from qbnets.sampling import random_density_matrix
+from qbnets.squashed import _members, _purification, _retract, _tangent, _value_grad, _witness_from
 
 from conftest import wootters_eof
 
@@ -26,6 +29,20 @@ def haar_unitary(rng, d=2):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))[None, :]
+
+
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def state_of_rank(rng, dx, dy, rank):
+    g = complex_normal(rng, dx * dy, rank)
+    m = g @ g.conj().T
+    return DensityMatrix((("x", dx), ("y", dy)), m / np.trace(m).real)
+
+
+def half_mi_or_eof(rho):
+    return min(0.5 * quantum_mutual_information(rho, "x", "y"), wootters_eof(rho.matrix))
 
 
 class TestAnchors:
@@ -121,17 +138,74 @@ class TestWoottersFloor:
         b = random_density_matrix((("y", 2),), rng)
         assert wootters_eof(np.kron(a.matrix, b.matrix)) == pytest.approx(0.0, abs=1e-12)
 
-    def test_value_at_least_min_of_half_mi_and_eof(self):
+    @staticmethod
+    def states():
         rng = np.random.default_rng(23)
         states = [random_density_matrix((("x", 2), ("y", 2)), rng) for _ in range(4)]
         for p in (0.5, 0.65, 0.8, 0.95):
             bell = bell_state(haar_unitary(rng), haar_unitary(rng)).matrix
             noise = random_density_matrix((("x", 2), ("y", 2)), rng).matrix
             states.append(DensityMatrix((("x", 2), ("y", 2)), p * bell + (1 - p) * noise))
+        return states
+
+    def test_value_at_least_min_of_half_mi_and_eof(self):
         entangled = 0
-        for rho in states:
-            floor = min(0.5 * quantum_mutual_information(rho, "x", "y"), wootters_eof(rho.matrix))
+        for rho in self.states():
+            floor = half_mi_or_eof(rho)
             entangled += floor > 1e-3
             result = squashed_entanglement(rho, restarts=2, budget=200)
             assert result.value >= floor - 1e-12
         assert entangled >= 4  # the floor is not trivially zero
+
+    def test_value_reaches_min_of_half_mi_and_eof(self):
+        # the optimum is the floor, and the descent gets there
+        states = self.states()
+        for p in (0.5, 0.7, 0.9):
+            noisy = p * bell_state().matrix + (1 - p) * np.eye(4) / 4
+            states.append(DensityMatrix((("x", 2), ("y", 2)), noisy))
+        for rho in states:
+            result = squashed_entanglement(rho, restarts=2, budget=1000)
+            assert result.value <= half_mi_or_eof(rho) + 1e-6
+
+
+class TestGradient:
+    @pytest.mark.parametrize("dx, rank", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_matches_central_differences_along_tangents(self, dx, rank):
+        rng = np.random.default_rng(40 + 10 * dx + rank)
+        rho = state_of_rank(rng, dx, 2, rank)
+        psi = _purification(rho)
+        assert psi.shape == (dx, 2, rank)
+        v = _retract(complex_normal(rng, rank * rank, rank))
+        value, grad = _value_grad(psi, v)
+        # f is half the CMI of the members' extension
+        witness = _witness_from(rho, _members(psi, v))
+        assert value == pytest.approx(0.5 * cmi_diagonal(witness), abs=1e-12)
+        h = 1e-5
+        for _ in range(3):
+            d = _tangent(v, complex_normal(rng, *v.shape))
+            d /= np.linalg.norm(d)
+            central = (_value_grad(psi, v + h * d)[0] - _value_grad(psi, v - h * d)[0]) / (2 * h)
+            assert 2.0 * np.vdot(grad, d).real == pytest.approx(central, rel=1e-6)
+
+    def test_tangent_directions_keep_the_isometry_to_first_order(self):
+        rng = np.random.default_rng(48)
+        v = _retract(complex_normal(rng, 9, 3))
+        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-14)
+        d = _tangent(v, complex_normal(rng, 9, 3))
+        skew = v.conj().T @ d
+        assert np.allclose(skew, -skew.conj().T, atol=1e-14)
+
+
+class TestLogging:
+    def test_one_info_line_per_restart_and_nothing_on_stdout(self, caplog, capsys):
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(10))
+        with caplog.at_level(logging.INFO, logger="qbnets"):
+            result = squashed_entanglement(rho, restarts=3, budget=100)
+        records = [r for r in caplog.records if r.name == "qbnets.squashed"]
+        assert [r.args[0] for r in records] == [0, 1, 2]
+        assert all(r.levelno == logging.INFO for r in records)
+        assert sum(r.args[2] for r in records) == result.evaluations
+        assert min(r.args[1] for r in records) == pytest.approx(result.value, abs=1e-12)
+        assert records[0].getMessage().startswith("squashed restart 0: value ")
+        assert capsys.readouterr().out == ""
+        assert logging.getLogger("qbnets.squashed").handlers == []

@@ -18,7 +18,7 @@ products of node tables through it, with node labels as indices.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -49,9 +49,29 @@ class NodeTpm:
     table: np.ndarray
 
     def column_norm_error(self) -> float:
-        sums = np.abs(self.table) ** 2
-        sums = sums.sum(axis=0)
-        return float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
+        return _column_norm_error(self.table)
+
+
+def _column_norm_error(table: np.ndarray, axis: int = 0) -> float:
+    """Largest deviation from 1 of a squared column norm along ``axis``."""
+    sums = (np.abs(table) ** 2).sum(axis=axis)
+    return float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
+
+
+def _check_table(node: int, table: np.ndarray, atol: float = COLUMN_NORM_ATOL, lead: int = 0) -> None:
+    """Reject a non-finite table, or one whose columns are not unit vectors.
+
+    ``table`` may carry ``lead`` leading stack axes; the state axis
+    follows them.
+    """
+    if not np.isfinite(table).all():
+        raise ValueError(f"node {node}: table has a non-finite entry")
+    err = _column_norm_error(table, lead)
+    if err > atol:
+        raise ValueError(
+            f"node {node}: a parent configuration's amplitudes deviate from "
+            f"unit norm by {err:.3g} (allowed {atol:.3g})"
+        )
 
 
 def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM_ATOL) -> NodeTpm:
@@ -61,16 +81,8 @@ def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM
         raise ValueError(
             f"node {node}: table rank {arr.ndim} but {len(parents)} parents"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"node {node}: table has a non-finite entry")
-    tpm = NodeTpm(int(node), parents, arr)
-    err = tpm.column_norm_error()
-    if err > atol:
-        raise ValueError(
-            f"node {node}: a parent configuration's amplitudes deviate from "
-            f"unit norm by {err:.3g} (allowed {atol:.3g})"
-        )
-    return tpm
+    _check_table(node, arr, atol)
+    return NodeTpm(int(node), parents, arr)
 
 
 class QBNet:
@@ -223,76 +235,167 @@ def _contract(
     return _einsum(parts, out)
 
 
-def _doubled_contraction(net: QBNet, keep, diag, cap: int) -> np.ndarray:
-    """Contract the doubled network {A_j, A_j*} onto the held nodes.
+# the index label of the trial axis that every table of a doubled
+# contraction carries; its cardinality is 1 in the plan, so it enters no
+# score and no capacity check
+_TRIAL = -1
+
+
+@dataclass(frozen=True, eq=False)
+class _DoubledPlan:
+    """The elimination schedule of a doubled network, without its tables.
+
+    ``scopes[k]`` is the index tuple of factor k: 2j is node j's table,
+    2j + 1 its conjugate, and 2n + s the intermediate of step s.
+    ``steps[s]`` lists the factors that step s multiplies and sums over
+    its node; ``final`` lists the factors left for the last product onto
+    ``out``, which also takes one identity per ``diag`` node. ``largest``
+    is the size of the largest per-model array the schedule holds: a
+    node table, an intermediate or the D x D state.
+    """
+
+    n: int
+    card: dict[int, int]
+    scopes: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...]
+    final: tuple[int, ...]
+    diag: tuple[int, ...]
+    out: tuple[int, ...]
+    largest: int
+    cap: int
+
+
+def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
+    """Plan the contraction of the doubled network {A_j, A_j*} onto the
+    held nodes ``keep | diag``; it depends on the graph alone.
 
     Node j's ket index is j. Its bra index is n + j when j is in
     ``keep`` and j itself otherwise, so kept nodes keep separate ket
     and bra indices, ``diag`` nodes share one index, and every other
     node is summed out. Those traced nodes are eliminated one at a time
     (variable elimination), always the one whose intermediate would be
-    smallest, ties going to the lower node index. The last step also
-    takes one identity on (j, n + j) per ``diag`` node j, which writes
-    the product onto the diagonal blocks of the ``diag`` nodes. Returns
-    the held nodes' kets, then their bras, each group ascending.
+    smallest, ties going to the lower node index. A heap holds the
+    scores; eliminating a node changes the scores of its neighbours
+    alone, so only they are re-scored and pushed, and an entry whose
+    score is no longer current is skipped when it comes up (Koller &
+    Friedman, *Probabilistic Graphical Models*, 2009, ch. 9).
 
     Raises
     ------
+    ValueError
+        if ``keep | diag`` is empty.
     CapacityError
-        before building an intermediate of more than ``cap`` entries.
-        The final product over the held indices is the caller's output
-        and is not held to ``cap``.
+        if the reduced state's dimension, or an intermediate's number of
+        entries, is above ``cap``. The final product over the held
+        indices is the caller's output and is not held to ``cap``.
     """
-    dag = net.dag
     n = dag.node_count
     kept = set(keep)
+    held = kept | set(diag)
+    if not held:
+        raise ValueError("keep | diag must name at least one node")
+    held_dim = math.prod(dag.cardinality(i) for i in held)
+    if held_dim > cap:
+        raise CapacityError(
+            f"reduced state would be {held_dim}-dimensional, above the cap of {cap}"
+        )
     bra = [n + j if j in kept else j for j in range(n)]
-    card: dict[int, int] = {}
+    card = {_TRIAL: 1}
     for j in range(n):
         card[j] = card[n + j] = dag.cardinality(j)
 
-    factors: dict[int, _Factor] = {}
+    scopes: list[tuple[int, ...]] = []
+    live: set[int] = set()
     where: dict[int, set[int]] = {i: set() for i in card}
-    keys = itertools.count()
 
-    def add(idx: tuple[int, ...], data: np.ndarray) -> None:
-        key = next(keys)
-        factors[key] = (idx, data)
+    def add(idx: tuple[int, ...]) -> None:
         for i in idx:
-            where[i].add(key)
+            where[i].add(len(scopes))
+        live.add(len(scopes))
+        scopes.append(idx)
 
-    for j, tpm in enumerate(net.tpms):
-        idx = (j,) + tpm.parents
-        add(idx, tpm.table)
-        add(tuple(bra[i] for i in idx), tpm.table.conj())
+    for j in range(n):
+        idx = (j,) + dag.parents(j)
+        add(idx)
+        add(tuple(bra[i] for i in idx))
 
     def scope(v: int) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*(factors[k][0] for k in where[v])) - {v}))
+        return tuple(sorted(set().union(*(scopes[k] for k in where[v])) - {v}))
 
-    held = kept | set(diag)
-    score = {v: math.prod(card[i] for i in scope(v)) for v in range(n) if v not in held}
-    while score:
-        v = min(score, key=lambda u: (score[u], u))
+    def size(idx: tuple[int, ...]) -> int:
+        return math.prod(card[i] for i in idx)
+
+    largest = max([held_dim**2] + [size(idx) for idx in scopes])
+    score = {v: size(scope(v)) for v in range(n) if v not in held}
+    heap = [(s, v) for v, s in score.items()]
+    heapq.heapify(heap)
+    order, steps = [], []
+    while heap:
+        s, v = heapq.heappop(heap)
+        if score.get(v) != s:
+            continue
+        del score[v]
         out = scope(v)
         _check_cap((card[i] for i in out), cap, "an elimination step")
-        parts = []
-        for k in sorted(where[v]):
-            part = factors.pop(k)
-            for i in part[0]:
+        keys = tuple(sorted(where[v]))
+        for k in keys:
+            live.discard(k)
+            for i in scopes[k]:
                 where[i].discard(k)
-            parts.append(part)
-        add(out, _contract(parts, out, card, cap))
-        del score[v]
+        order.append(v)
+        steps.append(keys)
+        add(out)
+        largest = max(largest, size(out))
         for u in out:
             if u in score:
-                score[u] = math.prod(card[i] for i in scope(u))
+                score[u] = size(scope(u))
+                heapq.heappush(heap, (score[u], u))
 
-    for j in diag:
-        add((j, n + j), np.eye(card[j]))
     kets = sorted(held)
-    out = tuple(kets) + tuple(n + j for j in kets)
+    return _DoubledPlan(
+        n=n,
+        card=card,
+        scopes=tuple(scopes),
+        order=tuple(order),
+        steps=tuple(steps),
+        final=tuple(sorted(live)),
+        diag=tuple(diag),
+        out=tuple(kets) + tuple(n + j for j in kets),
+        largest=largest,
+        cap=cap,
+    )
+
+
+def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Run ``plan`` on node tables that carry one leading trial axis.
+
+    ``tables[j]`` is node j's table stacked over T trials, (T, *shape);
+    every factor gets the trial axis under its own label, so one einsum
+    per step serves all trials and each step's order is the plan's. A
+    single net is the case T = 1, whose trial axis the contraction core
+    drops before each call. The last step writes the product onto the
+    diagonal blocks of the ``diag`` nodes. Returns the held nodes'
+    kets, then their bras, each group ascending, after the trial axis.
+    A group that ``_contract`` merges ahead of a step is held to the
+    plan's ``cap`` per trial.
+    """
+    data: list[np.ndarray | None] = [x for t in tables for x in (t, t.conj())]
+
+    def parts(keys: Sequence[int]) -> list[_Factor]:
+        got = [((_TRIAL,) + plan.scopes[k], data[k]) for k in keys]
+        for k in keys:
+            data[k] = None
+        return got
+
+    for keys in plan.steps:
+        out = (_TRIAL,) + plan.scopes[len(data)]
+        data.append(_contract(parts(keys), out, plan.card, plan.cap))
+    last = parts(plan.final)
+    last += [((j, plan.n + j), np.eye(plan.card[j])) for j in plan.diag]
+    out = (_TRIAL,) + plan.out
     # every part left lies inside the output, so no merged group outgrows it
-    return _contract(list(factors.values()), out, card, math.prod(card[i] for i in out))
+    return _contract(last, out, plan.card, math.prod(plan.card[i] for i in out))
 
 
 def vector_amplitude(

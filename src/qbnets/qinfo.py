@@ -28,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvalidStateError
+from .errors import InvalidStateError
 from .graph import as_multinode
-from .network import DEFAULT_CAP, QBNet, _doubled_contraction
+from .network import DEFAULT_CAP, QBNet, _doubled_contraction, _doubled_plan
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -524,7 +524,11 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     built: kept nodes keep separate ket and bra indices, ``diag`` nodes
     share one, and every other node is summed out. The product over the
     held nodes is written straight onto the diagonal blocks of the
-    ``diag`` nodes.
+    ``diag`` nodes. The elimination is planned from the graph alone
+    (``network._doubled_plan``) and run on the tables as a stack of one
+    trial (``network._doubled_contraction``): the route by which the
+    sampled d-separation checks of :mod:`qbnets.verify` contract all
+    their models at once.
 
     ``cap`` bounds the dimension of the reduced state and the number of
     entries of every intermediate of the elimination; exceeding either
@@ -535,15 +539,11 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     diag.validate(net.dag)
     if not keep.isdisjoint(diag):
         raise ValueError("keep and diag multinodes must be disjoint")
+    plan = _doubled_plan(net.dag, keep, diag, cap)
+    rho = _doubled_contraction(plan, [tpm.table[None] for tpm in net.tpms])
     held = keep | diag
-    if not held:
-        raise ValueError("keep | diag must name at least one node")
-    held_dim = int(np.prod([net.dag.cardinality(i) for i in held]))
-    if held_dim > cap:
-        raise CapacityError(
-            f"reduced state would be {held_dim}-dimensional, above the cap of {cap}"
-        )
-    rho = _doubled_contraction(net, keep, diag, cap).reshape(held_dim, held_dim)
+    held_dim = math.prod(net.dag.cardinality(i) for i in held)
+    rho = rho.reshape(held_dim, held_dim)
     rho = 0.5 * (rho + rho.conj().T)
     labels = tuple((net.dag.name(i), net.dag.cardinality(i)) for i in held)
     return DensityMatrix(labels, rho)

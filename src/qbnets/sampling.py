@@ -8,12 +8,15 @@ must satisfy and imposes nothing else. Everything takes a
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from .bipartite import FactorGraphNet
 from .construct import _EDGES
 from .graph import Dag
-from .network import QBNet, node_tpm
+from .network import NodeTpm, QBNet, _check_table, node_tpm
 from .qinfo import DensityMatrix, DiagonalExtension
 
 
@@ -23,27 +26,43 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _unit_columns(rng: np.random.Generator, shape: tuple, batch: tuple = ()) -> np.ndarray:
-    """Gaussian tables of ``shape``, unit-norm along its first axis, stacked over ``batch``."""
-    shape = batch + shape
-    return _unit_norm(rng.normal(size=shape) + 1j * rng.normal(size=shape), len(batch))
-
-
 def _unit_norm(table: np.ndarray, axis: int) -> np.ndarray:
     """``table`` scaled to unit 2-norm along ``axis``."""
     return table / np.sqrt((np.abs(table) ** 2).sum(axis=axis, keepdims=True))
 
 
+def _draw_tables(dag: Dag, rngs: Sequence[np.random.Generator]) -> list[np.ndarray]:
+    """Gaussian unit-column tables of every node, one net per generator.
+
+    Returns node j's tables stacked over the generators,
+    (len(rngs), card(j), *parent cards). Each generator draws its net
+    node by node, the real part of a node's table before its imaginary
+    part, in one ``normal`` call of the summed size: a ``Generator``
+    fills a call's output in order, so that call gives the numbers of
+    one call per part and leaves the generator in the same state. The
+    stacks pass :func:`qbnets.network.node_tpm`'s checks, vectorized.
+    """
+    shapes = [
+        (dag.cardinality(j),) + tuple(dag.cardinality(p) for p in dag.parents(j))
+        for j in range(dag.node_count)
+    ]
+    sizes = [math.prod(shape) for shape in shapes]
+    raw = np.stack([rng.normal(size=2 * sum(sizes)) for rng in rngs])
+    tables = []
+    lo = 0
+    for j, (shape, size) in enumerate(zip(shapes, sizes)):
+        re, im = raw[:, lo : lo + size], raw[:, lo + size : lo + 2 * size]
+        table = _unit_norm((re + 1j * im).reshape((len(rngs),) + shape), 1)
+        _check_table(j, table, lead=1)
+        tables.append(table)
+        lo += 2 * size
+    return tables
+
+
 def random_qbnet(dag: Dag, rng) -> QBNet:
     """A net on ``dag`` with independent Gaussian unit-norm table columns."""
-    rng = rng_from(rng)
-    tpms = []
-    for j in range(dag.node_count):
-        shape = (dag.cardinality(j),) + tuple(
-            dag.cardinality(p) for p in dag.parents(j)
-        )
-        tpms.append(node_tpm(j, dag.parents(j), _unit_columns(rng, shape)))
-    return QBNet(dag, tpms)
+    tables = _draw_tables(dag, [rng_from(rng)])
+    return QBNet(dag, [NodeTpm(j, dag.parents(j), t[0]) for j, t in enumerate(tables)])
 
 
 def random_cards(rng, n: int, max_card: int = 3, min_card: int = 2) -> list[int]:

@@ -14,6 +14,21 @@ Three kinds of experiment, all seeded and reproducible:
 * belief-propagation campaigns: random polytrees with random evidence,
   message passing against the brute-force posterior.
 
+A forward check or witness search contracts all its sampled models at
+once. Trial t still draws its net from ``default_rng([seed, t])``, but
+the trials' tables are drawn as per-node stacks
+(``sampling._draw_tables``), the elimination order of the doubled
+network is planned once from the graph (``network._doubled_plan``), and
+each elimination step is one einsum over the stack, the trial axis under
+its own index label (``network._doubled_contraction``). The (T, D, D)
+reduced states then go to one call of the batched CMI kernel of
+:mod:`qbnets.qinfo`. A chunk holds at most max(1, ``DEFAULT_CAP`` // m)
+trials, m being the largest per-model array of the plan (a node table,
+an intermediate or the D x D state), so no array of a chunk holds more
+than ``DEFAULT_CAP`` entries unless one model's does; a witness search
+runs chunks of 1, 2, 4, ... trials and stops at its first witness. Each
+check logs one INFO line to the ``qbnets.verify`` logger.
+
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
@@ -40,10 +55,11 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError
+from .errors import ImpossibleEvidenceError, InvalidStateError
 from .graph import (
     Dag,
     _bits,
@@ -53,10 +69,10 @@ from .graph import (
     d_separated,
     sides_assignable,
 )
-from .network import posterior_oracle
+from .network import DEFAULT_CAP, _doubled_contraction, _doubled_plan, posterior_oracle
 from .qbp import propagate_polytree
-from .qinfo import _purified_cmi, net_to_density, quantum_cmi
-from .sampling import _unit_norm, random_evidence, random_polytree_dag, random_qbnet
+from .qinfo import TRACE_ATOL, _cmi, _purified_cmi
+from .sampling import _draw_tables, _unit_norm, random_evidence, random_polytree_dag, random_qbnet
 
 _log = logging.getLogger(__name__)
 
@@ -104,15 +120,6 @@ def _require_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def _sampled_cmi(dag: Dag, a, b, z, seed: int, trial: int) -> float:
-    rng = np.random.default_rng([seed, trial])
-    net = random_qbnet(dag, rng)
-    rho = net_to_density(net, keep=a | b, diag=z)
-    return quantum_cmi(
-        rho, _triple_names(dag, a), _triple_names(dag, b), _triple_names(dag, z)
-    )
-
-
 def check_dsep_forward(
     dag: Dag, a, b, z=(), trials: int = 100, seed: int = 0, tol: float = 1e-9
 ) -> TrialReport:
@@ -120,10 +127,15 @@ def check_dsep_forward(
 
     Requires the triple to actually be d-separated; every trial samples
     a fresh net on the graph, reduces it to a state over the triple with
-    the conditioning nodes dephased, and measures the CMI. The CMI is
-    forced to zero when the triple is also :func:`sides_assignable`;
-    otherwise ``passed`` can be False on a d-separated triple (in
-    a -> c <- b with c traced out, a and b end up entangled).
+    the conditioning nodes dephased, and measures the CMI. Trial t's
+    net is ``random_qbnet(dag, default_rng([seed, t]))``, but the
+    trials are contracted as stacks, in chunks of at most
+    max(1, ``DEFAULT_CAP`` // m) trials with m one model's largest
+    array: one chunk at the usual sizes (see :func:`_run_trials`). The
+    CMI is forced to zero when the triple is also
+    :func:`sides_assignable`; otherwise ``passed`` can be False on a
+    d-separated triple (in a -> c <- b with c traced out, a and b end up
+    entangled).
     """
     _require_positive("trials", trials)
     _require_tolerance("tol", tol)
@@ -146,25 +158,78 @@ def search_dsep_witness(
     return _run_trials("witness", dag, a, b, z, trials, seed, threshold)
 
 
-def _run_trials(kind: str, dag: Dag, a, b, z, trials: int, seed: int, bound: float) -> TrialReport:
+def _sampled_cmis(
+    dag: Dag, a, b, z, seed: int, trials: int, grow: bool = False, cap: int = DEFAULT_CAP
+) -> Iterator[np.ndarray]:
+    """Dephased CMIs S(a:b|z) of trials 0, 1, ..., ``trials`` - 1, in chunks.
+
+    Trial t samples its net from ``default_rng([seed, t])`` as
+    :func:`qbnets.sampling.random_qbnet` would. A chunk of trials is
+    drawn as one stack of tables, contracted onto ``a | b`` with ``z``
+    dephased in one run of a plan made once from the graph
+    (``network._doubled_plan``), and its (T, D, D) states go to one
+    call of the CMI kernel, whose full-state entropy holds the spectrum
+    check of every state. A chunk holds at most max(1, ``cap`` // m)
+    trials, m being the plan's largest per-model array, so each array
+    of a chunk stays within ``cap`` entries whenever one model's does.
+    With ``grow`` the chunks start at one trial and double up to that
+    bound, so a search that stops at its first trial costs one model.
+
+    Raises CapacityError, or InvalidStateError on a state that is not
+    finite or has a trace off 1, where ``net_to_density`` would.
+    """
+    held = (a | b | z).members
+    dims = tuple(dag.cardinality(i) for i in held)
+    x, y, w = (tuple(held.index(i) for i in m) for m in (a, b, z))
+    plan = _doubled_plan(dag, a | b, z, cap)
+    width = max(1, cap // plan.largest)
+    lo, size = 0, 1 if grow else width
+    while lo < trials:
+        hi = min(trials, lo + min(size, width))
+        tables = _draw_tables(dag, [np.random.default_rng([seed, t]) for t in range(lo, hi)])
+        rho = _doubled_contraction(plan, tables).reshape((hi - lo,) + (math.prod(dims),) * 2)
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+        if not np.isfinite(rho).all():
+            raise InvalidStateError("matrix has a non-finite entry")
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+        off = np.abs(trace - 1.0)
+        if float(off.max()) > TRACE_ATOL:
+            raise InvalidStateError(f"trace is {complex(trace[off.argmax()]):.12g}, expected 1")
+        yield _cmi(rho, dims, x, y, w)
+        lo, size = hi, 2 * size
+
+
+def _run_trials(
+    kind: str, dag: Dag, a, b, z, trials: int, seed: int, bound: float
+) -> TrialReport:
     """Sample up to ``trials`` nets and keep the largest |CMI| and its trial.
 
     A forward check runs every trial and passes if no CMI exceeds
     ``bound``; a witness search stops at the first CMI above ``bound``
-    and passes if it found one.
+    and passes if it found one. The trials run in chunks of
+    :func:`_sampled_cmis`: as few as fit within ``DEFAULT_CAP`` for a
+    forward check (one chunk at benchmark sizes), and chunks of 1, 2,
+    4, ... trials for a witness search. Each check logs one INFO line:
+    its kind, the trials run, the chunks and the seconds.
     """
     start = time.perf_counter()
-    max_cmi = 0.0
-    worst = None
-    run = 0
-    for t in range(trials):
-        run += 1
-        cmi = abs(_sampled_cmi(dag, a, b, z, seed, t))
-        if cmi > max_cmi:
-            max_cmi, worst = cmi, t
-        if kind == "witness" and cmi > bound:
+    witness = kind == "witness"
+    done = []
+    for chunk in _sampled_cmis(dag, a, b, z, seed, trials, grow=witness):
+        cmis = np.abs(chunk)
+        if witness and (cmis > bound).any():
+            done.append(cmis[: int(np.argmax(cmis > bound)) + 1])
             break
+        done.append(cmis)
+    cmis = np.concatenate(done)
+    worst = int(np.argmax(cmis))
+    max_cmi = float(cmis[worst])
     found = max_cmi > bound
+    elapsed = time.perf_counter() - start
+    _log.info(
+        "%s check: %d of %d trials in %d chunks, %.3f s",
+        kind, len(cmis), trials, len(done), elapsed,
+    )
     return TrialReport(
         kind=kind,
         dag=_dag_description(dag),
@@ -172,12 +237,12 @@ def _run_trials(kind: str, dag: Dag, a, b, z, trials: int, seed: int, bound: flo
         b=_triple_names(dag, b),
         z=_triple_names(dag, z),
         trials=trials,
-        trials_run=run,
+        trials_run=len(cmis),
         seed=seed,
         max_cmi=max_cmi,
-        witness_seed=worst,
-        passed=found if kind == "witness" else not found,
-        wall_time=time.perf_counter() - start,
+        witness_seed=worst if max_cmi > 0.0 else None,
+        passed=found if witness else not found,
+        wall_time=elapsed,
     )
 
 
@@ -365,8 +430,8 @@ def _census_kets(
 
     Case i draws its ``trials`` nets from ``rngs[i]`` as one case
     sampled alone would: node by node, the real part of the node's
-    tables before the imaginary part, each column scaled to unit norm as
-    :func:`qbnets.sampling._unit_columns` does. Consecutive cases on the
+    tables before the imaginary part, each column scaled to unit norm by
+    :func:`qbnets.sampling._unit_norm`. Consecutive cases on the
     same DAG stack their tables, so each node's table is normalized and
     multiplied into the kets of the whole run of cases at once.
     """

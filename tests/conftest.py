@@ -6,6 +6,7 @@ itself.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -260,17 +261,18 @@ def per_case_census_kets(parents, trials, rng, card):
 
     The census's sampler one case at a time, the reference for
     ``verify._census_kets``: node by node, each node's ``trials`` tables
-    from one ``sampling._unit_columns`` call, multiplied into a dense
-    joint ket.
+    drawn real part first, then imaginary part, with columns scaled to
+    unit norm, multiplied into a dense joint ket.
     """
     from qbnets.graph import _bits
-    from qbnets.sampling import _unit_columns
 
     n = len(parents)
     amp = np.ones((trials,) + (card,) * n, dtype=np.complex128)
     for j in range(n):
         pa = sorted(_bits(parents[j]))
-        table = _unit_columns(rng, (card,) * (1 + len(pa)), batch=(trials,))
+        shape = (trials,) + (card,) * (1 + len(pa))
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        table = table / np.sqrt((np.abs(table) ** 2).sum(axis=1, keepdims=True))
         labels = sorted([j] + pa)
         order = [0] + [1 + ([j] + pa).index(l) for l in labels]
         amp = amp * table.transpose(order).reshape(
@@ -299,6 +301,126 @@ def per_case_census_cmi(parents, masks, trials, rng, card):
     psi = psi.reshape((trials,) + dims + (-1,))
     a, b, z = (tuple(keep.index(i) for i in _bits(m)) for m in masks)
     return float(np.max(np.abs(_purified_cmi(psi, dims, a, b, z))))
+
+
+def per_model_cmis(dag, a, b, z, seed, trials):
+    """Dephased CMI S(a:b|z) of each sampled net of a d-separation check,
+    one model at a time through the public functions.
+
+    The reference for ``verify._sampled_cmis``: trial t's net is
+    ``random_qbnet(dag, default_rng([seed, t]))``, reduced by
+    ``net_to_density`` and measured by ``quantum_cmi``.
+    """
+    from qbnets import net_to_density, quantum_cmi
+    from qbnets.sampling import random_qbnet
+
+    names = [[dag.name(i) for i in sorted(m)] for m in (a, b, z)]
+    out = []
+    for t in range(trials):
+        net = random_qbnet(dag, np.random.default_rng([seed, t]))
+        rho = net_to_density(net, keep=[*a, *b], diag=list(z))
+        out.append(quantum_cmi(rho, *names))
+    return np.array(out)
+
+
+def per_model_report(kind, dag, a, b, z, trials, seed, bound):
+    """The report fields of a forward check (``kind`` "forward") or a
+    witness search ("witness") from :func:`per_model_cmis`, trial by
+    trial: the largest |CMI| and its first trial, a search stopping at
+    its first CMI above ``bound``."""
+    cmis = per_model_cmis(dag, a, b, z, seed, trials)
+    max_cmi, worst, run = 0.0, None, 0
+    for t, cmi in enumerate(np.abs(cmis).tolist()):
+        run += 1
+        if cmi > max_cmi:
+            max_cmi, worst = cmi, t
+        if kind == "witness" and cmi > bound:
+            break
+    found = max_cmi > bound
+    return {
+        "trials_run": run,
+        "max_cmi": max_cmi,
+        "witness_seed": worst,
+        "passed": found if kind == "witness" else not found,
+    }
+
+
+def per_node_tables(dag, rng):
+    """Gaussian unit-column node tables drawn with two ``normal`` calls
+    per node, real part then imaginary part: the reference for the
+    one-call draw of ``sampling._draw_tables``."""
+    tables = []
+    for j in range(dag.node_count):
+        shape = (dag.cardinality(j),) + tuple(dag.cardinality(p) for p in dag.parents(j))
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tables.append(table / np.sqrt((np.abs(table) ** 2).sum(axis=0, keepdims=True)))
+    return tables
+
+
+def scan_elimination(dag, keep, diag, tables=None):
+    """Variable elimination of the doubled network {A_j, A_j*} with the
+    next node found by scanning every remaining node, O(n^2) in all.
+
+    The reference for ``network._doubled_plan``'s heap: node j's ket
+    index is j and its bra index n + j if j is kept, j otherwise; the
+    traced node whose intermediate would be smallest goes next, ties to
+    the lower index. Returns the elimination order and, given the node
+    tables of one net, the contraction onto the held kets then bras
+    (None without tables), summed through ``network._contract`` in the
+    same steps, without a capacity limit.
+    """
+    from qbnets.network import _contract
+
+    n = dag.node_count
+    kept = set(keep)
+    bra = [n + j if j in kept else j for j in range(n)]
+    card = {}
+    for j in range(n):
+        card[j] = card[n + j] = dag.cardinality(j)
+    factors = {}
+    where = {i: set() for i in card}
+    keys = itertools.count()
+
+    def add(idx, data):
+        key = next(keys)
+        factors[key] = (idx, data)
+        for i in idx:
+            where[i].add(key)
+
+    for j in range(n):
+        idx = (j,) + dag.parents(j)
+        add(idx, None if tables is None else tables[j])
+        add(tuple(bra[i] for i in idx), None if tables is None else tables[j].conj())
+
+    def scope(v):
+        return tuple(sorted(set().union(*(factors[k][0] for k in where[v])) - {v}))
+
+    held = kept | set(diag)
+    score = {v: math.prod(card[i] for i in scope(v)) for v in range(n) if v not in held}
+    order = []
+    while score:
+        v = min(score, key=lambda u: (score[u], u))
+        order.append(v)
+        out = scope(v)
+        parts = []
+        for k in sorted(where[v]):
+            part = factors.pop(k)
+            for i in part[0]:
+                where[i].discard(k)
+            parts.append(part)
+        add(out, None if tables is None else _contract(parts, out, card, math.inf))
+        del score[v]
+        for u in out:
+            if u in score:
+                score[u] = math.prod(card[i] for i in scope(u))
+    if tables is None:
+        return order, None
+
+    for j in sorted(diag):
+        add((j, n + j), np.eye(card[j]))
+    kets = sorted(held)
+    out = tuple(kets) + tuple(n + j for j in kets)
+    return order, _contract(list(factors.values()), out, card, math.inf)
 
 
 _SIGMA_Y2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from qbnets import CapacityError, Dag, net_to_density, propagate_polytree
-from qbnets.network import _MAX_OPERANDS, _contract
-from qbnets.sampling import random_qbnet
+from qbnets.network import _MAX_OPERANDS, _contract, _doubled_plan
+from qbnets.sampling import random_dag, random_qbnet
 
-from conftest import brute_posterior, brute_reduced_state
+from conftest import brute_posterior, brute_reduced_state, scan_elimination
 
 
 def broadcast_product(parts, out, card):
@@ -75,3 +75,39 @@ def test_family_past_the_einsum_subscript_limit():
     for keep, diag in (([0], [child]), ([hub], [child]), ([0, hub, child], [])):
         got = net_to_density(net, keep, diag).matrix
         np.testing.assert_allclose(got, brute_reduced_state(net, keep, diag), rtol=0, atol=1e-12)
+
+
+def _random_held(rng, n, held=3):
+    """Disjoint random keep and diag sets of at most ``held`` nodes in all,
+    whose union is not empty."""
+    codes = np.zeros(n, dtype=int)  # 0 traced, 1 kept, 2 dephased
+    picked = rng.choice(n, size=int(rng.integers(1, min(n, held) + 1)), replace=False)
+    codes[picked] = rng.integers(1, 3, size=len(picked))
+    return [i for i in range(n) if codes[i] == 1], [i for i in range(n) if codes[i] == 2]
+
+
+class TestEliminationOrder:
+    """The plan's heap against the O(n^2) scan of ``tests/conftest.py``."""
+
+    def test_heap_order_matches_scan(self):
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.02, 0.4)))
+            keep, diag = _random_held(rng, n, held=n)
+            plan = _doubled_plan(dag, keep, diag, math.inf)
+            assert list(plan.order) == scan_elimination(dag, keep, diag)[0], (dag, keep, diag)
+
+    def test_reduced_states_bit_identical_to_scan(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            n = int(rng.integers(1, 11))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.1, 0.4)))
+            net = random_qbnet(dag, rng)
+            keep, diag = _random_held(rng, n)
+            held = sorted(keep + diag)
+            dim = math.prod(dag.cardinality(i) for i in held)
+            _, want = scan_elimination(dag, keep, diag, [tpm.table for tpm in net.tpms])
+            want = want.reshape(dim, dim)
+            want = 0.5 * (want + want.conj().T)
+            assert np.array_equal(net_to_density(net, keep, diag).matrix, want)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qbnets import (
+    CapacityError,
     Dag,
     bp_campaign,
     check_dsep_forward,
@@ -17,12 +18,15 @@ from qbnets import (
     search_dsep_witness,
     sides_assignable,
 )
-from qbnets.graph import _d_separated_masks, _sides_assignable_masks
+from qbnets.graph import _d_separated_masks, _sides_assignable_masks, as_multinode
+from qbnets.network import DEFAULT_CAP, _doubled_plan
+from qbnets.sampling import _draw_tables, random_dag
 from qbnets.verify import (
     _CENSUS_SLICE,
     _assignment_codes,
     _census_cmis,
     _census_kets,
+    _sampled_cmis,
     canonical_separated_cases,
 )
 
@@ -30,6 +34,9 @@ from conftest import (
     key_matrix_separated_cases,
     per_case_census_cmi,
     per_case_census_kets,
+    per_model_cmis,
+    per_model_report,
+    per_node_tables,
     split_search_assignable,
 )
 
@@ -77,6 +84,119 @@ class TestWitnessSearch:
         dag = Dag([("x", 2), ("y", 2)], [])
         with pytest.raises(ValueError, match="not d-separated"):
             search_dsep_witness(dag, [0], [1], [])
+
+
+def _random_triple(rng, n, held=5):
+    """Disjoint nonempty a and b and a possibly empty z on n >= 2 nodes,
+    with at most ``held`` nodes in all."""
+    codes = np.zeros(n, dtype=int)  # 0 traced, 1 a, 2 b, 3 z
+    picked = rng.choice(n, size=int(rng.integers(2, min(n, held) + 1)), replace=False)
+    codes[picked] = [1, 2] + rng.integers(1, 4, size=len(picked) - 2).tolist()
+    return tuple(as_multinode([i for i in range(n) if codes[i] == c]) for c in (1, 2, 3))
+
+
+class TestBatchedChecks:
+    """The checks' batched draw, contraction and CMI against one model at
+    a time through ``random_qbnet``, ``net_to_density`` and ``quantum_cmi``."""
+
+    def test_one_call_draw_matches_per_node_draws(self):
+        rng = np.random.default_rng(80)
+        for _ in range(50):
+            dag = random_dag(rng, int(rng.integers(1, 9)), max_card=4, edge_prob=0.5)
+            seed = int(rng.integers(0, 2**31))
+            rngs = [np.random.default_rng([seed, t]) for t in range(3)]
+            stacks = _draw_tables(dag, rngs)
+            for t, drawn in enumerate(rngs):
+                ref = np.random.default_rng([seed, t])
+                for stack, want in zip(stacks, per_node_tables(dag, ref)):
+                    assert np.array_equal(stack[t], want)
+                # and the generator is left where the per-node draws leave it
+                assert drawn.normal() == ref.normal()
+
+    def test_cmis_match_per_model_reference(self):
+        rng = np.random.default_rng(81)
+        shapes = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.2, 0.6)))
+            a, b, z = _random_triple(rng, n)
+            shapes.add((len(a) > 1, len(b) > 1, len(z) > 0))
+            seed = int(rng.integers(0, 2**31))
+            got = np.concatenate(list(_sampled_cmis(dag, a, b, z, seed, 6)))
+            want = per_model_cmis(dag, a, b, z, seed, 6)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # multi-node a and b together, and z both empty and not, were drawn
+        assert any(s[0] and s[1] for s in shapes)
+        assert {s[2] for s in shapes} == {False, True}
+
+    @pytest.mark.parametrize(
+        "kind, dag, triple, trials, seed, bound",
+        [
+            ("forward", "screened", ([3], [4], [0]), 25, 0, 1e-9),
+            ("forward", "chain", ([0], [2], [1]), 25, 1, 1e-9),
+            ("forward", "disconnected", ([0], [1], []), 10, 2, 1e-9),
+            ("forward", "collider", ([0], [1], []), 20, 3, 1e-9),
+            ("witness", "cross", ([3], [4], [0]), 30, 0, 1e-3),
+            # found at trial 3, first of the third chunk (1, 2, then 4 trials)
+            ("witness", "conditioned_collider", ([0], [2], [1]), 100, 7, 0.3),
+            # found at trial 10, inside the fourth chunk (trials 7 to 14)
+            ("witness", "conditioned_collider", ([0], [2], [1]), 30, 33, 0.45),
+            # no witness: every trial runs
+            ("witness", "conditioned_collider", ([0], [2], [1]), 12, 7, 10.0),
+        ],
+    )
+    def test_reports_match_per_model_reference(
+        self, screened_pair_dag, cross_pair_dag, kind, dag, triple, trials, seed, bound
+    ):
+        dag = {
+            "screened": screened_pair_dag,
+            "cross": cross_pair_dag,
+            "chain": Dag([("x", 2), ("lam", 2), ("y", 2)], [(0, 1), (1, 2)]),
+            "disconnected": Dag([("x", 2), ("y", 2)], []),
+            "collider": Dag([("a", 2), ("b", 2), ("c", 3)], [(0, 2), (1, 2)]),
+            "conditioned_collider": Dag([("x", 2), ("c", 2), ("y", 2)], [(0, 1), (2, 1)]),
+        }[dag]
+        run = check_dsep_forward if kind == "forward" else search_dsep_witness
+        bound_name = "tol" if kind == "forward" else "threshold"
+        report = json.loads(
+            run(dag, *triple, trials=trials, seed=seed, **{bound_name: bound}).to_json(
+                include_wall_time=False
+            )
+        )
+        want = per_model_report(kind, dag, *triple, trials, seed, bound)
+        assert report.pop("max_cmi") == pytest.approx(want.pop("max_cmi"), rel=0, abs=1e-15)
+        assert {k: report[k] for k in want} == want
+        if bound in (0.3, 0.45):
+            assert (want["trials_run"], want["witness_seed"]) == {0.3: (4, 3), 0.45: (11, 10)}[bound]
+        if bound == 10.0:
+            assert want["trials_run"] == trials and not want["passed"]
+
+    def test_witness_search_past_the_cap_raises(self):
+        # the hidden parent's step would hold 2^22 = 4,194,304 > 2^20 entries
+        dag = Dag([("h", 2)] + [(f"c{i}", 2) for i in range(1, 12)], [(0, i) for i in range(1, 12)])
+        with pytest.raises(CapacityError):
+            search_dsep_witness(dag, list(range(1, 7)), list(range(7, 12)), [], trials=3)
+
+    def test_small_cap_chunks_give_the_same_cmis(self, screened_pair_dag):
+        a, b, z = (as_multinode(m) for m in ([3], [4], [0]))
+        largest = _doubled_plan(screened_pair_dag, a | b, z, DEFAULT_CAP).largest
+        whole = list(_sampled_cmis(screened_pair_dag, a, b, z, 5, 9))
+        assert [len(c) for c in whole] == [9]
+        for grow in (False, True):
+            chunks = list(_sampled_cmis(screened_pair_dag, a, b, z, 5, 9, grow, cap=2 * largest))
+            assert [len(c) for c in chunks] == ([2, 2, 2, 2, 1] if not grow else [1, 2, 2, 2, 2])
+            np.testing.assert_allclose(np.concatenate(chunks), whole[0], rtol=0, atol=1e-15)
+
+    def test_each_check_logs_one_line(self, screened_pair_dag, cross_pair_dag, caplog):
+        with caplog.at_level(logging.INFO, logger="qbnets"):
+            check_dsep_forward(screened_pair_dag, [3], [4], [0], trials=7, seed=0)
+            report = search_dsep_witness(cross_pair_dag, [3], [4], [0], trials=50, seed=0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "qbnets.verify"]
+        assert len(lines) == 2
+        assert all(r.levelno == logging.INFO for r in caplog.records)
+        assert lines[0].startswith("forward check: 7 of 7 trials in 1 chunks, ")
+        assert lines[1].startswith(f"witness check: {report.trials_run} of 50 trials in ")
+        assert all(line.endswith(" s") for line in lines)
 
 
 class TestBpCampaign:

@@ -131,7 +131,8 @@ def qbnet_from_json(obj: dict) -> QBNet:
                 f"table of {name!r} has {flat.size} entries, expected {math.prod(shape)}"
             )
         table = flat.reshape(shape, order="F")
-        sums = (np.abs(table) ** 2).sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            sums = (np.abs(table) ** 2).sum(axis=0)
         err = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
         if err > LOAD_NORM_ATOL:
             raise ValueError(

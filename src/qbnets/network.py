@@ -81,7 +81,8 @@ def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM
         raise ValueError(
             f"node {node}: table rank {arr.ndim} but {len(parents)} parents"
         )
-    _check_table(node, arr, atol)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected
+        _check_table(node, arr, atol)
     return NodeTpm(int(node), parents, arr)
 
 

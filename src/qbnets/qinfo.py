@@ -82,6 +82,11 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {arr.shape}, expected {(dim, dim)}")
         if not np.isfinite(arr).all():
             raise InvalidStateError("matrix has a non-finite entry")
+        # a state's entries have modulus at most 1; parts above 2, which no
+        # matrix passing the checks below has, would overflow those checks
+        big = float(np.abs(arr.view(np.float64)).max())
+        if big > 2.0:
+            raise InvalidStateError(f"an entry has a real or imaginary part of size {big:.3g}")
         herm = float(np.max(np.abs(arr - arr.conj().T))) if dim else 0.0
         if herm > HERMITIAN_ATOL:
             raise InvalidStateError(f"matrix deviates from Hermitian by {herm:.3g}")
@@ -217,27 +222,40 @@ def quantum_cmi(rho: DensityMatrix, x, y, z=()) -> float:
 def _spectral_entropy(mats: np.ndarray) -> np.ndarray:
     """Von Neumann entropy of each matrix of a Hermitian stack, in nats.
 
-    The one spectrum check on computed states: an eigenvalue below
-    ``EIG_REJECT`` anywhere in the stack raises InvalidStateError;
-    roundoff above it is clipped away, and 0 ln 0 := 0. A 1 x 1 matrix
-    is its own eigenvalue. A 2 x 2 matrix [[a, b*], [b, d]] has the
-    eigenvalues m -+ sqrt(h^2 + |b|^2), with m = (a + d) / 2 and
-    h = (a - d) / 2, which saves one LAPACK call per matrix (the census
-    Gram blocks, squashed-entanglement members and qubit reductions).
+    The one spectrum check on computed states (:func:`_spectrum_entropy`).
+    A 1 x 1 matrix is its own eigenvalue and a 2 x 2 matrix goes through
+    the closed form of :func:`_pair_entropy`, which saves one LAPACK call
+    per matrix (squashed-entanglement members and qubit reductions);
+    larger matrices go to ``eigvalsh``.
     """
     size = mats.shape[-1]
     if size == 1:
-        w = mats[..., 0].real
-    elif size == 2:
-        a, d = mats[..., 0, 0].real, mats[..., 1, 1].real
-        m = 0.5 * (a + d)
-        r = np.hypot(0.5 * (a - d), np.abs(mats[..., 1, 0]))
-        w = np.stack([m - r, m + r], axis=-1)
-    else:
-        w = np.linalg.eigvalsh(mats)
+        return _spectrum_entropy(mats[..., 0].real)
+    if size == 2:
+        return _pair_entropy(mats[..., 0, 0].real, mats[..., 1, 1].real, np.abs(mats[..., 1, 0]))
+    return _spectrum_entropy(np.linalg.eigvalsh(mats))
+
+
+def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the last axis of a stack of spectra.
+
+    An eigenvalue below ``EIG_REJECT`` anywhere in the stack raises
+    InvalidStateError; roundoff above it is clipped away, and 0 ln 0 := 0.
+    """
     _check_spectrum(w)
     w = np.clip(w, 0.0, 1.0)
     return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+
+
+def _pair_entropy(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entropy of each Hermitian [[a, b*], [b, d]] from a, d and |b|.
+
+    The eigenvalues are m -+ hypot(h, |b|), with m = (a + d) / 2 and
+    h = (a - d) / 2: the one 2 x 2 spectrum formula of the package.
+    """
+    m = 0.5 * (a + d)
+    r = np.hypot(0.5 * (a - d), b)
+    return _spectrum_entropy(np.stack([m - r, m + r], axis=-1))
 
 
 def _reduce(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
@@ -295,8 +313,13 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
     of the block's reduction. The reduction of a block onto a group g has
     the nonzero spectrum of the Gram matrix M M^dagger and of M^dagger M
     alike (Schmidt decomposition), with M the block as a matrix from the
-    g labels to the other kept labels and the purifying system; the
-    smaller of the two goes to :func:`_spectral_entropy`.
+    g labels to the other kept labels and the purifying system; only the
+    smaller side is used. The Gram matrix of k rows r_i has the entries
+    <r_i, r_j>, each a sum over the long axis: with k = 1 its eigenvalue
+    is the row's squared norm, with k = 2 the entries go straight to the
+    closed form of :func:`_pair_entropy`, and only k >= 3 builds the
+    Gram matrix for ``eigvalsh``. So the small sides, which most census
+    blocks have, pay for no stack of tiny matrix products.
     """
     lead = psi.ndim - len(dims) - 1
     dz = math.prod(dims[i] for i in z)
@@ -309,9 +332,18 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
         blocks = psi.transpose(list(range(lead)) + order + [psi.ndim - 1])
         dg = math.prod(dims[i] for i in group)
         blocks = blocks.reshape(psi.shape[:lead] + (dz, dg, -1))
-        adj = blocks.conj().swapaxes(-1, -2)
-        gram = blocks @ adj if dg <= blocks.shape[-1] else adj @ blocks
-        return _spectral_entropy(gram).sum(axis=-1)
+        rows = blocks if dg <= blocks.shape[-1] else blocks.swapaxes(-1, -2)
+        conj = rows.conj()
+        side = rows.shape[-2]
+        if side == 1:
+            w = _spectrum_entropy(np.einsum("...i,...i->...", rows, conj).real)
+        elif side == 2:
+            norms = np.einsum("...i,...i->...", rows, conj).real
+            b = np.einsum("...i,...i->...", rows[..., 0, :], conj[..., 1, :])
+            w = _pair_entropy(norms[..., 0], norms[..., 1], np.abs(b))
+        else:
+            w = _spectral_entropy(rows @ conj.swapaxes(-1, -2))
+        return w.sum(axis=-1)
 
     return entropy(x) + entropy(y) - entropy(()) - entropy(x + y)
 
@@ -336,7 +368,8 @@ class ClassicalDistribution:
         if arr.size and float(arr.min()) < -1e-12:
             raise ValueError(f"negative probability mass {float(arr.min()):.3g}")
         arr = np.clip(arr, 0.0, None)
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):  # an overflowing total is inf, rejected below
+            total = float(arr.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"table sums to {total!r}, expected 1")
         arr = arr / total
@@ -415,8 +448,10 @@ class DiagonalExtension:
         if float(w.min()) < -1e-12:
             raise ValueError(f"negative weight {float(w.min()):.3g}")
         w = np.clip(w, 0.0, None)
-        if abs(float(w.sum()) - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {float(w.sum())!r}, expected 1")
+        with np.errstate(over="ignore"):  # an overflowing total is inf, rejected below
+            total = float(w.sum())
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"weights sum to {total!r}, expected 1")
         components = tuple(components)
         if len(components) != w.size:
             raise ValueError(

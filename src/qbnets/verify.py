@@ -33,15 +33,19 @@ check logs one INFO line to the ``qbnets.verify`` logger.
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
 (including swapping the two tested sets) by reducing the triples of one
-labeled copy of each unlabeled DAG under its automorphisms. The classes
-are measured in slices of a few cases: cases on the same DAG share each
-node's table product into their sampled joint kets, and cases with
-equal set sizes share one call of the purification CMI kernel of
-:mod:`qbnets.qinfo`, which never forms a density matrix. Each case still
-draws its models from its own generator, so no answer depends on the
-slicing. The full sweep takes about five seconds, and it logs one INFO
-line per node count to the ``qbnets.verify`` logger, a child of
-``qbnets``; the library adds no handler.
+labeled copy of each unlabeled DAG under its automorphisms; the labeled
+DAGs, their relabelings, and the d-separation and side-assignability of
+every class representative are computed as int64 bitmask arrays, with
+loops over nodes and relabelings only. The classes are measured in
+slices of a few cases: cases on the same DAG share each node's table
+product into their sampled joint kets, and cases with equal set sizes
+share one call of the purification CMI kernel of :mod:`qbnets.qinfo`,
+which never forms a density matrix. Each case still draws its models
+from its own generator, so no answer depends on the slicing. The full
+sweep takes about four seconds, and it logs one INFO line per node count
+to the ``qbnets.verify`` logger, a child of ``qbnets``; the library adds
+no handler. Above five nodes the enumeration would not fit in memory,
+and the census raises CapacityError at once.
 
 Every run must do work: a trial or model count below one, and a
 negative or non-finite tolerance, raise ValueError.
@@ -59,12 +63,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError, InvalidStateError
+from .errors import CapacityError, ImpossibleEvidenceError, InvalidStateError
 from .graph import (
     Dag,
     _bits,
-    _d_separated_masks,
-    _sides_assignable_masks,
+    _d_separated_arrays,
+    _sides_assignable_arrays,
     as_multinode,
     d_separated,
     sides_assignable,
@@ -270,10 +274,15 @@ def bp_campaign(
     """Random polytrees + random evidence: message passing vs the oracle.
 
     The report is a pure function of the arguments: the same seed gives
-    a bit-identical report.
+    a bit-identical report. Each campaign logs one INFO line to the
+    ``qbnets.verify`` logger: nets, largest deviation and seconds.
     """
     _require_positive("count", count)
+    _require_positive("max_nodes", max_nodes)
+    if max_card < 2:
+        raise ValueError(f"max_card must be at least 2, got {max_card}")
     _require_tolerance("tol", tol)
+    start = time.perf_counter()
     max_dev = 0.0
     worst = None
     for t in range(count):
@@ -297,6 +306,10 @@ def bp_campaign(
             dev = float(np.max(np.abs(belief.table - expect)))
             if dev > max_dev:
                 max_dev, worst = dev, t
+    _log.info(
+        "bp campaign: %d nets, max deviation %.3g, %.3f s",
+        count, max_dev, time.perf_counter() - start,
+    )
     return CampaignReport(
         count=count,
         max_nodes=max_nodes,
@@ -313,36 +326,47 @@ def bp_campaign(
 # ---------------------------------------------------------------------------
 
 
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    for i in _bits(mask):
-        out |= 1 << perm[i]
-    return out
+def _relabeled_codes(parents: np.ndarray) -> np.ndarray:
+    """Integer code of each DAG under each relabeling, shape (n!, DAGs).
+
+    ``parents`` holds one DAG's parent masks per row. Row k of the result
+    relabels by the k-th of ``itertools.permutations(range(n))``
+    (identity first), which moves node i to node perm[i]. A code packs
+    the parent masks with node 0's most significant, so code order is
+    the order of the parent tuples.
+    """
+    n = parents.shape[1]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    tables = np.zeros((len(perms), 1 << n), dtype=np.int64)  # mask -> image
+    for i in range(n):
+        tables |= (masks >> i & 1) << perms[:, i, None]
+    place = (1 << n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.empty((len(perms), len(parents)), dtype=np.int64)
+    for k, perm in enumerate(perms):
+        # node i's image mask becomes the parent mask of node perm[i]
+        codes[k] = tables[k][parents] @ place[perm]
+    return codes
 
 
 def enumerate_dags(n: int) -> list[tuple[int, ...]]:
     """Every labeled DAG on ``n`` nodes, as a tuple of parent bitmasks.
 
     Enumerates edge subsets compatible with the identity order, then
-    closes under relabeling; each DAG appears exactly once.
+    closes under relabeling; each DAG appears exactly once, in sorted
+    order.
     """
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    perms = list(itertools.permutations(range(n)))
-    tables = [
-        [_permute_mask(m, perm) for m in range(1 << n)] for perm in perms
-    ]
-    seen: set[tuple[int, ...]] = set()
-    for pattern in range(1 << len(pairs)):
-        parents = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if pattern >> k & 1:
-                parents[j] |= 1 << i
-        for perm, table in zip(perms, tables):
-            relabeled = [0] * n
-            for c in range(n):
-                relabeled[perm[c]] = table[parents[c]]
-            seen.add(tuple(relabeled))
-    return sorted(seen)
+    patterns = np.arange(1 << len(pairs), dtype=np.int64)
+    parents = np.zeros((len(patterns), n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        parents[:, j] |= (patterns >> k & 1) << i
+    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
+    # (about 25 ms and 1 MB on a cold start)
+    codes = np.sort(_relabeled_codes(parents).ravel())
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    place = (1 << n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return [tuple(row) for row in (codes[:, None] // place % (1 << n)).tolist()]
 
 
 def _assignment_codes(n: int) -> np.ndarray:
@@ -355,13 +379,25 @@ def _assignment_codes(n: int) -> np.ndarray:
     return np.array(codes, dtype=np.int64)
 
 
-def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, int, int]]], int, int]:
-    """Deduplicate (DAG, triple) cases up to relabeling and A/B swap.
+# the largest census: at n = 6 the relabeled integers of the 3,781,503
+# labeled DAGs fill a 720 x 3,781,503 int64 matrix (about 22 GB)
+_CENSUS_MAX_NODES = 5
 
-    Returns (separated cases as (parent masks, (a, b, z) bitmasks),
-    number of deduplicated classes, number of labeled cases covered).
-    Only the d-separated classes are returned; they are the ones the
-    forward statement is about.
+
+def _require_census_size(n: int) -> None:
+    if n > _CENSUS_MAX_NODES:
+        raise CapacityError(
+            f"the census enumerates labeled DAGs with at most {_CENSUS_MAX_NODES} "
+            f"nodes, got {n}; at 6 nodes its relabeled-DAG matrix would take about "
+            "22 GB (ROADMAP item 7 builds unlabeled DAGs one sink at a time instead)"
+        )
+
+
+def _class_representatives(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One (DAG, triple) case per class of cases on ``n`` nodes.
+
+    Returns the cases' parent masks (cases, n), their (a, b, z) bitmasks
+    (cases, 3), both int64, and the number of labeled cases covered.
 
     Isomorph-free reduction (McKay, J. Algorithms 26:306, 1998): a DAG's
     canonical form is the least of its n! relabeled integers, and only
@@ -370,24 +406,16 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     that give back the same integer) times the A/B swap, and each orbit
     keeps its first triple in :func:`_assignment_codes` order. So every
     class is represented by its smallest (DAG index, triple index) case,
-    and the cases come in that order: the case list, and with it each
-    ``default_rng([seed, n, idx])`` stream of the census, depends only
-    on the classes, not on how they are found.
+    and the cases come in that order.
     """
+    _require_census_size(n)
     dags = enumerate_dags(n)
     codes = _assignment_codes(n)
     if codes.size == 0:
-        return [], 0, 0
+        return np.zeros((0, n), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 0
     perms = list(itertools.permutations(range(n)))  # identity first
-
     dag_masks = np.array(dags, dtype=np.int64)
-    pow2n = (1 << n) ** np.arange(n, dtype=np.int64)
-    relabeled_ints = np.empty((len(perms), len(dags)), dtype=np.int64)
-    for k, perm in enumerate(perms):
-        table = np.array([_permute_mask(m, perm) for m in range(1 << n)], dtype=np.int64)
-        relabeled = np.empty_like(dag_masks)
-        relabeled[:, list(perm)] = table[dag_masks]
-        relabeled_ints[k] = relabeled @ pow2n
+    relabeled_ints = _relabeled_codes(dag_masks)
     _, first_copies = np.unique(relabeled_ints.min(axis=0), return_index=True)
 
     # triple codes packed with node 0 most significant, so that packed
@@ -400,23 +428,47 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     bits = 1 << np.arange(n, dtype=np.int64)
     triples = np.stack([(codes == c) @ bits for c in (1, 2, 3)], axis=1)
 
-    cases = []
-    classes = 0
+    owners, reps = [], []
     for d in sorted(int(i) for i in first_copies):
         auts = relabeled_ints[:, d] == relabeled_ints[0, d]
         orbit_min = np.minimum(packed[auts].min(axis=0), swapped[auts].min(axis=0))
-        reps = np.flatnonzero(orbit_min == packed[0])
-        classes += len(reps)
-        parents = dags[d]
-        for a, b, z in triples[reps].tolist():
-            if _d_separated_masks(parents, a, b, z):
-                cases.append((parents, (a, b, z)))
-    return cases, classes, len(dags) * codes.shape[0]
+        rep = np.flatnonzero(orbit_min == packed[0])
+        owners.append(np.full(len(rep), d))
+        reps.append(rep)
+    owners = np.concatenate(owners)
+    return dag_masks[owners], triples[np.concatenate(reps)], len(dags) * codes.shape[0]
+
+
+def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, int, int]]], int, int]:
+    """Deduplicate (DAG, triple) cases up to relabeling and A/B swap.
+
+    Returns (separated cases as (parent masks, (a, b, z) bitmasks),
+    number of deduplicated classes, number of labeled cases covered).
+    Only the d-separated classes are returned; they are the ones the
+    forward statement is about.
+
+    Each class is represented by its smallest (DAG index, triple index)
+    case (:func:`_class_representatives`), and the cases come in that
+    order: the case list, and with it each ``default_rng([seed, n,
+    idx])`` stream of the census, depends only on the classes, not on
+    how they are found. d-separation is decided for every representative
+    at once by :func:`qbnets.graph._d_separated_arrays`, the bitmask
+    route of ``d_separated`` run as array operations. Raises
+    CapacityError above five nodes.
+    """
+    parents, triples, labeled = _class_representatives(n)
+    keep = _d_separated_arrays(parents, *triples.T)
+    cases = [
+        (tuple(pa), tuple(masks))
+        for pa, masks in zip(parents[keep].tolist(), triples[keep].tolist())
+    ]
+    return cases, len(triples), labeled
 
 
 # cases per batched CMI evaluation of the census: large enough to share
 # each kernel call among many cases, small enough to keep memory flat
-# (32 runs the n <= 4 census about 5 % faster for about 0.3 MB more peak)
+# (32 runs the n <= 4 census about 10 % faster, in 190 of 200 alternating
+# passes, for about 0.4 MB more peak RSS and 45 % more traced peak)
 _CENSUS_SLICE = 16
 
 
@@ -554,9 +606,12 @@ def dsep_forward_census(
     statement that survives partial tracing.
 
     Each node count logs one INFO line: labeled cases, classes,
-    separated classes and seconds.
+    separated classes, and the seconds of canonicalization, of the
+    models (sampling, CMIs and side-assignability) and in total.
+    Raises CapacityError, before any work, for ``max_nodes`` above five.
     """
     _require_positive("max_nodes", max_nodes)
+    _require_census_size(max_nodes)
     _require_positive("trials", trials)
     _require_positive("card", card)
     _require_tolerance("tol", tol)
@@ -574,17 +629,21 @@ def dsep_forward_census(
     for n in range(1, max_nodes + 1):
         n_start = time.perf_counter()
         cases, n_classes, n_labeled = canonical_separated_cases(n)
+        canonicalized = time.perf_counter()
         labeled_cases += n_labeled
         classes += n_classes
         separated += len(cases)
+        case_parents = np.array([pa for pa, _ in cases], dtype=np.int64).reshape(-1, n)
+        case_masks = np.array([masks for _, masks in cases], dtype=np.int64).reshape(-1, 3)
+        sides = _sides_assignable_arrays(case_parents, *case_masks.T).tolist()
         for lo in range(0, len(cases), _CENSUS_SLICE):
             chunk = cases[lo : lo + _CENSUS_SLICE]
             rngs = [np.random.default_rng([seed, n, lo + k]) for k in range(len(chunk))]
             cmis = _census_cmis(chunk, trials, rngs, card)
-            for (parents, masks), cmi in zip(chunk, cmis.tolist()):
+            for k, cmi in enumerate(cmis.tolist()):
+                parents, masks = chunk[k]
                 models += trials
-                assignable = _sides_assignable_masks(parents, *masks)
-                if assignable:
+                if sides[lo + k]:
                     assignable_count += 1
                     max_cmi_assignable = max(max_cmi_assignable, cmi)
                     if cmi > tol:
@@ -594,9 +653,12 @@ def dsep_forward_census(
                     worst = f"n={n} parents={parents} a,b,z={masks}"
                 if cmi > tol:
                     violations += 1
+        n_stop = time.perf_counter()
         _log.info(
-            "census n=%d: %d labeled cases, %d classes, %d separated, %.3f s",
-            n, n_labeled, n_classes, len(cases), time.perf_counter() - n_start,
+            "census n=%d: %d labeled cases, %d classes, %d separated, "
+            "canonicalization %.3f s, models %.3f s, total %.3f s",
+            n, n_labeled, n_classes, len(cases),
+            canonicalized - n_start, n_stop - canonicalized, n_stop - n_start,
         )
     return CensusReport(
         max_nodes=max_nodes,

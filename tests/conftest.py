@@ -183,6 +183,34 @@ def brute_d_separated(dag, a, b, z):
     return True
 
 
+def _permute_mask(mask, perm):
+    """Image of a node bitmask under a relabeling that moves i to perm[i]."""
+    from qbnets.graph import _bits
+
+    return sum(1 << perm[i] for i in _bits(mask))
+
+
+def set_closure_dags(n):
+    """Every labeled DAG on n nodes as sorted parent-mask tuples: the edge
+    subsets of the identity order, closed under relabeling through a set.
+    The reference for ``verify.enumerate_dags``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    perms = list(itertools.permutations(range(n)))
+    tables = [[_permute_mask(m, perm) for m in range(1 << n)] for perm in perms]
+    seen = set()
+    for pattern in range(1 << len(pairs)):
+        parents = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if pattern >> k & 1:
+                parents[j] |= 1 << i
+        for perm, table in zip(perms, tables):
+            relabeled = [0] * n
+            for c in range(n):
+                relabeled[perm[c]] = table[parents[c]]
+            seen.add(tuple(relabeled))
+    return sorted(seen)
+
+
 def key_matrix_separated_cases(n):
     """Isomorphism classes of (DAG, triple) cases by brute-force keys.
 
@@ -193,7 +221,7 @@ def key_matrix_separated_cases(n):
     Builds a (DAGs x triples) key matrix, so keep n <= 4.
     """
     from qbnets.graph import _d_separated_masks
-    from qbnets.verify import _assignment_codes, _permute_mask, enumerate_dags
+    from qbnets.verify import _assignment_codes, enumerate_dags
 
     dags = enumerate_dags(n)
     codes = _assignment_codes(n)
@@ -426,6 +454,10 @@ def scan_elimination(dag, keep, diag, tables=None):
 _SIGMA_Y2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
 
 
+def _zero_roundoff(w):
+    return np.where(w < 1e-12, 0.0, w)
+
+
 def wootters_eof(matrix):
     """Entanglement of formation of a two-qubit state, in nats (Wootters,
     PRL 80:2245, 1998).
@@ -433,13 +465,15 @@ def wootters_eof(matrix):
     The concurrence is C = max(0, l1 - l2 - l3 - l4), with l the
     decreasing square roots of the eigenvalues of the Hermitian
     sqrt(rho) rho~ sqrt(rho), rho~ the spin flip of rho; E_F is the binary
-    entropy of (1 + sqrt(1 - C^2)) / 2.
+    entropy of (1 + sqrt(1 - C^2)) / 2. Eigenvalues below 1e-12 are
+    zeroed before each square root: a roundoff eigenvalue of ~1e-17 on a
+    rank-deficient state would otherwise enter C as ~3e-9.
     """
     rho = np.asarray(matrix, dtype=np.complex128)
     w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (v * np.sqrt(_zero_roundoff(w))) @ v.conj().T
     flipped = _SIGMA_Y2 @ rho.conj() @ _SIGMA_Y2
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(root @ flipped @ root), 0.0, None))[::-1]
+    lam = np.sqrt(_zero_roundoff(np.linalg.eigvalsh(root @ flipped @ root)))[::-1]
     c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     p = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
     return float(sum(-q * np.log(q) for q in (p, 1.0 - p) if q > 0.0))

@@ -68,6 +68,11 @@ class TestNodeTpm:
         with pytest.raises(ValueError, match="non-finite"):
             node_tpm(0, (), [bad, 0.0])
 
+    def test_overflowing_norm_rejected(self):
+        # the squared norm overflows; it is reported, without a RuntimeWarning
+        with pytest.raises(ValueError, match="unit norm by inf"):
+            node_tpm(0, (), [1e200, 0.0])
+
     def test_parent_mismatch_rejected(self):
         dag = Dag([("a", 2), ("b", 2)], [(0, 1)])
         with pytest.raises(ValueError, match="parents"):

@@ -107,6 +107,18 @@ class TestInfer:
             code, out, err = run(capsys, "infer", str(tmp_path / "net.json"), "--method", method)
             assert code == 2 and out == "" and "non-finite" in err
 
+    def test_overflowing_table_is_input_error(self, capsys, tmp_path):
+        # squaring 1e200 overflows: the loader rejects it instead of warning
+        save_json(
+            tmp_path / "net.json",
+            {
+                "nodes": [{"name": "a", "states": 2, "parents": []}],
+                "tpms": {"a": [[1e200, 0.0], [1e200, 0.0]]},
+            },
+        )
+        code, out, err = run(capsys, "infer", str(tmp_path / "net.json"))
+        assert code == 2 and out == "" and "unit-norm" in err
+
     def test_oracle_matches_per_node_oracle(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
         net = random_qbnet(random_polytree_dag(rng, 7, max_card=3), rng)
@@ -174,6 +186,19 @@ class TestEntropy:
         )
         code, out, err = run(capsys, "entropy", str(tmp_path / "rho.json"))
         assert code == 2 and out == "" and "non-finite" in err
+
+    def test_huge_entries_are_an_invalid_state(self, capsys, tmp_path):
+        # a Hermiticity check on these entries would overflow
+        save_json(
+            tmp_path / "rho.json",
+            {
+                "labels": [{"name": "x", "dim": 2}],
+                "matrix": [[[0.5, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]],
+            },
+        )
+        code, out, err = run(capsys, "entropy", str(tmp_path / "rho.json"))
+        # an invalid state, as for any matrix that fails the state checks
+        assert code == 1 and out == "" and "real or imaginary part" in err
 
     def test_plain_entropy(self, capsys, tmp_path):
         rho = random_density_matrix((("x", 2),), np.random.default_rng(2))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,17 @@ class TestDensityMatrixValidation:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(InvalidStateError, match="non-finite"):
             DensityMatrix((("x", 2),), np.diag([np.nan, np.nan]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.diag([1e308, -1e308]), [[0.5, 1e308], [-1e308, 0.5]], [[0.5, 3j], [-3j, 0.5]]],
+        ids=["diagonal", "off-diagonal", "imaginary"],
+    )
+    def test_entries_above_two_rejected(self, matrix):
+        # no state has such an entry, and the Hermiticity and trace checks
+        # would overflow on the first two
+        with pytest.raises(InvalidStateError, match="real or imaginary part"):
+            DensityMatrix((("q", 2),), matrix)
 
     def test_tiny_negative_tolerated(self):
         m = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
@@ -225,6 +237,8 @@ class TestClassicalInformation:
     def test_non_finite_mass_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             ClassicalDistribution((("x", 2),), [np.nan, 1.0])
+        with pytest.raises(ValueError, match="sums to inf"):  # the sum overflows
+            ClassicalDistribution((("x", 2),), [1e308, 1e308])
 
     def test_cmi_is_weighted_sum_over_conditioner(self):
         rng = np.random.default_rng(7)
@@ -249,6 +263,8 @@ class TestDiagonalExtension:
             DiagonalExtension([0.5, 0.4], [rho, rho])
         with pytest.raises(ValueError, match="non-finite"):
             DiagonalExtension([np.nan, 1.0], [rho, rho])
+        with pytest.raises(ValueError, match="sum to inf"):  # the sum overflows
+            DiagonalExtension([1e308, 1e308], [rho, rho])
 
     def test_assemble_blocks(self):
         rng = np.random.default_rng(8)
@@ -482,6 +498,34 @@ class TestPurifiedCmi:
         assert _purified_cmi(psi, (2, 3, 2), (1,), (2,), (0,)) == pytest.approx(0.0, abs=1e-12)
         mi = _purified_cmi(psi, (2, 3, 2), (1,), (2,))
         assert mi > 1e-3
+
+    @pytest.mark.parametrize(
+        "dims, x, y, z, r",
+        [
+            ((3, 2, 2), (1,), (2,), (0,), 1),  # every Gram side is 1 or 2
+            ((3, 3, 4), (1,), (2,), (0,), 2),  # S(x, z) and S(y, z) go to eigvalsh
+        ],
+    )
+    def test_zero_block_and_rank_one_blocks(self, dims, x, y, z, r):
+        # block z = 0 has p(z) = 0, and in block z = 1 the x side is a
+        # product with the rest, so its Grams are rank one: exact zeros in
+        # every closed form and spectrum, and no log of zero or 0/0
+        rng = np.random.default_rng(29)
+
+        def unit(*shape):
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return v / np.linalg.norm(v)
+
+        psi = np.zeros((2,) + dims + (r,), dtype=np.complex128)
+        for k in range(2):
+            psi[k, 1] = np.sqrt(0.4) * np.einsum("x,yr->xyr", unit(dims[1]), unit(dims[2], r))
+            psi[k, 2] = np.sqrt(0.6) * unit(dims[1], dims[2], r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _purified_cmi(psi, dims, x, y, z)
+            expect = _cmi(self.dense(psi, dims, z), dims, x, y, z)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+        assert got[0] > 1e-3  # the full-rank blocks still carry CMI
 
 
 class TestNetToDensity:

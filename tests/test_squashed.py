@@ -138,6 +138,16 @@ class TestWoottersFloor:
         b = random_density_matrix((("y", 2),), rng)
         assert wootters_eof(np.kron(a.matrix, b.matrix)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_oracle_on_rank_two_state(self, p):
+        # p |Phi+><Phi+| + (1 - p) |01><01| has concurrence p; its two zero
+        # eigenvalues come out of LAPACK as roundoff that must not reach C
+        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        rho = p * np.outer(phi, phi) + (1 - p) * np.diag([0.0, 1.0, 0.0, 0.0])
+        q = 0.5 * (1 + np.sqrt(1 - p * p))
+        eof = -q * np.log(q) - (1 - q) * np.log(1 - q)
+        assert wootters_eof(rho) == pytest.approx(eof, rel=0, abs=1e-12)
+
     @staticmethod
     def states():
         rng = np.random.default_rng(23)

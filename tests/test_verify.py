@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +20,13 @@ from qbnets import (
     search_dsep_witness,
     sides_assignable,
 )
-from qbnets.graph import _d_separated_masks, _sides_assignable_masks, as_multinode
+from qbnets.graph import (
+    _d_separated_arrays,
+    _d_separated_masks,
+    _sides_assignable_arrays,
+    _sides_assignable_masks,
+    as_multinode,
+)
 from qbnets.network import DEFAULT_CAP, _doubled_plan
 from qbnets.sampling import _draw_tables, random_dag
 from qbnets.verify import (
@@ -26,6 +34,7 @@ from qbnets.verify import (
     _assignment_codes,
     _census_cmis,
     _census_kets,
+    _class_representatives,
     _sampled_cmis,
     canonical_separated_cases,
 )
@@ -37,6 +46,7 @@ from conftest import (
     per_model_cmis,
     per_model_report,
     per_node_tables,
+    set_closure_dags,
     split_search_assignable,
 )
 
@@ -236,6 +246,15 @@ class TestVacuousRunsRejected:
             bp_campaign(**{"count": 2, **kwargs})
 
     @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"max_nodes": 0}, "max_nodes"), ({"max_card": 1}, "max_card"), ({"max_card": 0}, "max_card")],
+    )
+    def test_bp_campaign_sizes_named(self, kwargs, name):
+        # NumPy used to fail inside the sampler with "low >= high"
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            bp_campaign(count=2, **kwargs)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"trials": 0},
@@ -250,6 +269,19 @@ class TestVacuousRunsRejected:
             dsep_forward_census(**{"max_nodes": 2, **kwargs})
 
 
+class TestCensusCap:
+    @pytest.mark.parametrize("max_nodes", [6, 7])
+    def test_census_above_five_nodes_refused_at_once(self, max_nodes):
+        # at n = 6 the relabeling alone would run for minutes and the
+        # relabeled-DAG matrix would take about 22 GB
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="ROADMAP item 7"):
+            dsep_forward_census(max_nodes=max_nodes, trials=1)
+        with pytest.raises(CapacityError, match="at most 5 nodes"):
+            canonical_separated_cases(max_nodes)
+        assert time.perf_counter() - start < 0.5
+
+
 class TestEnumeration:
     def test_dag_counts(self):
         # known counts of labeled DAGs
@@ -257,6 +289,10 @@ class TestEnumeration:
         assert len(enumerate_dags(2)) == 3
         assert len(enumerate_dags(3)) == 25
         assert len(enumerate_dags(4)) == 543
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_matches_set_closure_reference(self, n):
+        assert enumerate_dags(n) == set_closure_dags(n)
 
     def test_separated_class_reps_are_separated(self):
         cases, classes, labeled = canonical_separated_cases(3)
@@ -322,6 +358,38 @@ class TestSidesAssignable:
         ]
         assert sum(counts[:4]) == 193
         assert sum(counts) == 5_628
+
+
+class TestBatchedSeparation:
+    """The array route of d-separation and side-assignability against the
+    bitmask core, one call per predicate and DAG or per node count."""
+
+    PREDICATES = [
+        (_d_separated_arrays, _d_separated_masks),
+        (_sides_assignable_arrays, _sides_assignable_masks),
+    ]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_labeled_triple(self, n):
+        # every disjoint triple, empty sets included, on every labeled DAG
+        codes = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.int64)
+        bits = 1 << np.arange(n, dtype=np.int64)
+        a, b, z = ((codes == c) @ bits for c in (1, 2, 3))
+        triples = list(zip(a.tolist(), b.tolist(), z.tolist()))
+        for parents in enumerate_dags(n):
+            for batched, single in self.PREDICATES:
+                got = batched(parents, a, b, z).tolist()
+                assert got == [single(parents, *t) for t in triples], (parents, single)
+
+    def test_every_five_node_class_representative(self):
+        # one DAG per triple, as the census decides them
+        parents, triples, _ = _class_representatives(5)
+        assert len(triples) == 72_584
+        rows = list(zip(parents.tolist(), triples.tolist()))
+        for batched, single in self.PREDICATES:
+            got = batched(parents, *triples.T).tolist()
+            assert got == [single(pa, *t) for pa, t in rows], single
+        assert int(_d_separated_arrays(parents, *triples.T).sum()) == 6_637
 
 
 class TestCanonicalization:
@@ -424,6 +492,32 @@ class TestCensusMachinery:
         # the library leaves handling to the application
         assert logging.getLogger("qbnets").handlers == []
         assert logging.getLogger("qbnets.verify").handlers == []
+
+    def test_census_log_lines_carry_stage_seconds(self, caplog):
+        with caplog.at_level(logging.INFO, logger="qbnets.verify"):
+            dsep_forward_census(max_nodes=4, trials=2, seed=0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "qbnets.verify"]
+        assert len(lines) == 4
+        for n, line in enumerate(lines, start=1):
+            head, stages = line.split(" separated, ")
+            assert head.startswith(f"census n={n}: ")
+            words = stages.split()
+            assert words[::3] == ["canonicalization", "models", "total"]
+            assert words[2::3] == ["s,", "s,", "s"]
+            canon, models, total = (float(w) for w in words[1::3])
+            assert min(canon, models) >= 0.0
+            assert canon + models == pytest.approx(total, abs=2e-3)
+
+
+class TestBpCampaignLog:
+    def test_one_line_per_campaign(self, caplog):
+        with caplog.at_level(logging.INFO, logger="qbnets"):
+            report = bp_campaign(count=5, max_nodes=5, seed=3)
+        lines = [r.getMessage() for r in caplog.records if r.name == "qbnets.verify"]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"bp campaign: 5 nets, max deviation {report.max_deviation:.3g}, ")
+        assert lines[0].endswith(" s")
+        assert logging.getLogger("qbnets").handlers == []
 
 
 class TestBatchedCensus:

@@ -2,21 +2,18 @@
 
 Roots are variables; leaves are factor nodes observed in their "on"
 state, each carrying a complex amplitude table over its neighbor roots.
-:func:`bipartite_iterate` applies the paper's updates literally, with
-ket messages exactly as in the polytree case: the factor-to-root update
-keeps every unobserved neighbor as a hidden tensor axis rather than
-summing amplitudes, and the root-to-factor update is an entrywise
-product over disjoint hidden axes. Like the dense paths, it raises
+Every route here runs on the equivalent qbnet of
+:func:`factor_graph_to_qbnet`, whose skeleton is the factor graph's.
+:func:`bipartite_iterate` is the polytree rules of :mod:`qbnets.qbp`
+run synchronously on it: one generation recomputes every unfolded ket
+message from the previous one, and the rules raise
 :class:`~qbnets.errors.CapacityError` before building a product of more
-than ``DEFAULT_CAP`` entries. It is synchronous: one iteration
-recomputes every message from the previous generation (messages between
-non-adjacent pairs simply do not exist and therefore carry over
-trivially). On a tree skeleton the messages stop changing after at most
-diameter-many iterations.
+than ``DEFAULT_CAP`` entries. On a tree skeleton the messages stop
+changing after at most diameter-many generations;
+:func:`bipartite_beliefs` reads a fixed point out through the rules.
 
 :func:`run_bipartite` is :func:`~qbnets.qbp.propagate_polytree` on the
-equivalent qbnet of :func:`factor_graph_to_qbnet`, whose skeleton is the
-factor graph's. Its messages are Pearl's lambda/pi vectors on the
+equivalent net. Its messages are Pearl's lambda/pi vectors on the
 squared tables, each sent once; they are the messages of
 :func:`bipartite_iterate` at its fixed point folded onto their roots
 and squared, so the beliefs are the same. Root beliefs are
@@ -27,15 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, fold, labeled, multiply
+from .amplitudes import LabeledAmplitude, fold
 from .errors import ConvergenceError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, node_tpm
-from .qbp import Belief, _assert_disjoint, _squared_table, _unit, propagate_polytree
+from .network import QBNet, _require_tolerance, node_tpm, tpm_amplitude
+from .qbp import (
+    AmplitudeMessage, Belief, _literal_belief, _literal_message, _squared_table, propagate_polytree
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +126,6 @@ class FactorGraphNet:
     def cardinality(self, i: int) -> int:
         return self.roots[i][1]
 
-    def factors_of(self, i: int) -> tuple[int, ...]:
-        nr = self.root_count
-        return tuple(c - nr for c in self.skeleton.children(i))
-
-    def factor_amplitude(self, a: int) -> LabeledAmplitude:
-        f = self.factors[a]
-        return labeled(f.neighbors, f.table)
-
 
 @dataclass(frozen=True, eq=False)
 class MessageState:
@@ -145,44 +136,31 @@ class MessageState:
     to_factor: dict[tuple[int, int], LabeledAmplitude]
 
 
-def _uniform(net: FactorGraphNet, i: int) -> LabeledAmplitude:
-    card = net.cardinality(i)
-    return labeled((i,), np.full(card, 1.0 / math.sqrt(card)))
-
-
 def init_messages(net: FactorGraphNet) -> MessageState:
-    to_root = {}
-    to_factor = {}
-    for a, f in enumerate(net.factors):
-        for i in f.neighbors:
-            to_root[(a, i)] = _uniform(net, i)
-            to_factor[(a, i)] = _uniform(net, i)
-    return MessageState(to_root, to_factor)
+    """Every message the uniform ket over its root: that root's table."""
+    nr = net.root_count
+    uniform = {(c - nr, i): tpm_amplitude(net._net, i) for i, c in net.skeleton.edges}
+    return MessageState(uniform, dict(uniform))
+
+
+def _inbox(net: FactorGraphNet, state: MessageState) -> dict[tuple[int, int], AmplitudeMessage]:
+    """``state`` as the equivalent net's messages, keyed by (sender, receiver)."""
+    nr, inbox = net.root_count, {}
+    for (a, i), m in state.to_root.items():
+        inbox[(nr + a, i)] = AmplitudeMessage(nr + a, i, "lambda", i, m)
+    for (a, i), m in state.to_factor.items():
+        inbox[(i, nr + a)] = AmplitudeMessage(i, nr + a, "pi", i, m)
+    return inbox
 
 
 def bipartite_iterate(net: FactorGraphNet, state: MessageState) -> MessageState:
-    """One synchronous generation of root and factor traversals."""
-    new_to_factor = {}
-    for i in range(net.root_count):
-        for a in net.factors_of(i):
-            parts = [state.to_root[(b, i)] for b in net.factors_of(i) if b != a]
-            _assert_disjoint(parts, (i,))
-            data = _uniform(net, i) if not parts else parts[0]
-            for part in parts[1:]:
-                data = _capped_multiply(data, part)
-            new_to_factor[(a, i)] = _unit(data)
-
-    new_to_root = {}
-    for a, f in enumerate(net.factors):
-        for i in f.neighbors:
-            parts = [state.to_factor[(a, k)] for k in f.neighbors if k != i]
-            _assert_disjoint(parts, f.neighbors)
-            data = net.factor_amplitude(a)
-            for part in parts:
-                data = _capped_multiply(data, part)
-            new_to_root[(a, i)] = _unit(data)
-
-    return MessageState(new_to_root, new_to_factor)
+    """One synchronous generation of the polytree rules on the equivalent net."""
+    qb, evidence = factor_graph_to_qbnet(net)
+    inbox, nr = _inbox(net, state), net.root_count
+    return MessageState(
+        {(c - nr, i): _literal_message(qb, c, i, inbox, evidence).data for i, c in qb.dag.edges},
+        {(c - nr, i): _literal_message(qb, i, c, inbox, evidence).data for i, c in qb.dag.edges},
+    )
 
 
 def _folded(state: MessageState) -> MessageState:
@@ -223,15 +201,27 @@ class BipartiteBeliefs:
     factors: dict[int, FactorBelief]
 
 
+def _beliefs(net: FactorGraphNet, beliefs: Mapping[int, Belief]) -> BipartiteBeliefs:
+    """The equivalent net's beliefs per root, and per factor its node's at "on"."""
+    nr = net.root_count
+    factors = {}
+    for a, f in enumerate(net.factors):
+        amp = beliefs[nr + a].amplitude.slice_at({nr + a: 1})
+        factors[a] = FactorBelief(a, amp, _squared_table(amp, f.neighbors))
+    return BipartiteBeliefs({i: beliefs[i] for i in range(nr)}, factors)
+
+
 def bipartite_beliefs(
     net: FactorGraphNet, state: MessageState, tol: float = 1e-12
 ) -> BipartiteBeliefs:
-    """Beliefs at a fixed point: per-root and per-factor-neighborhood tables.
+    """Beliefs at a fixed point: per-root and per-factor-neighborhood tables,
+    read out through the polytree rules on the equivalent net.
 
     Refuses (with :class:`ConvergenceError`) if one more iteration would
     still move any message by more than ``tol``. Both generations are
     folded before they are compared, so ``state`` may be folded or not.
     """
+    _require_tolerance("tol", tol)
     gap = _state_gap(_folded(bipartite_iterate(net, state)), _folded(state))
     if gap > tol:
         raise ConvergenceError(
@@ -241,27 +231,10 @@ def bipartite_beliefs(
 
 
 def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
-    roots = {}
-    for i in range(net.root_count):
-        parts = [state.to_root[(a, i)] for a in net.factors_of(i)]
-        _assert_disjoint(parts, (i,))
-        data = _uniform(net, i) if not parts else parts[0]
-        for part in parts[1:]:
-            data = multiply(data, part)
-        amp = _unit(data)
-        roots[i] = Belief(i, amp, _squared_table(amp, (i,)))
-
-    factors = {}
-    for a, f in enumerate(net.factors):
-        data = net.factor_amplitude(a)
-        parts = [state.to_factor[(a, k)] for k in f.neighbors]
-        _assert_disjoint(parts, f.neighbors)
-        for part in parts:
-            data = multiply(data, part)
-        amp = _unit(data)
-        factors[a] = FactorBelief(a, amp, _squared_table(amp, f.neighbors))
-
-    return BipartiteBeliefs(roots, factors)
+    qb, evidence = factor_graph_to_qbnet(net)
+    inbox = _inbox(net, state)
+    beliefs = {j: _literal_belief(qb, j, inbox, evidence) for j in range(qb.dag.node_count)}
+    return _beliefs(net, beliefs)
 
 
 def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
@@ -271,14 +244,7 @@ def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
     qbnet, each message sent once and holding one entry per state of its
     root. A factor's belief is its node's amplitude at the "on" state.
     """
-    beliefs = propagate_polytree(*factor_graph_to_qbnet(net))
-    nr = net.root_count
-    roots = {i: beliefs[i] for i in range(nr)}
-    factors = {}
-    for a, f in enumerate(net.factors):
-        amp = beliefs[nr + a].amplitude.slice_at({nr + a: 1})
-        factors[a] = FactorBelief(a, amp, _squared_table(amp, f.neighbors))
-    return BipartiteBeliefs(roots, factors)
+    return _beliefs(net, propagate_polytree(*factor_graph_to_qbnet(net)))
 
 
 def factor_graph_to_qbnet(net: FactorGraphNet) -> tuple[QBNet, dict[int, int]]:

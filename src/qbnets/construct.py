@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NotReducibleError
 from .graph import Dag
-from .network import QBNet, node_tpm
+from .network import QBNet, _require_tolerance, node_tpm
 from .qinfo import EIG_REJECT, DiagonalExtension
 
 
@@ -140,6 +140,7 @@ def reduce_qbnet(net: QBNet, atol: float = 1e-10) -> QBNet:
     amplitude equals the input's entrywise after regrouping the state
     indices.
     """
+    _require_tolerance("atol", atol)
     dag = net.dag
     if dag.node_count != 5:
         raise ValueError("expected a five-node construction-shaped net")

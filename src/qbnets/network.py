@@ -75,6 +75,7 @@ def _check_table(node: int, table: np.ndarray, atol: float = COLUMN_NORM_ATOL, l
 
 
 def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM_ATOL) -> NodeTpm:
+    _require_tolerance("atol", atol)
     arr = np.asarray(table, dtype=np.complex128)
     parents = tuple(int(p) for p in parents)
     if arr.ndim != 1 + len(parents):
@@ -142,6 +143,11 @@ def tpm_amplitude(net: QBNet, node: int) -> LabeledAmplitude:
     """Node table as a labeled tensor over {node} and its parents."""
     tpm = net.tpms[node]
     return labeled((node,) + tpm.parents, tpm.table)
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def _check_cap(dims: Iterable[int], cap: int, what: str = "joint tensor") -> None:

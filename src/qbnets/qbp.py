@@ -17,6 +17,8 @@ sending subtree, so its size grows exponentially with that subtree.
 The rule functions stay literal: handed unfolded messages they return
 the paper's messages, and raise :class:`~qbnets.errors.CapacityError`
 before building a product of more than ``DEFAULT_CAP`` entries.
+:func:`~qbnets.bipartite.bipartite_iterate` runs them synchronously on
+the equivalent net of a factor graph, each message out of its inbox.
 
 :func:`propagate_polytree` sends each message folded onto its carrier,
 as the real vector mu(c) = sum_H |m(c, H)|^2 normalized to sum to one.
@@ -42,9 +44,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# ``multiply`` is imported for benchmarks/tracer.py, which patches it in
-# every module that holds it; the core here never multiplies kets.
-from .amplitudes import LabeledAmplitude, labeled, multiply  # noqa: F401
+from .amplitudes import LabeledAmplitude, labeled, multiply
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
 from .network import QBNet, _capped_multiply, _contract, validate_evidence
@@ -237,6 +237,27 @@ def rule2_pi_to_child(
     _assert_disjoint([m.data for m in incoming], [node])
     data = _combine(pi_message.data, other_child_messages, evidence, node)
     return AmplitudeMessage(node, child, "pi", node, data)
+
+
+def _literal_message(net: QBNet, sender: int, receiver: int, inbox, evidence) -> AmplitudeMessage:
+    """Rule 1 to a parent or rule 2 to a child, out of ``inbox[(k, sender)]``."""
+    dag = net.dag
+    from_children = [inbox[(c, sender)] for c in dag.children(sender) if c != receiver]
+    from_parents = [inbox[(p, sender)] for p in dag.parents(sender) if p != receiver]
+    if receiver in dag.parents(sender):
+        lam = compute_lambda(net, sender, from_children, evidence)
+        return rule1_lambda_to_parent(net, sender, receiver, lam, from_parents, evidence)
+    pi = compute_pi(net, sender, from_parents, evidence)
+    return rule2_pi_to_child(net, sender, receiver, pi, from_children, evidence)
+
+
+def _literal_belief(net: QBNet, node: int, inbox, evidence) -> Belief:
+    """The unit product of the node's lambda and pi aggregates out of ``inbox``."""
+    dag = net.dag
+    lam = compute_lambda(net, node, [inbox[(c, node)] for c in dag.children(node)], evidence)
+    pi = compute_pi(net, node, [inbox[(p, node)] for p in dag.parents(node)], evidence)
+    amp = _unit(multiply(lam.data, pi.data))
+    return Belief(node, amp, _squared_table(amp, (node,)))
 
 
 def _unit(amp: LabeledAmplitude) -> LabeledAmplitude:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .graph import as_multinode
-from .network import DEFAULT_CAP, QBNet, _doubled_contraction, _doubled_plan
+from .network import DEFAULT_CAP, QBNet, _doubled_contraction, _doubled_plan, _require_tolerance
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -493,6 +493,7 @@ class DiagonalExtension:
 
 def diagonal_blocks(rho: DensityMatrix, lam_name: str, atol: float = 1e-10) -> DiagonalExtension:
     """Split a lam-block-diagonal state into its weighted components."""
+    _require_tolerance("atol", atol)
     front = reordered(rho, (lam_name,) + tuple(n for n in rho.names if n != lam_name))
     L = front.dims[0]
     d = front.dim // L

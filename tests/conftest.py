@@ -11,7 +11,18 @@ import math
 import numpy as np
 import pytest
 
-from qbnets import Dag, DensityMatrix, amplitude_tensor, dephase, partial_trace
+from qbnets import (
+    Dag,
+    DensityMatrix,
+    amplitude_tensor,
+    compute_lambda,
+    compute_pi,
+    dephase,
+    partial_trace,
+    qbp,
+    rule1_lambda_to_parent,
+    rule2_pi_to_child,
+)
 
 
 @pytest.fixture
@@ -137,6 +148,24 @@ def chain_forward_backward(net, evidence):
         p = f * b
         posteriors.append(p / p.sum())
     return posteriors
+
+
+def unfolded_messages(net, evidence):
+    """The paper's rules composed literally over the collect and
+    distribute sweeps, no fold: every message of a polytree net, keyed by
+    (sender, receiver), each computed once from the messages before it."""
+    dag = net.dag
+    inbox = {}
+    for s, r in qbp._skeleton_sweeps(dag):
+        from_children = [inbox[(c, s)] for c in dag.children(s) if c != r]
+        from_parents = [inbox[(p, s)] for p in dag.parents(s) if p != r]
+        if r in dag.parents(s):
+            lam = compute_lambda(net, s, from_children, evidence)
+            inbox[(s, r)] = rule1_lambda_to_parent(net, s, r, lam, from_parents, evidence)
+        else:
+            pi = compute_pi(net, s, from_parents, evidence)
+            inbox[(s, r)] = rule2_pi_to_child(net, s, r, pi, from_children, evidence)
+    return inbox
 
 
 def brute_d_separated(dag, a, b, z):

@@ -6,21 +6,27 @@ import pytest
 from qbnets import (
     CapacityError,
     Dag,
+    DensityMatrix,
+    FactorGraphNet,
     ImpossibleEvidenceError,
     Multinode,
     QBNet,
     ZeroProbabilityError,
     amplitude_tensor,
+    bipartite_beliefs,
     conditional_amplitude,
+    diagonal_blocks,
+    init_messages,
     joint_amplitude,
     labeled,
     marginal_probability,
     marginalize,
     node_tpm,
     posterior_oracle,
+    reduce_qbnet,
     vector_amplitude,
 )
-from qbnets.sampling import random_dag, random_qbnet
+from qbnets.sampling import random_dag, random_qbnet, random_reducible_net
 
 from conftest import assignments, brute_joint, brute_joint_table, brute_posterior
 
@@ -77,6 +83,41 @@ class TestNodeTpm:
         dag = Dag([("a", 2), ("b", 2)], [(0, 1)])
         with pytest.raises(ValueError, match="parents"):
             QBNet(dag, [node_tpm(0, (), [1, 0]), node_tpm(1, (), [1, 0])])
+
+
+def _unconverged_chain_beliefs(tol):
+    net = FactorGraphNet(
+        roots=[("a", 2), ("b", 2), ("c", 2)],
+        factors=[
+            ("f", (0, 1), np.array([[1.0, 0.2], [0.1, 1.0]])),
+            ("g", (1, 2), np.array([[1.0, 0.9], [0.3, 1.0]])),
+        ],
+    )
+    return bipartite_beliefs(net, init_messages(net), tol=tol)
+
+
+def _off_block_state(atol):
+    plus_zero = np.kron([1.0, 1.0], [1.0, 0.0]) / np.sqrt(2.0)
+    rho = DensityMatrix((("lam", 2), ("x", 2)), np.outer(plus_zero, plus_zero).astype(complex))
+    return diagonal_blocks(rho, "lam", atol=atol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-12])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        # each input fails the check its tolerance bounds, so a tolerance
+        # that compares False against everything would let it through
+        ("tol", _unconverged_chain_beliefs),
+        ("atol", lambda atol: node_tpm(0, (), [1, 1], atol=atol)),
+        ("atol", _off_block_state),
+        ("atol", lambda atol: reduce_qbnet(random_reducible_net(np.random.default_rng(3)), atol)),
+    ],
+    ids=["bipartite_beliefs", "node_tpm", "diagonal_blocks", "reduce_qbnet"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        call(bad)
 
 
 class TestJointAmplitude:

@@ -21,7 +21,7 @@ from qbnets import qbp
 from qbnets.amplitudes import labeled, multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
-from conftest import brute_posterior, chain_forward_backward
+from conftest import brute_posterior, chain_forward_backward, unfolded_messages
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -300,16 +300,7 @@ def unfolded_tables(net, evidence):
     message carried.
     """
     dag = net.dag
-    inbox = {}
-    for s, r in qbp._skeleton_sweeps(dag):
-        from_children = [inbox[(c, s)] for c in dag.children(s) if c != r]
-        from_parents = [inbox[(p, s)] for p in dag.parents(s) if p != r]
-        if r in dag.parents(s):
-            lam = compute_lambda(net, s, from_children, evidence)
-            inbox[(s, r)] = rule1_lambda_to_parent(net, s, r, lam, from_parents, evidence)
-        else:
-            pi = compute_pi(net, s, from_parents, evidence)
-            inbox[(s, r)] = rule2_pi_to_child(net, s, r, pi, from_children, evidence)
+    inbox = unfolded_messages(net, evidence)
     tables = {}
     for node in range(dag.node_count):
         lam = compute_lambda(net, node, [inbox[(c, node)] for c in dag.children(node)], evidence)

@@ -1,10 +1,10 @@
 """Squashed entanglement of two-qubit states.
 
 Half the minimum conditional mutual information over block-diagonal
-extensions, minimized by restarted Riemannian gradient descent over the
-isometry that measures a purifier (``budget`` counts value or
-value-and-gradient evaluations per restart). The value is an upper
-bound, E_sq <= C-squashed <= value. Three anchors have known answers; a
+extensions, minimized by restarted Riemannian L-BFGS over the isometry
+that measures a purifier (``budget`` counts value-and-gradient
+evaluations per restart). The value is an upper bound,
+E_sq <= C-squashed <= value. Three anchors have known answers; a
 noisy Bell state shows the optimizer actually beating the trivial bound,
 down to its entanglement of formation.
 """

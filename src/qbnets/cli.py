@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument(
         "--budget", type=int, default=2000,
-        help="value or value-and-gradient evaluations per restart",
+        help="value-and-gradient evaluations per restart, at least 1",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", help="write the witness extension here")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -148,6 +149,15 @@ def tpm_amplitude(net: QBNet, node: int) -> LabeledAmplitude:
 def _require_tolerance(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _require_positive(name: str, value: int) -> None:
+    """Reject a count that is not an integer (bools and floats included)
+    or that would make a run vacuous."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _check_cap(dims: Iterable[int], cap: int, what: str = "joint tensor") -> None:

@@ -10,11 +10,19 @@ phi_l = sum_e psi[:, :, e] V[l, e]. Members are pure, so half the CMI is
 f(V) = sum_l p_l S(M_l / p_l), with M_l the x-marginal of phi_l and
 p_l = Tr M_l. One eigendecomposition of the stack of M_l gives f and its
 Euclidean gradient G[l, e] = Tr(psi_e^dag K_l phi_l), K_l = -ln(M_l / p_l).
-V descends along the gradient projected onto the Stiefel tangent space,
-retracted by a phase-fixed QR, with Barzilai-Borwein steps and Armijo
-backtracking (Abrudan, Eriksson & Koivunen, IEEE TSP 56:1134, 2008).
+V descends on the Stiefel manifold (Abrudan, Eriksson & Koivunen, IEEE
+TSP 56:1134, 2008) by Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM
+J. Optim. 25:1660, 2015). The direction is the two-loop recursion applied
+to the tangent gradient (G projected onto the tangent space) over the
+last _MEMORY pairs of steps and gradient changes, which are kept as
+plain ambient arrays without vector transport; it is projected onto the
+tangent space again. Where it does not descend, the tangent gradient
+replaces it and the memory is cleared. Each step is retracted by a
+phase-fixed QR and halved from length 1 until Armijo's condition holds.
 A restart stops when its budget is spent, its value reaches EARLY_STOP,
 an accepted step gains under 1e-15 or the tangent gradient vanishes.
+The evaluation count is fixed for a given code but follows roundoff: an
+arithmetic rewrite that is exact in real numbers can move it.
 
 The trivial single-member extension (the state itself) is always
 feasible and is always scored first, so the reported value can never
@@ -30,22 +38,35 @@ extension, so E_sq <= C-squashed <= value. The witness extension
 achieves the value. Since every searched member is pure, a searched
 extension scores at least the entanglement of formation, so the value
 never falls below min(I / 2, E_F), and the search's optimum is that floor.
+From below, E_sq is at least the coherent information
+max(0, S(x) - S(xy), S(y) - S(xy)): by the hashing inequality that is
+at most the one-way distillable entanglement, which is at most E_sq.
 Each restart logs one INFO line to the ``qbnets.squashed`` logger.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qinfo import DensityMatrix, DiagonalExtension, _check_spectrum, cmi_diagonal
+from .network import _require_positive
+from .qinfo import (
+    DensityMatrix,
+    DiagonalExtension,
+    _check_spectrum,
+    _entropy_on,
+    _spectral_entropy,
+    cmi_diagonal,
+)
 
 RANK_TOL = 1e-12
 WEIGHT_TOL = 1e-12
 EARLY_STOP = 1e-12
 EIG_FLOOR = 1e-300  # clip for ln; the sqrt(lam) ln(lam) terms it touches vanish
+_MEMORY = 5  # (s, y) pairs kept by the L-BFGS direction
 
 _log = logging.getLogger(__name__)
 
@@ -56,6 +77,7 @@ class EsqResult:
     witness: DiagonalExtension
     restart: int  # -1 when the trivial extension won
     evaluations: int
+    lower: float  # coherent information, a lower bound on E_sq
 
 
 def _purification(rho: DensityMatrix) -> np.ndarray:
@@ -96,17 +118,43 @@ def _retract(a: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[None, :]
 
 
+def _lbfgs_direction(v: np.ndarray, xi: np.ndarray, pairs) -> np.ndarray:
+    """L-BFGS two-loop recursion (Liu & Nocedal, Math. Prog. 45:503, 1989)
+    on the tangent gradient xi, projected back onto the tangent space at v.
+
+    ``pairs`` holds (s, y, 1 / <s, y>) as plain ambient arrays, without
+    vector transport; the initial scaling <s, y> / <y, y> of the newest
+    pair is the Barzilai-Borwein step. With no pairs the direction is xi.
+    """
+    q, alphas = xi, []
+    for s, y, inv_sy in reversed(pairs):
+        alpha = inv_sy * float(np.vdot(s, q).real)
+        q = q - alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, inv_sy = pairs[-1]
+        q = q / (inv_sy * float(np.vdot(y, y).real))
+    for (s, y, inv_sy), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - inv_sy * float(np.vdot(y, q).real)) * s
+    return _tangent(v, q)
+
+
 def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
-    """Riemannian gradient descent on the isometry; every value-and-gradient
-    call is one evaluation of the budget."""
+    """Riemannian L-BFGS on the isometry; every value-and-gradient call is
+    one evaluation of the budget."""
     value, g = _value_grad(psi, v)
-    xi, used, step = _tangent(v, g), 1, 1.0
+    xi, used, pairs = _tangent(v, g), 1, deque(maxlen=_MEMORY)
     while used < budget and value > EARLY_STOP:
-        slope = float(np.vdot(xi, xi).real)
-        if slope < 1e-26:
+        if float(np.vdot(xi, xi).real) < 1e-26:
             break
-        while True:  # Armijo backtracking from the Barzilai-Borwein step
-            trial = _retract(v - step * xi)
+        d = _lbfgs_direction(v, xi, pairs)
+        slope = float(np.vdot(xi, d).real)
+        if not slope > 0.0:  # not a descent direction: restart the memory
+            d, slope = xi, float(np.vdot(xi, xi).real)
+            pairs.clear()
+        step = 1.0
+        while True:  # Armijo backtracking from the quasi-Newton step
+            trial = _retract(v - step * d)
             trial_value, g = _value_grad(psi, trial)
             used += 1
             accepted = trial_value <= value - 1e-4 * step * slope
@@ -118,7 +166,8 @@ def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
         trial_xi = _tangent(trial, g)
         s, y = trial - v, trial_xi - xi
         sy = float(np.vdot(s, y).real)
-        step = sy / float(np.vdot(y, y).real) if sy > 0.0 else 1.0
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
         gain = value - trial_value
         v, value, xi = trial, trial_value, trial_xi
         if gain < 1e-15:
@@ -134,6 +183,12 @@ def _witness_from(rho: DensityMatrix, phi: np.ndarray) -> DiagonalExtension:
     return DiagonalExtension(p[live] / p[live].sum(), components)
 
 
+def _coherent_information(rho: DensityMatrix) -> float:
+    """max(0, S(x) - S(xy), S(y) - S(xy)), a lower bound on E_sq."""
+    s_x, s_y = (_entropy_on(rho.matrix, rho.dims, (k,)) for k in (0, 1))
+    return max(0.0, float(max(s_x, s_y) - _spectral_entropy(rho.matrix)))
+
+
 def squashed_entanglement(
     rho: DensityMatrix,
     lam_card: int | None = None,
@@ -146,11 +201,16 @@ def squashed_entanglement(
     Parameters
     ----------
     rho : DensityMatrix over exactly two labels
-    lam_card : number of extension members; defaults to rank(rho) squared
-    restarts : restart 0 starts at the identity isometry (the eigenbasis
-        ensemble); later restarts start from Haar-random isometries
-    budget : value or value-and-gradient evaluations per restart
+    lam_card : number of extension members, a positive integer; defaults
+        to rank(rho) squared
+    restarts : at least 1; restart 0 starts at the identity isometry (the
+        eigenbasis ensemble); later restarts start from Haar-random
+        isometries
+    budget : value-and-gradient evaluations per restart, at least 1
     seed : master seed; restart r draws from ``default_rng([seed, r])``
+
+    Each restart is one Riemannian L-BFGS descent on the isometry (see
+    the module docstring).
 
     Returns
     -------
@@ -158,22 +218,29 @@ def squashed_entanglement(
         ``value`` is half the CMI of ``witness`` (recomputed exactly);
         the witness always assembles back to ``rho``. It is an upper
         bound, E_sq <= C-squashed entanglement <= ``value``, with no
-        certificate of how close it is to either.
+        certificate of how close it is to either. ``lower`` is the
+        coherent information max(0, S(x) - S(xy), S(y) - S(xy)), a lower
+        bound on E_sq; on a pure state both bounds equal S(x).
     """
     if len(rho.labels) != 2:
         raise ValueError("squashed entanglement needs exactly two label groups")
+    _require_positive("restarts", restarts)
+    _require_positive("budget", budget)
+    if lam_card is not None:
+        _require_positive("lam_card", lam_card)
 
     trivial = DiagonalExtension(np.ones(1), (rho,))
     best_value, best_witness, best_restart = 0.5 * cmi_diagonal(trivial), trivial, -1
+    lower = _coherent_information(rho)
     evaluations = 0
     psi = _purification(rho)
     rank = psi.shape[2]
     if rank == 1:
         # Pure state: every feasible extension repeats the state itself,
         # so the trivial extension already attains the minimum.
-        return EsqResult(best_value, best_witness, -1, 0)
+        return EsqResult(best_value, best_witness, -1, 0, lower)
 
-    n = int(lam_card) if lam_card is not None else rank * rank
+    n = lam_card if lam_card is not None else rank * rank
     if n < rank:
         raise ValueError(f"lam cardinality {n} cannot resolve a rank-{rank} purifier")
 
@@ -191,7 +258,7 @@ def squashed_entanglement(
             best_witness = _witness_from(rho, _members(psi, v))
             best_value = 0.5 * cmi_diagonal(best_witness)
             best_restart = r
-    return EsqResult(best_value, best_witness, best_restart, evaluations)
+    return EsqResult(best_value, best_witness, best_restart, evaluations, lower)
 
 
 def assembly_error(rho: DensityMatrix, ext: DiagonalExtension) -> float:

@@ -73,7 +73,14 @@ from .graph import (
     d_separated,
     sides_assignable,
 )
-from .network import DEFAULT_CAP, _doubled_contraction, _doubled_plan, _require_tolerance, posterior_oracle
+from .network import (
+    DEFAULT_CAP,
+    _doubled_contraction,
+    _doubled_plan,
+    _require_positive,
+    _require_tolerance,
+    posterior_oracle,
+)
 from .qbp import propagate_polytree
 from .qinfo import TRACE_ATOL, _cmi, _purified_cmi
 from .sampling import _draw_tables, _unit_norm, random_evidence, random_polytree_dag, random_qbnet
@@ -111,12 +118,6 @@ class TrialReport:
 
 def _triple_names(dag: Dag, m) -> tuple[str, ...]:
     return tuple(dag.name(i) for i in as_multinode(m))
-
-
-def _require_positive(name: str, value: int) -> None:
-    """Reject a count that would make a run vacuous."""
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def check_dsep_forward(

@@ -23,6 +23,7 @@ from qbnets import (
     rule1_lambda_to_parent,
     rule2_pi_to_child,
 )
+from qbnets.squashed import EARLY_STOP, _retract, _tangent, _value_grad
 
 
 @pytest.fixture
@@ -506,3 +507,35 @@ def wootters_eof(matrix):
     c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     p = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
     return float(sum(-q * np.log(q) for q in (p, 1.0 - p) if q > 0.0))
+
+
+def bb_descend(psi, v, budget):
+    """The squashed search's former descent, kept as the reference:
+    Riemannian steepest descent with Barzilai-Borwein steps and Armijo
+    backtracking; every value-and-gradient call is one evaluation of the
+    budget. Drop-in for ``qbnets.squashed._descend``."""
+    value, g = _value_grad(psi, v)
+    xi, used, step = _tangent(v, g), 1, 1.0
+    while used < budget and value > EARLY_STOP:
+        slope = float(np.vdot(xi, xi).real)
+        if slope < 1e-26:
+            break
+        while True:  # Armijo backtracking from the Barzilai-Borwein step
+            trial = _retract(v - step * xi)
+            trial_value, g = _value_grad(psi, trial)
+            used += 1
+            accepted = trial_value <= value - 1e-4 * step * slope
+            if accepted or used >= budget:
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        trial_xi = _tangent(trial, g)
+        s, y = trial - v, trial_xi - xi
+        sy = float(np.vdot(s, y).real)
+        step = sy / float(np.vdot(y, y).real) if sy > 0.0 else 1.0
+        gain = value - trial_value
+        v, value, xi = trial, trial_value, trial_xi
+        if gain < 1e-15:
+            break
+    return value, v, used

@@ -248,6 +248,14 @@ class TestEsq:
         ext = extension_from_json(load_json(witness))
         assert abs(float(ext.weights.sum()) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("flag", ["--budget", "--restarts"])
+    def test_vacuous_search_exits_2(self, capsys, tmp_path, flag):
+        mix = np.diag([0.5, 0, 0, 0.5]).astype(complex)
+        save_json(tmp_path / "rho.json", density_to_json_from(mix))
+        code, out, err = run(capsys, "esq", str(tmp_path / "rho.json"), flag, "0")
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be at least 1" in err
+
 
 class TestConstructionCommands:
     def test_from_density_round_trip(self, capsys, tmp_path):

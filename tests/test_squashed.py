@@ -7,13 +7,16 @@ from qbnets import (
     DensityMatrix,
     assembly_error,
     cmi_diagonal,
+    partial_trace,
     quantum_mutual_information,
+    squashed,
     squashed_entanglement,
+    von_neumann_entropy,
 )
 from qbnets.sampling import random_density_matrix
 from qbnets.squashed import _members, _purification, _retract, _tangent, _value_grad, _witness_from
 
-from conftest import wootters_eof
+from conftest import bb_descend, wootters_eof
 
 LN2 = np.log(2.0)
 
@@ -43,6 +46,29 @@ def state_of_rank(rng, dx, dy, rank):
 
 def half_mi_or_eof(rho):
     return min(0.5 * quantum_mutual_information(rho, "x", "y"), wootters_eof(rho.matrix))
+
+
+def reference_states():
+    """The six benchmark states: Bell states in white noise, then
+    random_density_matrix under generators 0, 1 and 2."""
+    bell = bell_state().matrix
+    states = [DensityMatrix((("x", 2), ("y", 2)), p * bell + (1 - p) * np.eye(4) / 4) for p in (0.5, 0.7, 0.9)]
+    for k in range(3):
+        states.append(random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(k)))
+    return states
+
+
+def low_rank_states():
+    """Random 2 x 2 and 2 x 3 states of ranks 2 to 4."""
+    rng = np.random.default_rng(60)
+    return [state_of_rank(rng, 2, dy, rank) for dy in (2, 3) for rank in (2, 3, 4) for _ in range(2)]
+
+
+def bb_reference(monkeypatch, rho, **kwargs):
+    """squashed_entanglement with the Barzilai-Borwein descent swapped in."""
+    with monkeypatch.context() as m:
+        m.setattr(squashed, "_descend", bb_descend)
+        return squashed_entanglement(rho, **kwargs)
 
 
 class TestAnchors:
@@ -97,6 +123,30 @@ class TestContracts:
         trivial = 0.5 * quantum_mutual_information(rho, "x", "y")
         assert result.value < trivial - 1e-3
         assert result.restart >= 0
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"restarts": 0}, "restarts"),
+            ({"restarts": -1}, "restarts"),
+            ({"budget": 0}, "budget"),
+            ({"budget": -5}, "budget"),
+            ({"lam_card": 0}, "lam_card"),
+            ({"lam_card": 16.7}, "lam_card"),
+            ({"lam_card": 16.0}, "lam_card"),
+            ({"lam_card": True}, "lam_card"),
+        ],
+    )
+    def test_vacuous_or_non_integer_counts_rejected(self, kwargs, name):
+        # restarts=0 used to return the trivial value unsearched, budget=0
+        # still spent one evaluation a restart, and 16.7 members became 16
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(4))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            squashed_entanglement(rho, **kwargs)
+
+    def test_counts_checked_before_the_pure_state_shortcut(self):
+        with pytest.raises(ValueError, match="^restarts must be"):
+            squashed_entanglement(bell_state(), restarts=0)
 
     def test_lam_card_below_rank_rejected(self):
         rng = np.random.default_rng(4)
@@ -176,6 +226,55 @@ class TestWoottersFloor:
         for rho in states:
             result = squashed_entanglement(rho, restarts=2, budget=1000)
             assert result.value <= half_mi_or_eof(rho) + 1e-6
+
+
+class TestAgainstBarzilaiBorwein:
+    """The L-BFGS search against the Barzilai-Borwein steepest descent it
+    replaced (``conftest.bb_descend``), at the benchmark's 2 x 1000."""
+
+    def test_never_above_the_reference(self, monkeypatch):
+        for rho in reference_states() + low_rank_states():
+            result = squashed_entanglement(rho, restarts=2, budget=1000)
+            reference = bb_reference(monkeypatch, rho, restarts=2, budget=1000)
+            assert result.value <= reference.value + 1e-12
+
+    def test_fewer_evaluations_on_the_reference_states(self, monkeypatch):
+        ours = sum(squashed_entanglement(rho, restarts=2, budget=1000).evaluations for rho in reference_states())
+        theirs = sum(bb_reference(monkeypatch, rho, restarts=2, budget=1000).evaluations for rho in reference_states())
+        assert ours < theirs
+
+    def test_reference_states_reach_the_floor(self):
+        expected = (0.0815272, 0.2846348, 0.5187570, 0.0070926, 0.0258694, 0.0236847)
+        for rho, value in zip(reference_states(), expected):
+            result = squashed_entanglement(rho, restarts=2, budget=1000)
+            assert result.value <= half_mi_or_eof(rho) + 1e-12
+            assert result.value == pytest.approx(value, abs=1e-6)
+
+
+class TestLowerBound:
+    """``lower`` is the coherent information, which bounds E_sq from below."""
+
+    def test_below_the_value(self):
+        rng = np.random.default_rng(61)
+        states = reference_states() + low_rank_states()
+        states += [random_density_matrix((("x", 2), ("y", 3)), rng) for _ in range(3)]
+        for rho in states:
+            result = squashed_entanglement(rho, restarts=2, budget=300)
+            assert 0.0 <= result.lower <= result.value + 1e-12
+
+    def test_positive_on_a_nearly_pure_bell_state(self):
+        rho = DensityMatrix((("x", 2), ("y", 2)), 0.95 * bell_state().matrix + 0.05 * np.eye(4) / 4)
+        assert squashed_entanglement(rho, restarts=1, budget=10).lower > 0.4
+
+    @pytest.mark.parametrize("dy", [2, 3])
+    def test_equals_value_and_marginal_entropy_on_pure_states(self, dy):
+        rng = np.random.default_rng(62 + dy)
+        for _ in range(5):
+            rho = state_of_rank(rng, 2, dy, 1)
+            result = squashed_entanglement(rho)
+            s_x = von_neumann_entropy(partial_trace(rho, ["x"]))
+            assert result.lower == pytest.approx(s_x, abs=1e-12)
+            assert result.value == pytest.approx(s_x, abs=1e-12)
 
 
 class TestGradient:

@@ -1,9 +1,11 @@
 """Quantum belief propagation on a polytree, against the exact oracle.
 
-Messages are kets over their edge variable: each one is folded onto it
-as it is sent, which drops the hidden axes of the sending subtree without
-changing any belief. Two sweeps reach the exact fixed point, and squared
-norms of the node beliefs reproduce the brute-force posteriors.
+Each message is Pearl's lambda or pi vector on the squared tables: one
+real entry per state of its edge variable, summing to one. It stands for
+the paper's ket message folded onto that variable, which drops the
+hidden axes of the sending subtree without changing any belief. Two
+sweeps reach the exact fixed point, and squared norms of the node
+beliefs reproduce the brute-force posteriors.
 """
 
 import numpy as np

@@ -31,7 +31,9 @@ from .errors import (
     StructureError,
     ZeroProbabilityError,
 )
-from .graph import Dag, Multinode, as_multinode, d_separated, is_polytree, topological_order
+from .graph import (
+    Dag, Multinode, as_multinode, d_separated, is_polytree, sides_assignable, topological_order
+)
 from .network import (
     DEFAULT_CAP,
     ConditionalAmplitude,
@@ -85,7 +87,6 @@ from .verify import (
     dsep_forward_census,
     enumerate_dags,
     search_dsep_witness,
-    sides_assignable,
 )
 
 __version__ = "0.1.0"

@@ -227,10 +227,6 @@ def bipartite_beliefs(
         raise ConvergenceError(
             f"messages are not a fixed point: one more iteration moves them by {gap:.3g}"
         )
-    return _read_beliefs(net, state)
-
-
-def _read_beliefs(net: FactorGraphNet, state: MessageState) -> BipartiteBeliefs:
     qb, evidence = factor_graph_to_qbnet(net)
     inbox = _inbox(net, state)
     beliefs = {j: _literal_belief(qb, j, inbox, evidence) for j in range(qb.dag.node_count)}

@@ -19,7 +19,7 @@ from . import io
 from .construct import density_to_qbnet, reduce_qbnet
 from .errors import QbnetError
 from .graph import Multinode, d_separated
-from .network import posterior_oracle
+from .network import _require_unobserved, posterior_oracle
 from .qbp import propagate_polytree
 from .qinfo import (
     quantum_cmi,
@@ -81,6 +81,7 @@ def _cmd_infer(args) -> int:
     evidence = _parse_evidence(dag, args.evidence)
     if args.query:
         query = list(_names_to_multinode(dag, args.query))
+        _require_unobserved(query, evidence)
     else:
         query = [i for i in range(dag.node_count) if i not in evidence]
 

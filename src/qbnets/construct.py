@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidStateError, NotReducibleError
+from .errors import NotReducibleError
 from .graph import Dag
 from .network import QBNet, _require_tolerance, node_tpm
-from .qinfo import EIG_REJECT, DiagonalExtension
+from .qinfo import DiagonalExtension, _check_spectrum
 
 
 # the construction's edges over (lam, x0, y0, x, y): every earlier node is a parent
@@ -67,10 +67,7 @@ def density_to_qbnet(ext: DiagonalExtension) -> QBNet:
 
     for k, comp in enumerate(ext.components):
         w, u = np.linalg.eigh(comp.matrix)
-        if float(w.min()) < EIG_REJECT:
-            raise InvalidStateError(
-                f"component {k} has eigenvalue {float(w.min()):.3g}"
-            )
+        _check_spectrum(w)
         w = np.clip(w, 0.0, None)
         w = w / w.sum()
         p_r0[k] = w.reshape(cx, cy)

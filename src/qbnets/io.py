@@ -31,16 +31,17 @@ def _pairs(flat: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in flat]
 
 
-def _from_pairs(pairs, what: str) -> np.ndarray:
+def _from_pairs(pairs, what: str, depth: int = 1) -> np.ndarray:
+    """The complex array of ``[re, im]`` pairs nested ``depth`` lists deep."""
     try:
         arr = np.array(pairs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ValueError(f"{what}: entries must be [re, im] pairs")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} has a non-finite entry")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
@@ -162,15 +163,10 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows, what: str) -> np.ndarray:
-    try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: matrix entries must be [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{what}: matrix must be square with [re, im] entries")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what}: matrix has a non-finite entry")
-    return arr[..., 0] + 1j * arr[..., 1]
+    mat = _from_pairs(rows, what, depth=2)
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{what}: matrix is {mat.shape[0]} x {mat.shape[1]}, not square")
+    return mat
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

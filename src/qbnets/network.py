@@ -140,6 +140,11 @@ def validate_evidence(dag: Dag, evidence: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
+def _require_unobserved(query, evidence: Mapping[int, int]) -> None:
+    if any(q in evidence for q in query):
+        raise ValueError("query nodes must be disjoint from evidence nodes")
+
+
 def tpm_amplitude(net: QBNet, node: int) -> LabeledAmplitude:
     """Node table as a labeled tensor over {node} and its parents."""
     tpm = net.tpms[node]
@@ -499,8 +504,7 @@ def posterior_oracle(
     query = as_multinode(query)
     query.validate(net.dag)
     evidence = validate_evidence(net.dag, evidence)
-    if any(q in evidence for q in query):
-        raise ValueError("query nodes must be disjoint from evidence nodes")
+    _require_unobserved(query, evidence)
 
     amp = amplitude_tensor(net, cap)
     clamped = amp.slice_at(evidence)

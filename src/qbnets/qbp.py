@@ -191,12 +191,9 @@ def rule1_lambda_to_parent(
         return AmplitudeMessage(node, parent, "lambda", parent, data)
     if parent not in parents:
         raise ValueError(f"node {parent} is not a parent of node {node}")
-    if lambda_message is None:
-        raise SchedulingError("rule 1 needs the node's own lambda aggregate")
+    _expect_messages([lambda_message] if lambda_message else [], [node], "lambda", {node: node})
     others = tuple(p for p in parents if p != parent)
     _expect_messages(other_parent_messages, others, "pi", {p: p for p in others})
-    if lambda_message.kind != "lambda" or lambda_message.carrier != node:
-        raise SchedulingError("rule 1 needs the node's own lambda aggregate")
     incoming = [lambda_message, *other_parent_messages]
     _assert_disjoint([m.data for m in incoming], [node, *parents])
     data = _capped_multiply(_masked_tpm(net, node, evidence), lambda_message.data)
@@ -222,17 +219,14 @@ def rule2_pi_to_child(
     evidence = validate_evidence(net.dag, evidence or {})
     dag = net.dag
     children = dag.children(node)
+    if children and child not in children:
+        raise ValueError(f"node {child} is not a child of node {node}")
+    _expect_messages([pi_message], [node], "pi", {node: node})
     if not children:
-        if pi_message.kind != "pi" or pi_message.carrier != node:
-            raise SchedulingError("rule 2 needs the node's own pi aggregate")
         data = _combine(pi_message.data, (), evidence, node)
         return AmplitudeMessage(node, child, "pi", node, data)
-    if child not in children:
-        raise ValueError(f"node {child} is not a child of node {node}")
     others = tuple(c for c in children if c != child)
     _expect_messages(other_child_messages, others, "lambda", {c: node for c in others})
-    if pi_message.kind != "pi" or pi_message.carrier != node:
-        raise SchedulingError("rule 2 needs the node's own pi aggregate")
     incoming = [pi_message, *other_child_messages]
     _assert_disjoint([m.data for m in incoming], [node])
     data = _combine(pi_message.data, other_child_messages, evidence, node)
@@ -333,17 +327,12 @@ def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
     return sends
 
 
-def _family_weights(net: QBNet, evidence: Mapping[int, int]) -> list[np.ndarray]:
-    """Per node j, W_j = |A_j|^2 with each observed axis masked."""
-    tables = (_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms))
-    return [np.abs(table) ** 2 for table in tables]
-
-
 def _edge_message(
     dag: Dag, weights, sender: int, receiver: int, inbox: dict
 ) -> tuple[int, np.ndarray]:
     """The lambda (to a parent) or pi (to a child) message from ``sender``,
-    out of the messages from its other neighbors."""
+    out of the messages from its other neighbors; ``weights[j]`` is
+    W_j = |A_j|^2 with each observed axis masked."""
     parents = dag.parents(sender)
     axes, table = (sender, *parents), weights[sender]
     incoming = (inbox[(k, sender)] for k in (*dag.children(sender), *parents) if k != receiver)
@@ -379,17 +368,17 @@ def propagate_polytree(
     if not is_polytree(dag):
         raise StructureError("belief propagation here requires a polytree skeleton")
     evidence = validate_evidence(dag, evidence or {})
-    weights = _family_weights(net, evidence)
+    tables = [_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms)]
+    weights = [np.abs(table) ** 2 for table in tables]
 
     inbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for sender, receiver in _skeleton_sweeps(dag):
         inbox[(sender, receiver)] = _edge_message(dag, weights, sender, receiver, inbox)
 
     beliefs: dict[int, Belief] = {}
-    for node, tpm in enumerate(net.tpms):
+    for node, (tpm, table) in enumerate(zip(net.tpms, tables)):
         axes = (node, *tpm.parents)
         incoming = (inbox[(k, node)] for k in (*dag.children(node), *tpm.parents))
-        table = _masked(tpm.table, axes, evidence)
         parts = [(axes, table), *(((c,), np.sqrt(mu)) for c, mu in incoming)]
         keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
         data = _contract(parts, keep, dict(zip(axes, table.shape)), table.size)

@@ -393,18 +393,11 @@ class ClassicalDistribution:
         return self.table.sum(axis=drop) if drop else self.table
 
 
-def _shannon(table: np.ndarray) -> float:
-    p = table[table > 0.0]
-    return float(-(p * np.log(p)).sum())
-
-
 def classical_entropy(dist: ClassicalDistribution, of=None) -> float:
     """Shannon entropy of the labels ``of`` (all of them when None), in
-    nats; an empty group has entropy exactly 0."""
-    if of is None:
-        return _shannon(dist.table)
-    of = _group(of)
-    return _shannon(dist.marginal(of)) if of else 0.0
+    nats, by :func:`_spectrum_entropy`; an empty group has entropy exactly 0."""
+    of = dist.names if of is None else _group(of)
+    return float(_spectrum_entropy(dist.marginal(of).ravel())) if of else 0.0
 
 
 def classical_conditional_entropy(dist: ClassicalDistribution, x, y) -> float:

@@ -47,8 +47,8 @@ to the ``qbnets.verify`` logger, a child of ``qbnets``; the library adds
 no handler. Above five nodes the enumeration would not fit in memory,
 and the census raises CapacityError at once.
 
-Every run must do work: a trial or model count below one, and a
-negative or non-finite tolerance, raise ValueError.
+Every run must do work: a trial or model count below one, an empty
+tested set, and a negative or non-finite tolerance raise ValueError.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .graph import (
     _sides_assignable_arrays,
     as_multinode,
     d_separated,
-    sides_assignable,
 )
 from .network import (
     DEFAULT_CAP,
@@ -94,6 +93,14 @@ def _dag_description(dag: Dag) -> str:
     return f"{spec};{arcs}"
 
 
+def _report_json(report, include_wall_time: bool = True) -> str:
+    """A report dataclass as sorted JSON, optionally without its wall time."""
+    payload = asdict(report)
+    if not include_wall_time:
+        payload.pop("wall_time")
+    return json.dumps(payload, sort_keys=True)
+
+
 @dataclass(frozen=True)
 class TrialReport:
     kind: str
@@ -109,15 +116,20 @@ class TrialReport:
     passed: bool
     wall_time: float
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        payload = asdict(self)
-        if not include_wall_time:
-            payload.pop("wall_time")
-        return json.dumps(payload, sort_keys=True)
+    to_json = _report_json
 
 
 def _triple_names(dag: Dag, m) -> tuple[str, ...]:
     return tuple(dag.name(i) for i in as_multinode(m))
+
+
+def _tested_triple(a, b, z):
+    """``a``, ``b`` and ``z`` as multinodes; an empty ``a`` or ``b`` tests nothing."""
+    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
+    for name, m in (("a", a), ("b", b)):
+        if not m:
+            raise ValueError(f"the tested set {name} is empty; name at least one node in it")
+    return a, b, z
 
 
 def check_dsep_forward(
@@ -133,13 +145,13 @@ def check_dsep_forward(
     max(1, ``DEFAULT_CAP`` // m) trials with m one model's largest
     array: one chunk at the usual sizes (see :func:`_run_trials`). The
     CMI is forced to zero when the triple is also
-    :func:`sides_assignable`; otherwise ``passed`` can be False on a
-    d-separated triple (in a -> c <- b with c traced out, a and b end up
-    entangled).
+    :func:`qbnets.graph.sides_assignable`; otherwise ``passed`` can be
+    False on a d-separated triple (in a -> c <- b with c traced out, a
+    and b end up entangled).
     """
     _require_positive("trials", trials)
     _require_tolerance("tol", tol)
-    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
+    a, b, z = _tested_triple(a, b, z)
     if not d_separated(dag, a, b, z):
         raise ValueError("forward check requires a d-separated triple")
     return _run_trials("forward", dag, a, b, z, trials, seed, tol)
@@ -152,7 +164,7 @@ def search_dsep_witness(
     above ``threshold``. Stops at the first witness."""
     _require_positive("trials", trials)
     _require_tolerance("threshold", threshold)
-    a, b, z = as_multinode(a), as_multinode(b), as_multinode(z)
+    a, b, z = _tested_triple(a, b, z)
     if d_separated(dag, a, b, z):
         raise ValueError("witness search requires a triple that is not d-separated")
     return _run_trials("witness", dag, a, b, z, trials, seed, threshold)
@@ -257,7 +269,7 @@ class CampaignReport:
     passed: bool
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return _report_json(self)
 
 
 def bp_campaign(
@@ -565,11 +577,7 @@ class CensusReport:
     passed: bool
     wall_time: float = field(compare=False, default=0.0)
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        payload = asdict(self)
-        if not include_wall_time:
-            payload.pop("wall_time")
-        return json.dumps(payload, sort_keys=True)
+    to_json = _report_json
 
 
 def dsep_forward_census(
@@ -612,43 +620,24 @@ def dsep_forward_census(
     _require_positive("card", card)
     _require_tolerance("tol", tol)
     start = time.perf_counter()
-    labeled_cases = 0
-    classes = 0
-    separated = 0
-    assignable_count = 0
-    models = 0
-    max_cmi = 0.0
-    max_cmi_assignable = 0.0
-    violations = 0
-    violations_assignable = 0
-    worst = None
+    labeled_cases = classes = 0
+    described, cmis, sides = [], [], []
     for n in range(1, max_nodes + 1):
         n_start = time.perf_counter()
         cases, n_classes, n_labeled = canonical_separated_cases(n)
         canonicalized = time.perf_counter()
         labeled_cases += n_labeled
         classes += n_classes
-        separated += len(cases)
+        described += [(n, *case) for case in cases]
         case_parents = np.array([pa for pa, _ in cases], dtype=np.int64).reshape(-1, n)
         case_masks = np.array([masks for _, masks in cases], dtype=np.int64).reshape(-1, 3)
-        sides = _sides_assignable_arrays(case_parents, *case_masks.T).tolist()
+        sides.append(_sides_assignable_arrays(case_parents, *case_masks.T))
+        n_cmis = np.empty(len(cases))
         for lo in range(0, len(cases), _CENSUS_SLICE):
             chunk = cases[lo : lo + _CENSUS_SLICE]
             rngs = [np.random.default_rng([seed, n, lo + k]) for k in range(len(chunk))]
-            cmis = _census_cmis(chunk, trials, rngs, card)
-            for k, cmi in enumerate(cmis.tolist()):
-                parents, masks = chunk[k]
-                models += trials
-                if sides[lo + k]:
-                    assignable_count += 1
-                    max_cmi_assignable = max(max_cmi_assignable, cmi)
-                    if cmi > tol:
-                        violations_assignable += 1
-                if cmi > max_cmi:
-                    max_cmi = cmi
-                    worst = f"n={n} parents={parents} a,b,z={masks}"
-                if cmi > tol:
-                    violations += 1
+            n_cmis[lo : lo + _CENSUS_SLICE] = _census_cmis(chunk, trials, rngs, card)
+        cmis.append(n_cmis)
         n_stop = time.perf_counter()
         _log.info(
             "census n=%d: %d labeled cases, %d classes, %d separated, "
@@ -656,6 +645,12 @@ def dsep_forward_census(
             n, n_labeled, n_classes, len(cases),
             canonicalized - n_start, n_stop - canonicalized, n_stop - n_start,
         )
+    cmis, sides = np.concatenate(cmis), np.concatenate(sides)
+    violated = cmis > tol
+    worst = None
+    if cmis.max(initial=0.0) > 0.0:
+        n, parents, masks = described[int(np.argmax(cmis))]
+        worst = f"n={n} parents={parents} a,b,z={masks}"
     return CensusReport(
         max_nodes=max_nodes,
         trials=trials,
@@ -664,14 +659,14 @@ def dsep_forward_census(
         tol=tol,
         labeled_cases=labeled_cases,
         classes=classes,
-        separated_classes=separated,
-        assignable_classes=assignable_count,
-        models=models,
-        max_cmi=max_cmi,
-        max_cmi_assignable=max_cmi_assignable,
-        violations=violations,
-        violations_assignable=violations_assignable,
+        separated_classes=len(cmis),
+        assignable_classes=int(sides.sum()),
+        models=len(cmis) * trials,
+        max_cmi=float(cmis.max(initial=0.0)),
+        max_cmi_assignable=float(cmis[sides].max(initial=0.0)),
+        violations=int(violated.sum()),
+        violations_assignable=int(violated[sides].sum()),
         worst_case=worst,
-        passed=violations == 0,
+        passed=not violated.any(),
         wall_time=time.perf_counter() - start,
     )

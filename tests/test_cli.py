@@ -148,6 +148,15 @@ class TestInfer:
         assert code == 0
         assert list(json.loads(out)["posteriors"].keys()) == ["x"]
 
+    @pytest.mark.parametrize("method", ["bp", "oracle"])
+    def test_query_in_evidence_is_usage_error(self, capsys, screened_net_file, method):
+        code, out, err = run(
+            capsys, "infer", screened_net_file, "--evidence", "y=1",
+            "--query", "x,y", "--method", method,
+        )
+        assert code == 2 and out == ""
+        assert "query nodes must be disjoint from evidence nodes" in err
+
     def test_repeated_evidence_node_is_usage_error(self, capsys, screened_net_file):
         code, out, err = run(capsys, "infer", screened_net_file, "--evidence", "y=1,y=0")
         assert code == 2 and out == "" and "twice" in err
@@ -325,6 +334,13 @@ class TestVerifyCommand:
             assert code == 2 and out == "" and "trials" in err
         code, out, err = run(capsys, "verify", "bp", "--trials", "0")
         assert code == 2 and out == "" and "count" in err
+
+    def test_dsep_without_tested_sets_exits_two(self, capsys, tmp_path, screened_pair_dag):
+        path = tmp_path / "dag.json"
+        save_json(path, qbnet_to_json(random_qbnet(screened_pair_dag, np.random.default_rng(6))))
+        for flags in (("--z", "lam"), (), ("--a", "x", "--z", "lam")):
+            code, out, err = run(capsys, "verify", "dsep", "--dag", str(path), *flags)
+            assert code == 2 and out == "" and "is empty" in err
 
 
 class TestErrorHandling:

@@ -229,7 +229,7 @@ class TestPropagate:
 class TestStability:
     def test_second_sweep_changes_nothing(self):
         # recompute every fixed-point message from its own inputs
-        from qbnets.qbp import _edge_message, _family_weights, _skeleton_sweeps
+        from qbnets.qbp import _edge_message, _masked, _skeleton_sweeps
 
         rng = np.random.default_rng(23)
         dag = random_polytree_dag(rng, 7)
@@ -239,7 +239,8 @@ class TestStability:
             propagate_polytree(net, evidence)
         except ImpossibleEvidenceError:
             evidence = {}
-        weights = _family_weights(net, evidence)
+        tables = (_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms))
+        weights = [np.abs(table) ** 2 for table in tables]
         inbox = {}
         for s, r in _skeleton_sweeps(net.dag):
             inbox[(s, r)] = _edge_message(net.dag, weights, s, r, inbox)

@@ -240,6 +240,17 @@ class TestVacuousRunsRejected:
         with pytest.raises(ValueError, match="trials|threshold"):
             search_dsep_witness(cross_pair_dag, [3], [4], [0], **kwargs)
 
+    @pytest.mark.parametrize("check", [check_dsep_forward, search_dsep_witness])
+    @pytest.mark.parametrize(
+        "a, b, empty", [([], [2], "a"), ([0], [], "b"), ([], [], "a")], ids=["a", "b", "both"]
+    )
+    def test_empty_tested_set(self, check, a, b, empty):
+        # an empty set is d-separated from anything, so a forward check of
+        # it used to pass without testing a node
+        chain = Dag([("x", 2), ("lam", 2), ("y", 2)], [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=f"tested set {empty} is empty"):
+            check(chain, a, b, [1])
+
     @pytest.mark.parametrize("kwargs", [{"count": 0}, {"count": -1}, {"tol": float("nan")}])
     def test_bp_campaign(self, kwargs):
         with pytest.raises(ValueError, match="count|tol"):

@@ -214,7 +214,8 @@ def rule2_pi_to_child(
     The node's pi aggregate times the lambda messages from every other
     child, entrywise in the node's variable. For a node whose only child
     is the target, this is just the renormalized pi aggregate; a leaf
-    degenerately sends its pi aggregate onward unchanged.
+    degenerately sends its pi aggregate onward unchanged, and takes no
+    other messages.
     """
     evidence = validate_evidence(net.dag, evidence or {})
     dag = net.dag
@@ -222,9 +223,6 @@ def rule2_pi_to_child(
     if children and child not in children:
         raise ValueError(f"node {child} is not a child of node {node}")
     _expect_messages([pi_message], [node], "pi", {node: node})
-    if not children:
-        data = _combine(pi_message.data, (), evidence, node)
-        return AmplitudeMessage(node, child, "pi", node, data)
     others = tuple(c for c in children if c != child)
     _expect_messages(other_child_messages, others, "lambda", {c: node for c in others})
     incoming = [pi_message, *other_child_messages]

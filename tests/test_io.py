@@ -104,6 +104,22 @@ class TestDensityRoundTrip:
             extension_from_json(obj)
 
 
+class TestMatrixRejected:
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[[1, 0], [0, 0]]], "not square"),
+            ([[1, 0], [0, 1]], "pairs"),
+            ([[[1, 0], [0, 0]], [[0, 0]]], "pairs"),
+            ([[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]], "non-finite"),
+        ],
+        ids=["one_by_two", "real_entries", "ragged_rows", "nan"],
+    )
+    def test_state_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            density_from_json({"labels": [{"name": "x", "dim": 2}], "matrix": matrix})
+
+
 class TestFactorGraphRoundTrip:
     def test_survives(self):
         rng = np.random.default_rng(5)

@@ -79,6 +79,42 @@ def _as_pi_edge(msg, target):
     return AmplitudeMessage(msg.source, target, "pi", msg.carrier, msg.data)
 
 
+class TestOwnAggregateChecked:
+    """Rules 1 and 2 refuse a node aggregate that is missing or has the
+    wrong kind, carrier or source."""
+
+    @staticmethod
+    def spoiled(good, field):
+        source, kind, carrier = good.source, good.kind, good.carrier
+        if field == "kind":
+            kind = "pi" if kind == "lambda" else "lambda"
+        elif field == "carrier":
+            carrier = 1 - carrier
+        else:
+            source = 1 - source
+        return AmplitudeMessage(source, good.target, kind, carrier, good.data)
+
+    @pytest.mark.parametrize("field", [None, "kind", "carrier", "source"])
+    def test_rule1(self, field):
+        net = chain_net()
+        lam = None if field is None else self.spoiled(compute_lambda(net, 1), field)
+        with pytest.raises(SchedulingError):
+            rule1_lambda_to_parent(net, 1, 0, lam)
+
+    @pytest.mark.parametrize("field", ["kind", "carrier", "source"])
+    def test_rule2(self, field):
+        net = chain_net()
+        with pytest.raises(SchedulingError):
+            rule2_pi_to_child(net, 0, 1, self.spoiled(compute_pi(net, 0), field))
+
+    def test_leaf_refuses_stray_messages(self):
+        net = chain_net()
+        pi_x = compute_pi(net, 0)
+        pi_y = compute_pi(net, 1, [_as_pi_edge(pi_x, 1)])
+        with pytest.raises(SchedulingError, match="unexpected"):
+            rule2_pi_to_child(net, 1, 0, pi_y, [_as_pi_edge(pi_x, 1)])
+
+
 class TestComputeLambda:
     def test_leaf_is_uniform(self):
         net = chain_net()

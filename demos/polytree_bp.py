@@ -4,8 +4,9 @@ Each message is Pearl's lambda or pi vector on the squared tables: one
 real entry per state of its edge variable, summing to one. It stands for
 the paper's ket message folded onto that variable, which drops the
 hidden axes of the sending subtree without changing any belief. Two
-sweeps reach the exact fixed point, and squared norms of the node
-beliefs reproduce the brute-force posteriors.
+sweeps reach the exact fixed point, and each node's belief, BEL =
+lambda * pi on the same squared tables, reproduces the brute-force
+posterior.
 """
 
 import numpy as np

@@ -14,10 +14,13 @@ changing after at most diameter-many generations;
 
 :func:`run_bipartite` is :func:`~qbnets.qbp.propagate_polytree` on the
 equivalent net. Its messages are Pearl's lambda/pi vectors on the
-squared tables, each sent once; they are the messages of
+squared tables |A|^2, each sent once; they are the messages of
 :func:`bipartite_iterate` at its fixed point folded onto their roots
-and squared, so the beliefs are the same. Root beliefs are
-:class:`~qbnets.qbp.Belief` objects on either route.
+and squared, so the beliefs are the same. A node's belief, BEL = lambda
+* pi on |A|^2, is the ``family`` of a :class:`~qbnets.qbp.Belief`: the
+posterior of the node and its unobserved parents. A root's belief is
+that object and a factor's table is its node's family at "on", on
+either route.
 """
 
 from __future__ import annotations
@@ -32,9 +35,7 @@ from .amplitudes import LabeledAmplitude, fold
 from .errors import ConvergenceError, StructureError
 from .graph import Dag, is_polytree
 from .network import QBNet, _require_tolerance, node_tpm, tpm_amplitude
-from .qbp import (
-    AmplitudeMessage, Belief, _literal_belief, _literal_message, _squared_table, propagate_polytree
-)
+from .qbp import AmplitudeMessage, Belief, _literal_belief, _literal_message, propagate_polytree
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,11 +186,9 @@ def _state_gap(a: MessageState, b: MessageState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FactorBelief:
-    """The joint posterior of a factor's neighbors. Built from folded
-    messages, ``amplitude`` spans exactly those neighbor roots."""
+    """The joint posterior of a factor's neighbors."""
 
     factor: int
-    amplitude: LabeledAmplitude
     table: np.ndarray  # axes follow the factor's declared neighbor order
 
 
@@ -202,12 +201,15 @@ class BipartiteBeliefs:
 
 
 def _beliefs(net: FactorGraphNet, beliefs: Mapping[int, Belief]) -> BipartiteBeliefs:
-    """The equivalent net's beliefs per root, and per factor its node's at "on"."""
+    """The equivalent net's beliefs per root, and per factor its node's
+    family at "on"; that family spans the factor's neighbors, ascending,
+    and then the node, which is numbered after every root."""
     nr = net.root_count
     factors = {}
     for a, f in enumerate(net.factors):
-        amp = beliefs[nr + a].amplitude.slice_at({nr + a: 1})
-        factors[a] = FactorBelief(a, amp, _squared_table(amp, f.neighbors))
+        on = beliefs[nr + a].family[..., 1]
+        order = sorted(f.neighbors)
+        factors[a] = FactorBelief(a, np.transpose(on, [order.index(i) for i in f.neighbors]))
     return BipartiteBeliefs({i: beliefs[i] for i in range(nr)}, factors)
 
 
@@ -238,7 +240,7 @@ def run_bipartite(net: FactorGraphNet) -> BipartiteBeliefs:
 
     This is :func:`~qbnets.qbp.propagate_polytree` on the equivalent
     qbnet, each message sent once and holding one entry per state of its
-    root. A factor's belief is its node's amplitude at the "on" state.
+    root.
     """
     return _beliefs(net, propagate_polytree(*factor_graph_to_qbnet(net)))
 

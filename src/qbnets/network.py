@@ -217,6 +217,9 @@ def amplitude_tensor(net: QBNet, cap: int = DEFAULT_CAP) -> LabeledAmplitude:
 # Operands per np.einsum call; NumPy 1.x allows 32, NumPy 2 allows 64.
 _MAX_OPERANDS = 32
 
+# einsum's subscript symbols, in the order NumPy gives integer subscripts
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
 _Factor = tuple[tuple[int, ...], np.ndarray]
 
 
@@ -224,20 +227,30 @@ def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
     """Sum-product of ``parts`` onto the indices ``out``, in one einsum call.
 
     One-state axes are dropped before the call and restored in the
-    output, and the other indices are renumbered from 0 for this call
+    output, and the other indices are renamed to letters for this call
     alone, so NumPy's limit on subscript symbols bounds the multi-state
-    indices of one step, not the indices of the net.
+    indices of one step, not the indices of the net. The subscripts go
+    in as one string: NumPy copies integer subscript lists into a
+    256-character buffer, which a call with many operands overruns. The
+    k-th new index gets the letter NumPy gives the integer k, so the
+    call is the same one either way.
     """
-    local: dict[int, int] = {}
-    args: list = []
+    local: dict[int, str] = {}
+    arrays, subs = [], []
     for idx, data in parts:
         if 1 in data.shape:
             idx = [i for i, d in zip(idx, data.shape) if d != 1]
             data = data.reshape([d for d in data.shape if d != 1])
-        args += [data, [local.setdefault(i, len(local)) for i in idx]]
-    subs = [local[i] for i in out if i in local]
-    result = np.einsum(*args, subs)
-    if len(subs) < len(out):
+        for i in idx:
+            if i not in local:
+                if len(local) == len(_LETTERS):
+                    raise ValueError(f"one einsum call takes at most {len(_LETTERS)} indices")
+                local[i] = _LETTERS[len(local)]
+        arrays.append(data)
+        subs.append("".join([local[i] for i in idx]))
+    held = "".join([local[i] for i in out if i in local])
+    result = np.einsum(",".join(subs) + "->" + held, *arrays)
+    if len(held) < len(out):
         result = np.expand_dims(result, [k for k, i in enumerate(out) if i not in local])
     return result
 

@@ -29,8 +29,9 @@ real family weights W_j = |A_j|^2, observed axes masked: the message
 from node j is W_j contracted with the messages from its other
 neighbors. On a polytree one collect sweep and one distribute sweep
 reach the exact fixed point; a further sweep reproduces every message.
-Only the belief readout returns to amplitudes, through sqrt(mu).
-Every message, belief and squared table is one sum-product through
+A node's belief is Pearl's BEL = lambda * pi on the same weights, W_j
+contracted with every message j received: the posterior of j and its
+unobserved parents. Every message and belief is one sum-product through
 :mod:`qbnets.network`'s contraction core, the one reduced states use.
 :func:`~qbnets.bipartite.run_bipartite` runs this driver on the
 equivalent net of a factor graph.
@@ -38,7 +39,6 @@ equivalent net of a factor graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -79,15 +79,30 @@ class AmplitudeMessage:
 class Belief:
     """A node's posterior.
 
-    ``amplitude`` is the normalized product of the node's lambda and pi
-    aggregates. Built from folded messages it spans the node and its
-    unobserved parents. ``table`` is its squared norm summed over the
-    parents, normalized over the node's states.
+    ``family`` is P(node, unobserved parents | evidence), a real array
+    that sums to one, with one axis per label of ``family_nodes``: the
+    node and its unobserved parents, ascending. ``table`` is the family
+    summed over the parent axes, the node's marginal.
     """
 
     node: int
-    amplitude: LabeledAmplitude
+    family_nodes: tuple[int, ...]
+    family: np.ndarray
     table: np.ndarray
+
+
+def _family_nodes(dag: Dag, node: int, evidence: Mapping[int, int]) -> tuple[int, ...]:
+    return tuple(sorted(l for l in (node, *dag.parents(node)) if l == node or l not in evidence))
+
+
+def _belief(node: int, family_nodes: tuple[int, ...], weight: np.ndarray) -> Belief:
+    """The belief whose family is ``weight`` normalized."""
+    total = weight.sum()
+    if total == 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: a belief vanished identically")
+    family = weight / total
+    table = family.sum(axis=tuple(k for k, l in enumerate(family_nodes) if l != node))
+    return Belief(node, family_nodes, family, table)
 
 
 def _masked_tpm(net: QBNet, node: int, evidence: Mapping[int, int]) -> LabeledAmplitude:
@@ -101,7 +116,11 @@ def _combine(data: LabeledAmplitude, messages, evidence: Mapping[int, int], carr
     than ``carrier`` summed out, at unit 2-norm."""
     for msg in sorted(messages, key=lambda m: m.source):
         data = _capped_multiply(data, msg.data)
-    return _unit(data.sum_over(l for l in data.labels if l in evidence and l != carrier))
+    data = data.sum_over(l for l in data.labels if l in evidence and l != carrier)
+    norm = data.norm()
+    if norm == 0.0:
+        raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
+    return data.scaled(1.0 / norm)
 
 
 def _expect_messages(
@@ -244,20 +263,16 @@ def _literal_message(net: QBNet, sender: int, receiver: int, inbox, evidence) ->
 
 
 def _literal_belief(net: QBNet, node: int, inbox, evidence) -> Belief:
-    """The unit product of the node's lambda and pi aggregates out of ``inbox``."""
+    """The belief whose family is the squared norm of the product of the
+    node's lambda and pi aggregates out of ``inbox``, hidden axes summed."""
     dag = net.dag
     lam = compute_lambda(net, node, [inbox[(c, node)] for c in dag.children(node)], evidence)
     pi = compute_pi(net, node, [inbox[(p, node)] for p in dag.parents(node)], evidence)
-    amp = _unit(multiply(lam.data, pi.data))
-    return Belief(node, amp, _squared_table(amp, (node,)))
-
-
-def _unit(amp: LabeledAmplitude) -> LabeledAmplitude:
-    """``amp`` rescaled to unit 2-norm."""
-    norm = amp.norm()
-    if norm == 0.0:
-        raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
-    return amp.scaled(1.0 / norm)
+    amp = multiply(lam.data, pi.data)
+    weight = np.abs(amp.data) ** 2
+    keep = _family_nodes(dag, node, evidence)
+    card = dict(zip(amp.labels, weight.shape))
+    return _belief(node, keep, _contract([(amp.labels, weight)], keep, card, weight.size))
 
 
 def _assert_disjoint(parts: Iterable[LabeledAmplitude], local: Collection[int]) -> None:
@@ -287,56 +302,43 @@ def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int
 # and is capped at its size, which no merged group outgrows.
 
 
-def _squared_table(amp: LabeledAmplitude, keep: tuple[int, ...]) -> np.ndarray:
-    """The squared norm of ``amp`` over ``keep`` (axes in that order), normalized."""
-    weight = np.abs(amp.data) ** 2
-    card = dict(zip(amp.labels, weight.shape))
-    table = _contract([(amp.labels, weight)], keep, card, weight.size)
-    return table / table.sum()
-
-
 def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
     """Directed edges (sender, receiver) in collect-then-distribute order."""
-    n = dag.node_count
-    visited = [False] * n
+    parent_of: dict[int, int] = {}
     sends: list[tuple[int, int]] = []
-    for start in range(n):
-        if visited[start]:
+    for start in range(dag.node_count):
+        if start in parent_of:
             continue
-        parent_of: dict[int, int | None] = {start: None}
+        parent_of[start] = start
         order = [start]
-        visited[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        for u in order:  # breadth first; the list grows as it is walked
             for v in dag.neighbors(u):
-                if not visited[v]:
-                    visited[v] = True
+                if v not in parent_of:
                     parent_of[v] = u
                     order.append(v)
-                    queue.append(v)
-        for u in reversed(order):  # collect: leaves toward the root
-            if parent_of[u] is not None:
-                sends.append((u, parent_of[u]))
-        for u in order:  # distribute: root toward the leaves
-            for v in dag.neighbors(u):
-                if parent_of.get(v) == u:
-                    sends.append((u, v))
+        sends += [(u, parent_of[u]) for u in reversed(order[1:])]  # collect: toward the root
+        sends += [(parent_of[u], u) for u in order[1:]]  # distribute: toward the leaves
     return sends
+
+
+def _gather(dag: Dag, weights, node: int, inbox: dict, out, skip: int | None = None):
+    """W_node times every message ``node`` received except the one from
+    ``skip``, summed onto ``out``; ``weights[j]`` is W_j = |A_j|^2 with
+    each observed axis masked."""
+    parents = dag.parents(node)
+    axes, weight = (node, *parents), weights[node]
+    incoming = (inbox[(k, node)] for k in (*dag.children(node), *parents) if k != skip)
+    parts = [(axes, weight), *(((c,), mu) for c, mu in incoming)]
+    return _contract(parts, out, dict(zip(axes, weight.shape)), weight.size)
 
 
 def _edge_message(
     dag: Dag, weights, sender: int, receiver: int, inbox: dict
 ) -> tuple[int, np.ndarray]:
     """The lambda (to a parent) or pi (to a child) message from ``sender``,
-    out of the messages from its other neighbors; ``weights[j]`` is
-    W_j = |A_j|^2 with each observed axis masked."""
-    parents = dag.parents(sender)
-    axes, table = (sender, *parents), weights[sender]
-    incoming = (inbox[(k, sender)] for k in (*dag.children(sender), *parents) if k != receiver)
-    carrier = receiver if receiver in parents else sender
-    parts = [(axes, table), *(((c,), mu) for c, mu in incoming)]
-    mu = _contract(parts, (carrier,), dict(zip(axes, table.shape)), table.size)
+    out of the messages from its other neighbors."""
+    carrier = receiver if receiver in dag.parents(sender) else sender
+    mu = _gather(dag, weights, sender, inbox, (carrier,), receiver)
     total = mu.sum()
     if total == 0.0:
         raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
@@ -350,10 +352,10 @@ def propagate_polytree(
 
     One collect sweep and one distribute sweep compute all fixed-point
     messages, each a lambda or pi vector with one entry per state of its
-    edge variable. Each node's belief is the unit ket of its masked table
-    times the square root of every message it received, over the node
-    and its unobserved parents; the returned table is the squared
-    norm of that ket over the parents, normalized over the node's states.
+    edge variable. Each node's belief is one more contraction: its
+    masked squared table times every message it received, onto the node
+    and its unobserved parents, normalized. That is the family posterior;
+    summed over the parents it is the node's table.
 
     Raises
     ------
@@ -366,20 +368,15 @@ def propagate_polytree(
     if not is_polytree(dag):
         raise StructureError("belief propagation here requires a polytree skeleton")
     evidence = validate_evidence(dag, evidence or {})
-    tables = [_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms)]
-    weights = [np.abs(table) ** 2 for table in tables]
+    weights = [np.abs(t.table) ** 2 for t in net.tpms]
+    weights = [_masked(w, (j, *dag.parents(j)), evidence) for j, w in enumerate(weights)]
 
     inbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for sender, receiver in _skeleton_sweeps(dag):
         inbox[(sender, receiver)] = _edge_message(dag, weights, sender, receiver, inbox)
 
     beliefs: dict[int, Belief] = {}
-    for node, (tpm, table) in enumerate(zip(net.tpms, tables)):
-        axes = (node, *tpm.parents)
-        incoming = (inbox[(k, node)] for k in (*dag.children(node), *tpm.parents))
-        parts = [(axes, table), *(((c,), np.sqrt(mu)) for c, mu in incoming)]
-        keep = tuple(sorted(l for l in axes if l == node or l not in evidence))
-        data = _contract(parts, keep, dict(zip(axes, table.shape)), table.size)
-        amp = _unit(LabeledAmplitude(keep, data))
-        beliefs[node] = Belief(node, amp, _squared_table(amp, (node,)))
+    for node in range(dag.node_count):
+        keep = _family_nodes(dag, node, evidence)
+        beliefs[node] = _belief(node, keep, _gather(dag, weights, node, inbox, keep))
     return beliefs

@@ -18,7 +18,6 @@ from qbnets import (
     compute_lambda,
     compute_pi,
     dephase,
-    partial_trace,
     qbp,
     rule1_lambda_to_parent,
     rule2_pi_to_child,
@@ -108,14 +107,19 @@ def brute_reduced_state(net, keep, diag=()):
 
 
 def dense_reduced_state(net, keep, diag=()):
-    """The reduced state by the dense route: the projector of the full
-    joint ket, partially traced to ``keep | diag``, dephased on ``diag``."""
+    """The reduced state by the dense route: the full joint ket as a
+    matrix psi, rows over the held ``keep | diag`` and columns over the
+    traced nodes, gives the partial trace psi psi^dagger, which is then
+    dephased on ``diag``. It never builds the full projector, so it
+    reaches every net whose joint tensor fits in ``DEFAULT_CAP``."""
     dag = net.dag
-    amp = amplitude_tensor(net).data.reshape(-1)
-    labels = tuple((dag.name(i), dag.cardinality(i)) for i in range(dag.node_count))
-    rho = DensityMatrix(labels, np.outer(amp, amp.conj()))
-    rho = partial_trace(rho, [dag.name(i) for i in sorted({*keep, *diag})])
-    return dephase(rho, [dag.name(i) for i in diag])
+    held = sorted({*keep, *diag})
+    amp = amplitude_tensor(net)
+    order = held + [i for i in amp.labels if i not in held]
+    psi = np.transpose(amp.data, [amp.labels.index(i) for i in order])
+    psi = psi.reshape(math.prod(dag.cardinality(i) for i in held), -1)
+    labels = tuple((dag.name(i), dag.cardinality(i)) for i in held)
+    return dephase(DensityMatrix(labels, psi @ psi.conj().T), [dag.name(i) for i in diag])
 
 
 def chain_forward_backward(net, evidence):
@@ -149,6 +153,20 @@ def chain_forward_backward(net, evidence):
         p = f * b
         posteriors.append(p / p.sum())
     return posteriors
+
+
+def counted_contractions(monkeypatch):
+    """Patch ``qbp._contract`` to record the arguments of every call the
+    belief propagation makes; returns the list it appends them to."""
+    calls = []
+    contract = qbp._contract
+
+    def counting(*args):
+        calls.append(args)
+        return contract(*args)
+
+    monkeypatch.setattr(qbp, "_contract", counting)
+    return calls
 
 
 def unfolded_messages(net, evidence):

@@ -21,7 +21,7 @@ from qbnets.amplitudes import labeled
 from qbnets.bipartite import _state_gap
 from qbnets.sampling import random_factor_tree
 
-from conftest import unfolded_messages
+from conftest import counted_contractions, unfolded_messages
 
 
 def pair_factor_net(table=None):
@@ -162,8 +162,8 @@ class TestBeliefs:
                 want = polytree[i]
                 assert isinstance(belief, Belief)
                 assert belief.node == want.node == i
-                assert belief.amplitude.labels == want.amplitude.labels
-                np.testing.assert_array_equal(belief.amplitude.data, want.amplitude.data)
+                assert belief.family_nodes == want.family_nodes == (i,)
+                np.testing.assert_array_equal(belief.family, want.family)
                 np.testing.assert_array_equal(belief.table, want.table)
 
     def test_matches_equivalent_qbnet_oracle(self):
@@ -216,6 +216,18 @@ class TestEquivalentQbnet:
         for a, fb in got.factors.items():
             np.testing.assert_array_equal(fb.table, want.factors[a].table)
 
+    def test_one_contraction_per_message_and_per_belief(self, monkeypatch):
+        calls = counted_contractions(monkeypatch)
+        trees = 0
+        for seed in range(8):
+            fg = random_factor_tree(np.random.default_rng([69, seed]))
+            n, edges = fg.skeleton.node_count, len(fg.skeleton.edges)
+            calls.clear()
+            run_bipartite(fg)
+            assert len(calls) == 2 * edges + n
+            trees += edges == n - 1
+        assert trees >= 2
+
     def test_scaling_does_not_change_beliefs(self):
         t = np.array([[1.0, 2.0], [0.5, 1.0j]])
         b1 = run_bipartite(pair_factor_net(t))
@@ -244,10 +256,12 @@ class TestFold:
             want = bipartite_beliefs(fg, state)
             got = run_bipartite(fg)
             for i, rb in got.roots.items():
-                assert rb.amplitude.labels == (i,)
+                assert rb.family_nodes == want.roots[i].family_nodes == (i,)
+                np.testing.assert_allclose(rb.family, want.roots[i].family, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(rb.table, want.roots[i].table, rtol=0, atol=1e-12)
             for a, fb in got.factors.items():
-                assert fb.amplitude.labels == tuple(sorted(fg.factors[a].neighbors))
+                nb = fg.factors[a].neighbors
+                assert fb.table.shape == tuple(fg.cardinality(i) for i in nb)
                 np.testing.assert_allclose(fb.table, want.factors[a].table, rtol=0, atol=1e-12)
         assert most_labels >= 3  # the unfolded messages really carried hidden axes
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qbnets import Dag, posterior_oracle
+from qbnets import Dag, QBNet, node_tpm, posterior_oracle
 from qbnets.cli import main
 from qbnets.io import (
     density_to_json,
@@ -93,6 +93,17 @@ class TestInfer:
             capsys, "infer", str(tmp_path / "net.json"), "--evidence", "a=1", "--method", "oracle"
         )
         assert code == 1 and "impossible evidence" in err
+
+    def test_vanishing_belief_exits_one(self, capsys, tmp_path):
+        # every message of this net is nonzero, but every belief is zero
+        dag = Dag([("x", 2), ("y", 2), ("z", 2)], [(0, 1), (0, 2)])
+        root = node_tpm(0, (), [2 ** -0.5] * 2)
+        net = QBNet(dag, [root, node_tpm(1, (0,), np.eye(2)), node_tpm(2, (0,), np.eye(2))])
+        save_json(tmp_path / "net.json", qbnet_to_json(net))
+        code, out, err = run(
+            capsys, "infer", str(tmp_path / "net.json"), "--evidence", "y=0,z=1", "--method", "bp"
+        )
+        assert code == 1 and out == "" and "impossible evidence" in err
 
     def test_non_finite_table_is_input_error(self, capsys, tmp_path):
         # json writes and reads NaN as a bare token

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from qbnets import CapacityError, Dag, net_to_density, propagate_polytree
+from qbnets import (
+    CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
+)
 from qbnets.network import _MAX_OPERANDS, _contract, _doubled_plan
 from qbnets.sampling import random_dag, random_qbnet
 
-from conftest import brute_posterior, brute_reduced_state, scan_elimination
+from conftest import brute_posterior, brute_reduced_state, dense_reduced_state, scan_elimination
 
 
 def broadcast_product(parts, out, card):
@@ -75,6 +77,38 @@ def test_family_past_the_einsum_subscript_limit():
     for keep, diag in (([0], [child]), ([hub], [child]), ([0, hub, child], [])):
         got = net_to_density(net, keep, diag).matrix
         np.testing.assert_allclose(got, brute_reduced_state(net, keep, diag), rtol=0, atol=1e-12)
+
+
+def band(n, width, extra=0):
+    """n binary nodes, each with the ``width`` nodes before it as parents,
+    then ``extra`` isolated binary nodes."""
+    edges = [(p, i) for i in range(n) for p in range(max(0, i - width), i)]
+    return Dag([(f"v{i}", 2) for i in range(n + extra)], edges)
+
+
+class TestWideBands:
+    """Eliminating a band's inner nodes multiplies up to width + 2 tables
+    with width + 1 indices each in one einsum call, several hundred
+    subscripts in all."""
+
+    @pytest.mark.parametrize("width", [13, 14, 15])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_reduced_state_matches_dense(self, width, wide):
+        n = 20 if wide else width + 2
+        net = random_qbnet(band(n, width), np.random.default_rng([74, width, n]))
+        for keep, diag in (([0, n - 1], [7]), ([n // 2], []), ([], [1, n - 2])):
+            got = net_to_density(net, keep, diag)
+            want = dense_reduced_state(net, keep, diag)
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+    def test_sampled_checks_run(self):
+        # every triple of the band that is d-separated conditions on at
+        # least 13 nodes, a 2^15-dimensional state; an isolated node is
+        # d-separated from the band's last node with no conditioning
+        report = check_dsep_forward(band(20, 13, extra=1), [20], [19], trials=3)
+        assert report.passed and report.trials_run == 3
+        report = search_dsep_witness(band(20, 13), [0], [19], trials=2)
+        assert np.isfinite(report.max_cmi) and report.trials_run >= 1
 
 
 def _random_held(rng, n, held=3):

@@ -21,7 +21,9 @@ from qbnets import qbp
 from qbnets.amplitudes import labeled, multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
-from conftest import brute_posterior, chain_forward_backward, unfolded_messages
+from conftest import (
+    brute_posterior, chain_forward_backward, counted_contractions, unfolded_messages
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -373,13 +375,15 @@ class TestFold:
         assert compared >= 40
         assert most_hidden >= 3  # the unfolded messages really carried hidden axes
 
-    def test_belief_amplitude_spans_node_and_unobserved_parents(self):
+    def test_belief_family_spans_node_and_unobserved_parents(self):
         dag = Dag([("a", 2), ("b", 3), ("c", 2), ("d", 2)], [(0, 2), (1, 2), (2, 3)])
         net = random_qbnet(dag, np.random.default_rng(52))
         beliefs = propagate_polytree(net, {1: 2, 3: 0})
-        assert beliefs[2].amplitude.labels == (0, 2)
-        assert beliefs[3].amplitude.labels == (2, 3)
-        assert beliefs[0].amplitude.labels == (0,)
+        assert beliefs[2].family_nodes == (0, 2)
+        assert beliefs[3].family_nodes == (2, 3)
+        assert beliefs[0].family_nodes == (0,)
+        for belief in beliefs.values():
+            assert belief.family.shape == tuple(dag.cardinality(i) for i in belief.family_nodes)
 
     def test_forward_backward_reference_matches_enumeration(self):
         dag = Dag([(f"c{i}", 2) for i in range(6)], [(i, i + 1) for i in range(5)])
@@ -513,7 +517,7 @@ class TestMessageCore:
             except ImpossibleEvidenceError:
                 pass
 
-    def test_belief_amplitude_is_the_public_rules_at_the_fixed_point(self, monkeypatch):
+    def test_belief_family_is_the_public_rules_at_the_fixed_point(self, monkeypatch):
         inbox = recorded_messages(monkeypatch)
         seen = {"card 3": 0, "several parents": 0, "observed parent": 0}
         for trial in range(40):
@@ -527,18 +531,63 @@ class TestMessageCore:
             except ImpossibleEvidenceError:
                 continue
             for node, belief in beliefs.items():
-                from_children = [inbox[(c, node)] for c in dag.children(node)]
-                from_parents = [inbox[(p, node)] for p in dag.parents(node)]
-                lam = compute_lambda(net, node, from_children, evidence)
-                pi = compute_pi(net, node, from_parents, evidence)
-                want = qbp._unit(multiply(lam.data, pi.data))
-                assert belief.amplitude.labels == want.labels
-                np.testing.assert_allclose(belief.amplitude.data, want.data, rtol=0, atol=1e-12)
+                want = qbp._literal_belief(net, node, inbox, evidence)
+                assert belief.family_nodes == want.family_nodes
+                np.testing.assert_allclose(belief.family, want.family, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(belief.table, want.table, rtol=0, atol=1e-12)
                 parents = dag.parents(node)
                 seen["card 3"] += dag.cardinality(node) == 3
                 seen["several parents"] += len(parents) > 1
                 seen["observed parent"] += any(p in evidence for p in parents)
         assert min(seen.values()) >= 5, seen
+
+    def test_family_is_the_oracle_posterior(self):
+        compared = 0
+        for trial in range(40):
+            rng = np.random.default_rng([64, trial])
+            dag = random_polytree_dag(rng, int(rng.integers(1, 11)), max_card=3)
+            net = random_qbnet(dag, rng)
+            evidence = random_evidence(dag, rng, observe_prob=0.4)
+            try:
+                beliefs = propagate_polytree(net, evidence)
+            except ImpossibleEvidenceError:
+                continue
+            for node, belief in beliefs.items():
+                hidden = [i for i in belief.family_nodes if i not in evidence]
+                want = np.zeros(belief.family.shape)
+                at = tuple(evidence.get(i, slice(None)) for i in belief.family_nodes)
+                want[at] = posterior_oracle(net, hidden, evidence) if hidden else 1.0
+                np.testing.assert_allclose(belief.family, want, rtol=0, atol=1e-12)
+                parents = tuple(k for k, i in enumerate(belief.family_nodes) if i != node)
+                np.testing.assert_allclose(belief.table, want.sum(axis=parents), rtol=0, atol=1e-12)
+            compared += 1
+        assert compared >= 20
+
+    def test_belief_vanishes_while_every_message_is_nonzero(self, monkeypatch):
+        # a uniform root copied into two children observed at 0 and at 1:
+        # each child's message alone allows one root state, so every
+        # message is nonzero, but no root state allows both
+        inbox = recorded_messages(monkeypatch)
+        dag = Dag([("x", 2), ("y", 2), ("z", 2)], [(0, 1), (0, 2)])
+        root, copy = node_tpm(0, (), [INV_SQRT2] * 2), np.eye(2)
+        net = QBNet(dag, [root, node_tpm(1, (0,), copy), node_tpm(2, (0,), copy)])
+        with pytest.raises(ImpossibleEvidenceError, match="belief vanished"):
+            propagate_polytree(net, {1: 0, 2: 1})
+        assert len(inbox) == 4 and all(np.any(m.data.data) for m in inbox.values())
+
+    def test_one_contraction_per_message_and_per_belief(self, monkeypatch):
+        # each directed edge's message and each node's belief is one
+        # contraction; nothing else contracts
+        calls = counted_contractions(monkeypatch)
+        for trial in range(10):
+            rng = np.random.default_rng([67, trial])
+            n = int(rng.integers(1, 11))
+            dag = random_polytree_dag(rng, n, max_card=3)
+            net = random_qbnet(dag, rng)
+            calls.clear()
+            propagate_polytree(net)
+            assert len(dag.edges) == n - 1
+            assert len(calls) == 2 * (n - 1) + n
 
     def test_hub_with_more_neighbors_than_einsum_operands(self):
         # a root -> hub -> 70 leaves: every message out of the hub and the

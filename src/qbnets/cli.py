@@ -2,8 +2,9 @@
 
 Subcommands: dsep, infer, entropy, esq, from-density, reduce, verify.
 Exit codes: 0 on success, 1 on domain errors (impossible evidence, a net
-that cannot be reduced, a non-polytree handed to message passing), 2 on
-usage and input-format errors.
+that cannot be reduced, a non-polytree handed to message passing) and on
+a verify report that did not pass, which is still printed, 2 on usage
+and input-format errors.
 """
 
 from __future__ import annotations
@@ -169,20 +170,19 @@ def _cmd_verify(args) -> int:
             max_card=args.max_card,
             seed=args.seed,
         )
-        print(report.to_json())
-        return 0
-    if not args.dag:
+    elif not args.dag:
         raise ValueError("verify dsep needs --dag")
-    dag = io.dag_from_json(_load(args.dag))
-    a = _names_to_multinode(dag, args.a)
-    b = _names_to_multinode(dag, args.b)
-    z = _names_to_multinode(dag, args.z)
-    if d_separated(dag, a, b, z):
-        report = check_dsep_forward(dag, a, b, z, trials=args.trials, seed=args.seed)
     else:
-        report = search_dsep_witness(dag, a, b, z, trials=args.trials, seed=args.seed)
+        dag = io.dag_from_json(_load(args.dag))
+        a = _names_to_multinode(dag, args.a)
+        b = _names_to_multinode(dag, args.b)
+        z = _names_to_multinode(dag, args.z)
+        if d_separated(dag, a, b, z):
+            report = check_dsep_forward(dag, a, b, z, trials=args.trials, seed=args.seed)
+        else:
+            report = search_dsep_witness(dag, a, b, z, trials=args.trials, seed=args.seed)
     print(report.to_json())
-    return 0
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -285,8 +285,8 @@ class _DoubledPlan:
     ``steps[s]`` lists the factors that step s multiplies and sums over
     its node; ``final`` lists the factors left for the last product onto
     ``out``, which also takes one identity per ``diag`` node. ``largest``
-    is the size of the largest per-model array the schedule holds: a
-    node table, an intermediate or the D x D state.
+    is the size of the largest per-model array the schedule holds, at
+    most ``cap``: a node table, an intermediate or the D x D state.
     """
 
     n: int
@@ -321,20 +321,14 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     ValueError
         if ``keep | diag`` is empty.
     CapacityError
-        if the reduced state's dimension, or an intermediate's number of
-        entries, is above ``cap``. The final product over the held
-        indices is the caller's output and is not held to ``cap``.
+        if ``largest`` is above ``cap``: checked once, on the finished
+        schedule, before anything is drawn or contracted.
     """
     n = dag.node_count
     kept = set(keep)
     held = kept | set(diag)
     if not held:
         raise ValueError("keep | diag must name at least one node")
-    held_dim = math.prod(dag.cardinality(i) for i in held)
-    if held_dim > cap:
-        raise CapacityError(
-            f"reduced state would be {held_dim}-dimensional, above the cap of {cap}"
-        )
     bra = [n + j if j in kept else j for j in range(n)]
     card = {_TRIAL: 1}
     for j in range(n):
@@ -361,7 +355,7 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     def size(idx: tuple[int, ...]) -> int:
         return math.prod(card[i] for i in idx)
 
-    largest = max([held_dim**2] + [size(idx) for idx in scopes])
+    largest = max(size(idx) for idx in scopes)
     score = {v: size(scope(v)) for v in range(n) if v not in held}
     heap = [(s, v) for v, s in score.items()]
     heapq.heapify(heap)
@@ -372,7 +366,6 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
             continue
         del score[v]
         out = scope(v)
-        _check_cap((card[i] for i in out), cap, "an elimination step")
         keys = tuple(sorted(where[v]))
         for k in keys:
             live.discard(k)
@@ -388,6 +381,9 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
                 heapq.heappush(heap, (score[u], u))
 
     kets = sorted(held)
+    out = tuple(kets) + tuple(n + j for j in kets)
+    largest = max(largest, size(out))
+    _check_cap((largest,), cap, "the largest array of the reduction")
     return _DoubledPlan(
         n=n,
         card=card,
@@ -396,7 +392,7 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
         steps=tuple(steps),
         final=tuple(sorted(live)),
         diag=tuple(diag),
-        out=tuple(kets) + tuple(n + j for j in kets),
+        out=out,
         largest=largest,
         cap=cap,
     )
@@ -410,10 +406,10 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
     per step serves all trials and each step's order is the plan's. A
     single net is the case T = 1, whose trial axis the contraction core
     drops before each call. The last step writes the product onto the
-    diagonal blocks of the ``diag`` nodes. Returns the held nodes'
-    kets, then their bras, each group ascending, after the trial axis.
-    A group that ``_contract`` merges ahead of a step is held to the
-    plan's ``cap`` per trial.
+    diagonal blocks of the ``diag`` nodes; it, every other step and any
+    group that ``_contract`` merges ahead of a step are held to the
+    plan's ``cap`` per trial. Returns the (T, D, D) stack of the states'
+    Hermitian parts, rows and columns over the held nodes ascending.
     """
     data: list[np.ndarray | None] = [x for t in tables for x in (t, t.conj())]
 
@@ -428,9 +424,10 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
         data.append(_contract(parts(keys), out, plan.card, plan.cap))
     last = parts(plan.final)
     last += [((j, plan.n + j), np.eye(plan.card[j])) for j in plan.diag]
-    out = (_TRIAL,) + plan.out
-    # every part left lies inside the output, so no merged group outgrows it
-    return _contract(last, out, plan.card, math.prod(plan.card[i] for i in out))
+    rho = _contract(last, (_TRIAL,) + plan.out, plan.card, plan.cap)
+    dim = math.prod(rho.shape[1 : 1 + len(plan.out) // 2])
+    rho = rho.reshape(len(rho), dim, dim)
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def vector_amplitude(

@@ -559,9 +559,9 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     sampled d-separation checks of :mod:`qbnets.verify` contract all
     their models at once.
 
-    ``cap`` bounds the dimension of the reduced state and the number of
-    entries of every intermediate of the elimination; exceeding either
-    raises :class:`CapacityError` before anything that large is built.
+    ``cap`` bounds every array the reduction holds, the D x D state
+    included (so D <= 1,024 at the default cap); a plan above it raises
+    :class:`CapacityError` before anything is contracted.
     """
     keep, diag = as_multinode(keep), as_multinode(diag)
     keep.validate(net.dag)
@@ -569,10 +569,6 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     if not keep.isdisjoint(diag):
         raise ValueError("keep and diag multinodes must be disjoint")
     plan = _doubled_plan(net.dag, keep, diag, cap)
-    rho = _doubled_contraction(plan, [tpm.table[None] for tpm in net.tpms])
-    held = keep | diag
-    held_dim = math.prod(net.dag.cardinality(i) for i in held)
-    rho = rho.reshape(held_dim, held_dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    labels = tuple((net.dag.name(i), net.dag.cardinality(i)) for i in held)
+    rho = _doubled_contraction(plan, [tpm.table[None] for tpm in net.tpms])[0]
+    labels = tuple((net.dag.name(i), net.dag.cardinality(i)) for i in keep | diag)
     return DensityMatrix(labels, rho)

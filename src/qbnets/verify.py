@@ -22,12 +22,12 @@ network is planned once from the graph (``network._doubled_plan``), and
 each elimination step is one einsum over the stack, the trial axis under
 its own index label (``network._doubled_contraction``). The (T, D, D)
 reduced states then go to one call of the batched CMI kernel of
-:mod:`qbnets.qinfo`. A chunk holds at most max(1, ``DEFAULT_CAP`` // m)
-trials, m being the largest per-model array of the plan (a node table,
-an intermediate or the D x D state), so no array of a chunk holds more
-than ``DEFAULT_CAP`` entries unless one model's does; a witness search
-runs chunks of 1, 2, 4, ... trials and stops at its first witness. Each
-check logs one INFO line to the ``qbnets.verify`` logger.
+:mod:`qbnets.qinfo`. A chunk holds at most ``DEFAULT_CAP`` // m trials,
+m being the largest per-model array of the plan (a node table, an
+intermediate or the D x D state, which the plan holds to the cap), so
+no array of a chunk holds more than ``DEFAULT_CAP`` entries; a witness
+search runs chunks of 1, 2, 4, ... trials and stops at its first
+witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
 
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
@@ -56,7 +56,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
@@ -142,8 +141,8 @@ def check_dsep_forward(
     the conditioning nodes dephased, and measures the CMI. Trial t's
     net is ``random_qbnet(dag, default_rng([seed, t]))``, but the
     trials are contracted as stacks, in chunks of at most
-    max(1, ``DEFAULT_CAP`` // m) trials with m one model's largest
-    array: one chunk at the usual sizes (see :func:`_run_trials`). The
+    ``DEFAULT_CAP`` // m trials with m one model's largest array: one
+    chunk at the usual sizes (see :func:`_run_trials`). The
     CMI is forced to zero when the triple is also
     :func:`qbnets.graph.sides_assignable`; otherwise ``passed`` can be
     False on a d-separated triple (in a -> c <- b with c traced out, a
@@ -181,11 +180,11 @@ def _sampled_cmis(
     dephased in one run of a plan made once from the graph
     (``network._doubled_plan``), and its (T, D, D) states go to one
     call of the CMI kernel, whose full-state entropy holds the spectrum
-    check of every state. A chunk holds at most max(1, ``cap`` // m)
-    trials, m being the plan's largest per-model array, so each array
-    of a chunk stays within ``cap`` entries whenever one model's does.
-    With ``grow`` the chunks start at one trial and double up to that
-    bound, so a search that stops at its first trial costs one model.
+    check of every state. A chunk holds at most ``cap`` // m trials, m
+    being the plan's largest per-model array, so each array of a chunk
+    stays within ``cap`` entries. With ``grow`` the chunks start at one
+    trial and double up to that bound, so a search that stops at its
+    first trial costs one model.
 
     Raises CapacityError, or InvalidStateError on a state that is not
     finite or has a trace off 1, where ``net_to_density`` would.
@@ -194,13 +193,12 @@ def _sampled_cmis(
     dims = tuple(dag.cardinality(i) for i in held)
     x, y, w = (tuple(held.index(i) for i in m) for m in (a, b, z))
     plan = _doubled_plan(dag, a | b, z, cap)
-    width = max(1, cap // plan.largest)
+    width = cap // plan.largest
     lo, size = 0, 1 if grow else width
     while lo < trials:
         hi = min(trials, lo + min(size, width))
         tables = _draw_tables(dag, [np.random.default_rng([seed, t]) for t in range(lo, hi)])
-        rho = _doubled_contraction(plan, tables).reshape((hi - lo,) + (math.prod(dims),) * 2)
-        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+        rho = _doubled_contraction(plan, tables)
         if not np.isfinite(rho).all():
             raise InvalidStateError("matrix has a non-finite entry")
         trace = np.trace(rho, axis1=-2, axis2=-1)

@@ -7,11 +7,13 @@ itself.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qbnets import (
+    CapacityError,
     Dag,
     DensityMatrix,
     amplitude_tensor,
@@ -104,6 +106,17 @@ def brute_reduced_state(net, keep, diag=()):
             col = np.ravel_multi_index([y[i] for i in held], dims)
             rho[row, col] += brute_joint(net, x) * np.conj(brute_joint(net, y))
     return rho
+
+
+def refused_peak_bytes(call):
+    """Peak traced memory while ``call`` runs; it must raise CapacityError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_reduced_state(net, keep, diag=()):

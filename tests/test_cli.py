@@ -326,7 +326,30 @@ class TestVerifyCommand:
             "--a", "x", "--b", "y", "--trials", "50",
         )
         report = json.loads(out)
-        assert report["kind"] == "witness"
+        assert code == 0
+        assert report["kind"] == "witness" and report["passed"]
+
+    def test_failed_forward_check_exits_one_and_prints_its_report(self, capsys, tmp_path):
+        # a -> c <- b with c traced out: a and b are d-separated but end
+        # up entangled, so the forward check fails
+        path = tmp_path / "collider.json"
+        save_json(
+            path,
+            {
+                "nodes": [
+                    {"name": "a", "states": 2},
+                    {"name": "b", "states": 2},
+                    {"name": "c", "states": 2, "parents": ["a", "b"]},
+                ]
+            },
+        )
+        code, out, _ = run(
+            capsys, "verify", "dsep", "--dag", str(path), "--a", "a", "--b", "b", "--trials", "5"
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert report["kind"] == "forward" and not report["passed"]
+        assert report["max_cmi"] == pytest.approx(0.65, abs=0.01)
 
     def test_bp_campaign(self, capsys):
         code, out, _ = run(capsys, "verify", "bp", "--trials", "5", "--max-nodes", "5")

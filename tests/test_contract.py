@@ -9,10 +9,12 @@ import pytest
 from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
-from qbnets.network import _MAX_OPERANDS, _contract, _doubled_plan
+from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _contract, _doubled_plan
 from qbnets.sampling import random_dag, random_qbnet
 
-from conftest import brute_posterior, brute_reduced_state, dense_reduced_state, scan_elimination
+from conftest import (
+    brute_posterior, brute_reduced_state, dense_reduced_state, refused_peak_bytes, scan_elimination
+)
 
 
 def broadcast_product(parts, out, card):
@@ -103,12 +105,22 @@ class TestWideBands:
 
     def test_sampled_checks_run(self):
         # every triple of the band that is d-separated conditions on at
-        # least 13 nodes, a 2^15-dimensional state; an isolated node is
-        # d-separated from the band's last node with no conditioning
+        # least 13 nodes, a 2^15-dimensional state whose 2^30 entries the
+        # default cap refuses; an isolated node is d-separated from the
+        # band's last node with no conditioning
         report = check_dsep_forward(band(20, 13, extra=1), [20], [19], trials=3)
         assert report.passed and report.trials_run == 3
         report = search_dsep_witness(band(20, 13), [0], [19], trials=2)
         assert np.isfinite(report.max_cmi) and report.trials_run >= 1
+
+    def test_separated_triple_refused_before_any_table_is_drawn(self):
+        # 19's parents 6..18 screen it from 0; the dephased state over
+        # {0, 19} and 6..18 is 2^15-dimensional, 2^30 entries
+        z = range(6, 19)
+        with pytest.raises(CapacityError, match="1073741824 entries"):
+            _doubled_plan(band(20, 13), {0, 19}, set(z), DEFAULT_CAP)
+        peak = refused_peak_bytes(lambda: check_dsep_forward(band(20, 13), [0], [19], z, trials=3))
+        assert peak < 2**20
 
 
 def _random_held(rng, n, held=3):
@@ -131,6 +143,20 @@ class TestEliminationOrder:
             keep, diag = _random_held(rng, n, held=n)
             plan = _doubled_plan(dag, keep, diag, math.inf)
             assert list(plan.order) == scan_elimination(dag, keep, diag)[0], (dag, keep, diag)
+
+    def test_plan_refused_exactly_above_its_largest_array(self):
+        rng = np.random.default_rng(75)
+        for _ in range(100):
+            n = int(rng.integers(1, 16))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.05, 0.5)))
+            keep, diag = _random_held(rng, n, held=n)
+            plan = _doubled_plan(dag, keep, diag, math.inf)
+            # every node table, every intermediate and the D x D state
+            sizes = [math.prod(plan.card[i] for i in idx) for idx in plan.scopes + (plan.out,)]
+            assert plan.largest == max(sizes)
+            assert _doubled_plan(dag, keep, diag, plan.largest).largest == plan.largest
+            with pytest.raises(CapacityError):
+                _doubled_plan(dag, keep, diag, plan.largest - 1)
 
     def test_reduced_states_bit_identical_to_scan(self):
         rng = np.random.default_rng(73)

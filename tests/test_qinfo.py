@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +40,7 @@ from qbnets.sampling import (
     random_qbnet,
 )
 
-from conftest import chain_forward_backward, dense_reduced_state
+from conftest import chain_forward_backward, dense_reduced_state, refused_peak_bytes
 
 LN2 = np.log(2.0)
 
@@ -564,17 +563,6 @@ def _chain(n, rng):
     return random_qbnet(dag, rng)
 
 
-def _peak_bytes(call):
-    """Peak traced memory while ``call`` runs; it must raise CapacityError."""
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestNetToDensityElimination:
     """The elimination over the doubled network against the dense route."""
 
@@ -638,10 +626,21 @@ class TestNetToDensityElimination:
         # child needs every root's ket and bra, 2^20 entries (16 MB)
         dag = Dag([(f"r{i}", 2) for i in range(10)] + [("t", 2)], [(i, 10) for i in range(10)])
         net = random_qbnet(dag, np.random.default_rng(24))
-        peak = _peak_bytes(lambda: net_to_density(net, keep=range(10), cap=2**12))
+        peak = refused_peak_bytes(lambda: net_to_density(net, keep=range(10), cap=2**12))
         assert peak < 2**20
 
     def test_held_dimension_above_cap_refused_before_anything_is_built(self):
         net = _chain(60, np.random.default_rng(25))
-        peak = _peak_bytes(lambda: net_to_density(net, keep=range(21)))
+        peak = refused_peak_bytes(lambda: net_to_density(net, keep=range(21)))
         assert peak < 2**20
+
+    def test_state_entries_held_to_cap(self):
+        # four isolated binary roots, all kept: D = 16 is under a cap of
+        # 100, but the 16 x 16 state's 256 entries are not
+        dag = Dag([(f"r{i}", 2) for i in range(4)], [])
+        net = random_qbnet(dag, np.random.default_rng(26))
+        with pytest.raises(CapacityError, match="256 entries, above the cap of 100"):
+            net_to_density(net, keep=range(4), cap=100)
+        got = net_to_density(net, keep=range(4), cap=256)
+        want = dense_reduced_state(net, range(4))
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)

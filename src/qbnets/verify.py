@@ -37,15 +37,19 @@ labeled copy of each unlabeled DAG under its automorphisms; the labeled
 DAGs, their relabelings, and the d-separation and side-assignability of
 every class representative are computed as int64 bitmask arrays, with
 loops over nodes and relabelings only. The classes are measured in
-slices of a few cases: cases on the same DAG share each node's table
-product into their sampled joint kets, and cases with equal set sizes
-share one call of the purification CMI kernel of :mod:`qbnets.qinfo`,
-which never forms a density matrix. Each case still draws its models
-from its own generator, so no answer depends on the slicing. The full
-sweep takes about four seconds, and it logs one INFO line per node count
-to the ``qbnets.verify`` logger, a child of ``qbnets``; the library adds
-no handler. Above five nodes the enumeration would not fit in memory,
-and the census raises CapacityError at once.
+slices of at most 2^16 sampled amplitudes (cases x trials x card^n, at
+least one case): each case draws all its tables in one Gaussian call,
+cases on the same DAG share each node's table product into their sampled
+joint kets, and cases with equal set sizes share one call of the
+purification CMI kernel of :mod:`qbnets.qinfo`, which never forms a
+density matrix. Each case still draws its models from its own
+generator, so no answer depends on the slicing. The full sweep (seed
+404, 50 trials) takes about 2.5 seconds on a 2-vCPU host, and it logs
+one INFO line per node count to the ``qbnets.verify`` logger, a child of
+``qbnets``; the library adds no handler. Above five nodes the
+enumeration would not fit in memory, and where one case's kets (trials
+x card^max_nodes) would exceed ``DEFAULT_CAP`` a slice would not; the
+census raises CapacityError at once in both.
 
 Every run must do work: a trial or model count below one, an empty
 tested set, and a negative or non-finite tolerance raise ValueError.
@@ -73,6 +77,7 @@ from .graph import (
 )
 from .network import (
     DEFAULT_CAP,
+    _check_cap,
     _doubled_contraction,
     _doubled_plan,
     _require_positive,
@@ -471,11 +476,11 @@ def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple
     return cases, len(triples), labeled
 
 
-# cases per batched CMI evaluation of the census: large enough to share
-# each kernel call among many cases, small enough to keep memory flat
-# (32 runs the n <= 4 census about 10 % faster, in 190 of 200 alternating
-# passes, for about 0.4 MB more peak RSS and 45 % more traced peak)
-_CENSUS_SLICE = 16
+# sampled amplitudes (cases x trials x card^n) per batched CMI evaluation
+# of the census, at least one case: large enough to share each kernel call
+# among many cases, small enough to keep memory flat (81 binary cases of
+# 50 trials at n = 4; 2^18 was no faster and added about 4 MB peak RSS)
+_CENSUS_AMPLITUDES = 2**16
 
 
 def _census_kets(
@@ -489,8 +494,11 @@ def _census_kets(
     Case i draws its ``trials`` nets from ``rngs[i]`` as one case
     sampled alone would: node by node, the real part of the node's
     tables before the imaginary part, each column scaled to unit norm by
-    :func:`qbnets.sampling._unit_norm`. Consecutive cases on the
-    same DAG stack their tables, so each node's table is normalized and
+    :func:`qbnets.sampling._unit_norm`. It draws them in one ``normal``
+    call of the summed size, which gives the numbers of one call per
+    node and leaves the generator in the same state (as in
+    :func:`qbnets.sampling._draw_tables`). Consecutive cases on the
+    same DAG stack their draws, so each node's table is normalized and
     multiplied into the kets of the whole run of cases at once.
     """
     n = len(cases[0][0])
@@ -499,11 +507,13 @@ def _census_kets(
     for parents, run in itertools.groupby(cases, key=lambda case: case[0]):
         stop = start + len(list(run))
         amp = kets[start:stop]
-        for j in range(n):
-            pa = sorted(_bits(parents[j]))
-            shape = (2, trials) + (card,) * (1 + len(pa))
-            raw = np.stack([rng.normal(size=shape) for rng in rngs[start:stop]])
-            table = _unit_norm(raw[:, 0] + 1j * raw[:, 1], 2)
+        pas = [sorted(_bits(p)) for p in parents]
+        sizes = [2 * trials * card ** (1 + len(pa)) for pa in pas]
+        raw = np.stack([rng.normal(size=sum(sizes)) for rng in rngs[start:stop]])
+        blocks = np.split(raw, np.cumsum(sizes)[:-1], axis=1)
+        for j, (pa, block) in enumerate(zip(pas, blocks)):
+            block = block.reshape((stop - start, 2, trials) + (card,) * (1 + len(pa)))
+            table = _unit_norm(block[:, 0] + 1j * block[:, 1], 2)
             labels = sorted([j] + pa)
             order = [0, 1] + [2 + ([j] + pa).index(l) for l in labels]
             absent = [2 + i for i in range(n) if i not in labels]
@@ -520,7 +530,8 @@ def _census_cmis(
 ) -> np.ndarray:
     """Largest |CMI| over each census case's sampled nets, one per case.
 
-    The cases share a node count. Each case's kets (:func:`_census_kets`)
+    The cases share a node count; the census passes one slice of its
+    amplitude budget per call. Each case's kets (:func:`_census_kets`)
     have their node axes reordered to (z, a, b, rest) and merged into
     one axis per set, the traced rest becoming the purifying axis, so the
     stack is a purification of the reduced states.
@@ -593,11 +604,12 @@ def dsep_forward_census(
     class gets ``trials`` random ``card``-ary models, drawn from
     ``default_rng([seed, n, idx])`` with ``idx`` the class's place in
     the case list. :func:`_census_cmis` measures them from Gram spectra
-    of the sampled kets, a slice of cases per call. ``passed`` demands
-    zero violations over every separated class, which quantum nets do
-    not satisfy: with ``card`` >= 2 and a small ``tol`` it is False for
-    any census that reaches n = 3, where a -> c <- b with c traced out
-    entangles a and b.
+    of the sampled kets, one slice of cases per call: as many cases as
+    hold at most 2^16 amplitudes (cases x trials x card^n), and at least
+    one. ``passed`` demands zero violations over every separated class,
+    which quantum nets do not satisfy: with ``card`` >= 2 and a small
+    ``tol`` it is False for any census that reaches n = 3, where
+    a -> c <- b with c traced out entangles a and b.
 
     The report therefore splits the classes by
     :func:`qbnets.graph.sides_assignable`. Tracing out a node that
@@ -609,13 +621,20 @@ def dsep_forward_census(
 
     Each node count logs one INFO line: labeled cases, classes,
     separated classes, and the seconds of canonicalization, of the
-    models (sampling, CMIs and side-assignability) and in total.
-    Raises CapacityError, before any work, for ``max_nodes`` above five.
+    models (sampling, CMIs and side-assignability) with their slices,
+    and in total. Raises CapacityError, before any work, for
+    ``max_nodes`` above five, or where one case's kets, ``trials`` x
+    ``card`` ** ``max_nodes`` amplitudes, exceed ``DEFAULT_CAP``.
     """
     _require_positive("max_nodes", max_nodes)
     _require_census_size(max_nodes)
     _require_positive("trials", trials)
     _require_positive("card", card)
+    _check_cap(
+        (trials,) + (card,) * max_nodes,
+        DEFAULT_CAP,
+        f"one census case's kets ({trials} trials x {card}^{max_nodes} amplitudes)",
+    )
     _require_tolerance("tol", tol)
     start = time.perf_counter()
     labeled_cases = classes = 0
@@ -631,17 +650,19 @@ def dsep_forward_census(
         case_masks = np.array([masks for _, masks in cases], dtype=np.int64).reshape(-1, 3)
         sides.append(_sides_assignable_arrays(case_parents, *case_masks.T))
         n_cmis = np.empty(len(cases))
-        for lo in range(0, len(cases), _CENSUS_SLICE):
-            chunk = cases[lo : lo + _CENSUS_SLICE]
+        step = max(1, _CENSUS_AMPLITUDES // (trials * card**n))
+        for lo in range(0, len(cases), step):
+            chunk = cases[lo : lo + step]
             rngs = [np.random.default_rng([seed, n, lo + k]) for k in range(len(chunk))]
-            n_cmis[lo : lo + _CENSUS_SLICE] = _census_cmis(chunk, trials, rngs, card)
+            n_cmis[lo : lo + step] = _census_cmis(chunk, trials, rngs, card)
         cmis.append(n_cmis)
         n_stop = time.perf_counter()
         _log.info(
             "census n=%d: %d labeled cases, %d classes, %d separated, "
-            "canonicalization %.3f s, models %.3f s, total %.3f s",
+            "canonicalization %.3f s, models %.3f s in %d slices, total %.3f s",
             n, n_labeled, n_classes, len(cases),
-            canonicalized - n_start, n_stop - canonicalized, n_stop - n_start,
+            canonicalized - n_start, n_stop - canonicalized, -(-len(cases) // step),
+            n_stop - n_start,
         )
     cmis, sides = np.concatenate(cmis), np.concatenate(sides)
     violated = cmis > tol

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import logging
+import re
 import time
 
 import numpy as np
@@ -29,8 +30,9 @@ from qbnets.graph import (
 )
 from qbnets.network import DEFAULT_CAP, _doubled_plan
 from qbnets.sampling import _draw_tables, random_dag
+from qbnets import verify  # the module, for monkeypatching its names
 from qbnets.verify import (
-    _CENSUS_SLICE,
+    _CENSUS_AMPLITUDES,
     _assignment_codes,
     _census_cmis,
     _census_kets,
@@ -292,6 +294,27 @@ class TestCensusCap:
             canonical_separated_cases(max_nodes)
         assert time.perf_counter() - start < 0.5
 
+    @staticmethod
+    def _canonicalization_reached(*args):
+        raise LookupError("canonicalization reached")
+
+    @pytest.mark.parametrize(
+        "card, trials, amplitudes",
+        # one n = 5 case's kets: 50 x 17^5 (about 1.1 GB), 50 x 8^5
+        [(17, 50, 70_992_850), (8, 50, 1_638_400), (17, 1, 1_419_857)],
+    )
+    def test_census_kets_above_cap_refused_at_once(self, monkeypatch, card, trials, amplitudes):
+        monkeypatch.setattr(verify, "canonical_separated_cases", self._canonicalization_reached)
+        refusal = f"would hold {amplitudes} entries, above the cap of {DEFAULT_CAP}"
+        with pytest.raises(CapacityError, match=refusal):
+            dsep_forward_census(max_nodes=5, trials=trials, card=card)
+
+    @pytest.mark.parametrize("card", [2, 3])  # 1,600 and 12,150 amplitudes a case
+    def test_census_kets_under_cap_run(self, monkeypatch, card):
+        monkeypatch.setattr(verify, "canonical_separated_cases", self._canonicalization_reached)
+        with pytest.raises(LookupError, match="canonicalization reached"):
+            dsep_forward_census(max_nodes=5, card=card)
+
 
 class TestEnumeration:
     def test_dag_counts(self):
@@ -510,14 +533,18 @@ class TestCensusMachinery:
         lines = [r.getMessage() for r in caplog.records if r.name == "qbnets.verify"]
         assert len(lines) == 4
         for n, line in enumerate(lines, start=1):
-            head, stages = line.split(" separated, ")
-            assert head.startswith(f"census n={n}: ")
-            words = stages.split()
-            assert words[::3] == ["canonicalization", "models", "total"]
-            assert words[2::3] == ["s,", "s,", "s"]
-            canon, models, total = (float(w) for w in words[1::3])
+            m = re.fullmatch(
+                rf"census n={n}: \d+ labeled cases, \d+ classes, (\d+) separated, "
+                r"canonicalization (\S+) s, models (\S+) s in (\d+) slices, total (\S+) s",
+                line,
+            )
+            assert m, line
+            separated, slices = int(m[1]), int(m[4])
+            canon, models, total = float(m[2]), float(m[3]), float(m[5])
             assert min(canon, models) >= 0.0
             assert canon + models == pytest.approx(total, abs=2e-3)
+            # 2 binary trials: one slice holds every case of a node count
+            assert slices == min(separated, 1)
 
 
 class TestBpCampaignLog:
@@ -562,24 +589,42 @@ class TestBatchedCensus:
             rngs = [np.random.default_rng([seed, n, idx]) for idx in range(len(cases))]
             kets = _census_kets(cases, self.TRIALS, rngs, card)
             for idx, (parents, _) in enumerate(cases):
-                expect = per_case_census_kets(
-                    parents, self.TRIALS, np.random.default_rng([seed, n, idx]), card
-                )
+                ref = np.random.default_rng([seed, n, idx])
+                expect = per_case_census_kets(parents, self.TRIALS, ref, card)
                 assert np.array_equal(kets[idx], expect), (n, idx)
+                # and the generator is left where the per-node draws leave it
+                assert rngs[idx].normal() == ref.normal(), (n, idx)
 
     @pytest.mark.parametrize("seed, card", SEEDS_CARDS)
     def test_cmis_match_per_case_reference(self, census_cases, reference, seed, card):
         for n in range(2, 5):
             cases = census_cases[n]
-            # in slices, as the census feeds it
+            # in slices of the amplitude budget, as the census feeds it
+            step = max(1, _CENSUS_AMPLITUDES // (self.TRIALS * card**n))
             rngs = [np.random.default_rng([seed, n, idx]) for idx in range(len(cases))]
             got = np.concatenate([
-                _census_cmis(
-                    cases[lo : lo + _CENSUS_SLICE], self.TRIALS, rngs[lo : lo + _CENSUS_SLICE], card
-                )
-                for lo in range(0, len(cases), _CENSUS_SLICE)
+                _census_cmis(cases[lo : lo + step], self.TRIALS, rngs[lo : lo + step], card)
+                for lo in range(0, len(cases), step)
             ])
             np.testing.assert_allclose(got, reference[seed, card][n], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("card", [2, 3])
+    def test_report_independent_of_slicing(self, monkeypatch, caplog, census_cases, card):
+        # one case a slice, the default budget, and one slice per node count
+        reports, slices = [], []
+        for budget in (1, _CENSUS_AMPLITUDES, 2**40):
+            monkeypatch.setattr(verify, "_CENSUS_AMPLITUDES", budget)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="qbnets.verify"):
+                report = dsep_forward_census(max_nodes=4, trials=self.TRIALS, seed=1, card=card)
+            reports.append(report.to_json(include_wall_time=False))
+            lines = [r.getMessage() for r in caplog.records]
+            slices.append([int(re.search(r"in (\d+) slices", line)[1]) for line in lines])
+        assert reports[0] == reports[1] == reports[2]
+        cases = [len(census_cases[n]) for n in range(1, 5)]
+        assert slices[0] == cases
+        assert slices[2] == [min(c, 1) for c in cases]
+        assert slices[0] != slices[1] != slices[2]
 
     @pytest.mark.parametrize("seed, card", SEEDS_CARDS)
     def test_report_matches_per_case_reference(self, census_cases, reference, seed, card):

@@ -348,6 +348,28 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
     return entropy(x) + entropy(y) - entropy(()) - entropy(x + y)
 
 
+def _probabilities(arr: np.ndarray, has: str, sums: str) -> np.ndarray:
+    """A read-only copy of the float array ``arr`` divided by its total.
+
+    Refuses a non-finite entry, an entry below -1e-12 and a total more
+    than 1e-10 from one (a total that overflows is inf); the small
+    negative entries become zero. ``has`` and ``sums`` open the error
+    messages, as in "table has" and "table sums".
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{has} a non-finite entry")
+    if arr.size and float(arr.min()) < -1e-12:
+        raise ValueError(f"{has} a negative entry {float(arr.min()):.3g}")
+    arr = np.clip(arr, 0.0, None)
+    with np.errstate(over="ignore"):  # an overflowing total is inf, rejected below
+        total = float(arr.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"{sums} to {total!r}, expected 1")
+    arr = arr / total
+    arr.setflags(write=False)
+    return arr
+
+
 class ClassicalDistribution:
     """A labeled nonnegative real table summing to one.
 
@@ -363,17 +385,7 @@ class ClassicalDistribution:
         dims = tuple(d for _, d in labels)
         if arr.shape != dims:
             raise ValueError(f"table shape {arr.shape}, expected {dims}")
-        if not np.isfinite(arr).all():
-            raise ValueError("table has a non-finite entry")
-        if arr.size and float(arr.min()) < -1e-12:
-            raise ValueError(f"negative probability mass {float(arr.min()):.3g}")
-        arr = np.clip(arr, 0.0, None)
-        with np.errstate(over="ignore"):  # an overflowing total is inf, rejected below
-            total = float(arr.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"table sums to {total!r}, expected 1")
-        arr = arr / total
-        arr.setflags(write=False)
+        arr = _probabilities(arr, "table has", "table sums")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "table", arr)
 
@@ -427,7 +439,8 @@ class DiagonalExtension:
     """Weights P(lam) with one component state per lam value.
 
     Assembles to a state over (lam, components' labels) that is block
-    diagonal in lam.
+    diagonal in lam. A weight total within 1e-10 of one is divided out,
+    as in :class:`ClassicalDistribution`.
     """
 
     __slots__ = ("weights", "components")
@@ -436,15 +449,7 @@ class DiagonalExtension:
         w = np.array(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty vector")
-        if not np.isfinite(w).all():
-            raise ValueError("weights have a non-finite entry")
-        if float(w.min()) < -1e-12:
-            raise ValueError(f"negative weight {float(w.min()):.3g}")
-        w = np.clip(w, 0.0, None)
-        with np.errstate(over="ignore"):  # an overflowing total is inf, rejected below
-            total = float(w.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
+        w = _probabilities(w, "weights have", "weights sum")
         components = tuple(components)
         if len(components) != w.size:
             raise ValueError(
@@ -454,7 +459,6 @@ class DiagonalExtension:
         for comp in components[1:]:
             if comp.labels != first:
                 raise ValueError("all components must carry identical labels")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", components)
 

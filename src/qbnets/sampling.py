@@ -65,17 +65,16 @@ def random_qbnet(dag: Dag, rng) -> QBNet:
     return QBNet(dag, [NodeTpm(j, dag.parents(j), t[0]) for j, t in enumerate(tables)])
 
 
-def random_cards(rng, n: int, max_card: int = 3, min_card: int = 2) -> list[int]:
+def random_cards(rng, n: int, max_card: int = 3) -> list[int]:
+    """``n`` cardinalities drawn uniformly from 2 to ``max_card``."""
     rng = rng_from(rng)
-    return [int(rng.integers(min_card, max_card + 1)) for _ in range(n)]
+    return [int(rng.integers(2, max_card + 1)) for _ in range(n)]
 
 
-def random_polytree_dag(
-    rng, n_nodes: int, max_card: int = 3, min_card: int = 2
-) -> Dag:
+def random_polytree_dag(rng, n_nodes: int, max_card: int = 3) -> Dag:
     """A random tree skeleton with random edge orientations and cardinalities."""
     rng = rng_from(rng)
-    cards = random_cards(rng, n_nodes, max_card, min_card)
+    cards = random_cards(rng, n_nodes, max_card)
     nodes = [(f"n{i}", cards[i]) for i in range(n_nodes)]
     edges = []
     for i in range(1, n_nodes):

@@ -32,24 +32,28 @@ witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
 relabeling, (graph, triple) cases are deduplicated up to isomorphism
-(including swapping the two tested sets) by reducing the triples of one
-labeled copy of each unlabeled DAG under its automorphisms; the labeled
-DAGs, their relabelings, and the d-separation and side-assignability of
-every class representative are computed as int64 bitmask arrays, with
-loops over nodes and relabelings only. The classes are measured in
-slices of at most 2^16 sampled amplitudes (cases x trials x card^n, at
-least one case): each case draws all its tables in one Gaussian call,
-cases on the same DAG share each node's table product into their sampled
-joint kets, and cases with equal set sizes share one call of the
-purification CMI kernel of :mod:`qbnets.qinfo`, which never forms a
-density matrix. Each case still draws its models from its own
-generator, so no answer depends on the slicing. The full sweep (seed
-404, 50 trials) takes about 2.5 seconds on a 2-vCPU host, and it logs
-one INFO line per node count to the ``qbnets.verify`` logger, a child of
-``qbnets``; the library adds no handler. Above five nodes the
-enumeration would not fit in memory, and where one case's kets (trials
-x card^max_nodes) would exceed ``DEFAULT_CAP`` a slice would not; the
-census raises CapacityError at once in both.
+(including swapping the two tested sets): each unlabeled DAG is the
+least relabeling of an edge pattern of the identity order, and its
+triples are reduced under its automorphisms. Only the edge patterns and
+the unlabeled DAGs are relabeled, never the labeled DAGs, whose number
+comes from orbit-stabilizer. The relabelings, and the d-separation and
+side-assignability of every class representative, are computed as int64
+bitmask arrays, with loops over nodes, relabelings and unlabeled DAGs
+only. The classes are measured in slices of at most 2^16 sampled
+amplitudes (cases x trials x card^n, at least one case): each case draws
+all its tables in one Gaussian call, cases on the same DAG share each
+node's table product into their sampled joint kets, and cases with equal
+set sizes share one call of the purification CMI kernel of
+:mod:`qbnets.qinfo`, which never forms a density matrix. Each case still
+draws its models from its own generator, so no answer depends on the
+slicing. The full sweep (seed 404, 50 trials) takes about 1.7 seconds on
+a 2-vCPU host, and it logs one INFO line per node count to the
+``qbnets.verify`` logger, a child of ``qbnets``; the library adds no
+handler. The census raises CapacityError at once above five nodes, where
+canonicalization alone takes about 7.5 s and 2 GB and the models of the
+376,006 separated classes would take minutes, and where one case's kets
+(trials x card^max_nodes) would exceed ``DEFAULT_CAP``, which no slice
+could hold.
 
 Every run must do work: a trial or model count below one, an empty
 tested set, and a negative or non-finite tolerance raise ValueError.
@@ -360,6 +364,32 @@ def _relabeled_codes(parents: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _pattern_codes(n: int) -> np.ndarray:
+    """Relabeled codes of the DAGs whose arcs all run up the identity
+    order, shape (n!, 2^(n(n-1)/2)), as :func:`_relabeled_codes` gives.
+
+    Every DAG has a topological order, so column k, the codes of edge
+    pattern k under every relabeling, is the whole orbit of one DAG, and
+    together the columns hold every labeled DAG.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    patterns = np.arange(1 << len(pairs), dtype=np.int64)
+    parents = np.zeros((len(patterns), n), dtype=np.int64)
+    for k, (i, j) in enumerate(pairs):
+        parents[:, j] |= (patterns >> k & 1) << i
+    return _relabeled_codes(parents)
+
+
+def _distinct_parents(codes: np.ndarray, n: int) -> np.ndarray:
+    """The distinct DAG ``codes`` in ascending order, as parent masks (DAGs, n)."""
+    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
+    # (about 25 ms and 1 MB on a cold start)
+    codes = np.sort(codes)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    place = (1 << n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return codes[:, None] // place % (1 << n)
+
+
 def enumerate_dags(n: int) -> list[tuple[int, ...]]:
     """Every labeled DAG on ``n`` nodes, as a tuple of parent bitmasks.
 
@@ -367,40 +397,33 @@ def enumerate_dags(n: int) -> list[tuple[int, ...]]:
     closes under relabeling; each DAG appears exactly once, in sorted
     order.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    patterns = np.arange(1 << len(pairs), dtype=np.int64)
-    parents = np.zeros((len(patterns), n), dtype=np.int64)
-    for k, (i, j) in enumerate(pairs):
-        parents[:, j] |= (patterns >> k & 1) << i
-    # sorted and deduplicated by hand: a plain np.unique imports numpy.ma
-    # (about 25 ms and 1 MB on a cold start)
-    codes = np.sort(_relabeled_codes(parents).ravel())
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    place = (1 << n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return [tuple(row) for row in (codes[:, None] // place % (1 << n)).tolist()]
+    return [tuple(row) for row in _distinct_parents(_pattern_codes(n).ravel(), n).tolist()]
 
 
 def _assignment_codes(n: int) -> np.ndarray:
-    """Node codes 0=out, 1=A, 2=B, 3=Z for every valid disjoint triple."""
+    """Node codes 0=out, 1=A, 2=B, 3=Z for every valid disjoint triple,
+    shape (triples, n)."""
     codes = [
         c
         for c in itertools.product(range(4), repeat=n)
         if 1 in c and 2 in c
     ]
-    return np.array(codes, dtype=np.int64)
+    return np.array(codes, dtype=np.int64).reshape(len(codes), n)
 
 
-# the largest census: at n = 6 the relabeled integers of the 3,781,503
-# labeled DAGs fill a 720 x 3,781,503 int64 matrix (about 22 GB)
+# the largest census. At n = 6 the 7,287,170 classes take about 1 s to
+# find, deciding their d-separation brings that to 7.5 s and 2 GB peak
+# RSS, and the sampled models of the 376,006 separated ones would take
+# minutes (2 vCPU)
 _CENSUS_MAX_NODES = 5
 
 
 def _require_census_size(n: int) -> None:
     if n > _CENSUS_MAX_NODES:
         raise CapacityError(
-            f"the census enumerates labeled DAGs with at most {_CENSUS_MAX_NODES} "
-            f"nodes, got {n}; at 6 nodes its relabeled-DAG matrix would take about "
-            "22 GB (ROADMAP item 7 builds unlabeled DAGs one sink at a time instead)"
+            f"the census covers DAGs with at most {_CENSUS_MAX_NODES} nodes, got {n}; "
+            "at 6 nodes canonicalization takes about 2 GB, and the models of its "
+            "376,006 separated classes would take minutes (ROADMAP item 7 plans that run)"
         )
 
 
@@ -411,23 +434,24 @@ def _class_representatives(n: int) -> tuple[np.ndarray, np.ndarray, int]:
     (cases, 3), both int64, and the number of labeled cases covered.
 
     Isomorph-free reduction (McKay, J. Algorithms 26:306, 1998): a DAG's
-    canonical form is the least of its n! relabeled integers, and only
-    the first labeled copy of each unlabeled DAG is kept. On that copy
-    the triples are reduced under its automorphisms (the relabelings
-    that give back the same integer) times the A/B swap, and each orbit
-    keeps its first triple in :func:`_assignment_codes` order. So every
-    class is represented by its smallest (DAG index, triple index) case,
-    and the cases come in that order.
+    canonical form is the least of its n! relabeled integers, which is
+    also its first labeled copy in :func:`enumerate_dags` order. The
+    distinct column minima of :func:`_pattern_codes` are these forms, so
+    only the unlabeled DAGs are ever relabeled. On each the triples are
+    reduced under its automorphisms (the relabelings that give back the
+    same integer) times the A/B swap, and each orbit keeps its first
+    triple in :func:`_assignment_codes` order. So every class is
+    represented by its smallest (DAG index, triple index) case, and the
+    cases come in that order. The coverage is counted by
+    orbit-stabilizer: a DAG with |Aut| automorphisms has n!/|Aut|
+    labeled copies, each with every triple.
     """
     _require_census_size(n)
-    dags = enumerate_dags(n)
+    dag_masks = _distinct_parents(_pattern_codes(n).min(axis=0), n)
+    relabeled = _relabeled_codes(dag_masks)
+    auts = relabeled == relabeled[0]  # one column per DAG; the identity comes first
     codes = _assignment_codes(n)
-    if codes.size == 0:
-        return np.zeros((0, n), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 0
-    perms = list(itertools.permutations(range(n)))  # identity first
-    dag_masks = np.array(dags, dtype=np.int64)
-    relabeled_ints = _relabeled_codes(dag_masks)
-    _, first_copies = np.unique(relabeled_ints.min(axis=0), return_index=True)
+    perms = list(itertools.permutations(range(n)))
 
     # triple codes packed with node 0 most significant, so that packed
     # order is the order of ``codes``; one row per relabeling, plain and
@@ -440,14 +464,13 @@ def _class_representatives(n: int) -> tuple[np.ndarray, np.ndarray, int]:
     triples = np.stack([(codes == c) @ bits for c in (1, 2, 3)], axis=1)
 
     owners, reps = [], []
-    for d in sorted(int(i) for i in first_copies):
-        auts = relabeled_ints[:, d] == relabeled_ints[0, d]
-        orbit_min = np.minimum(packed[auts].min(axis=0), swapped[auts].min(axis=0))
+    for d, aut in enumerate(auts.T):
+        orbit_min = np.minimum(packed[aut].min(axis=0), swapped[aut].min(axis=0))
         rep = np.flatnonzero(orbit_min == packed[0])
         owners.append(np.full(len(rep), d))
         reps.append(rep)
-    owners = np.concatenate(owners)
-    return dag_masks[owners], triples[np.concatenate(reps)], len(dags) * codes.shape[0]
+    labeled = int((len(perms) // auts.sum(axis=0)).sum()) * len(codes)
+    return dag_masks[np.concatenate(owners)], triples[np.concatenate(reps)], labeled
 
 
 def canonical_separated_cases(n: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, int, int]]], int, int]:

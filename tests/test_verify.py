@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,8 +286,8 @@ class TestVacuousRunsRejected:
 class TestCensusCap:
     @pytest.mark.parametrize("max_nodes", [6, 7])
     def test_census_above_five_nodes_refused_at_once(self, max_nodes):
-        # at n = 6 the relabeling alone would run for minutes and the
-        # relabeled-DAG matrix would take about 22 GB
+        # at n = 6 canonicalization alone takes about 7.5 s and 2 GB, and the
+        # sampled models of its 376,006 separated classes would take minutes
         start = time.perf_counter()
         with pytest.raises(CapacityError, match="ROADMAP item 7"):
             dsep_forward_census(max_nodes=max_nodes, trials=1)
@@ -450,6 +451,30 @@ class TestCanonicalization:
         cases, classes, labeled = canonical_separated_cases(n)
         assert (classes, labeled, len(cases)) == counts
         assert hashlib.sha256(repr(cases).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_orbit_stabilizer_coverage_counts_labeled_cases(self, n):
+        # the coverage never lists labeled DAGs; the reference lists them all
+        _, _, labeled = _class_representatives(n)
+        assert labeled == len(enumerate_dags(n)) * len(_assignment_codes(n))
+
+    def test_census_never_lists_labeled_dags(self, monkeypatch):
+        def listed(n):
+            raise AssertionError(f"labeled DAGs on {n} nodes listed")
+
+        monkeypatch.setattr(verify, "enumerate_dags", listed)
+        report = dsep_forward_census(max_nodes=4, trials=2)
+        assert (report.classes, report.separated_classes) == (1_377, 221)
+
+    def test_five_node_canonicalization_peak(self):
+        # about 11 MB; relabeling the 29,281 labeled DAGs too would take about 42 MB
+        tracemalloc.start()
+        try:
+            _class_representatives(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 def _library_case_cmi(parents, masks, trials, rng, card):

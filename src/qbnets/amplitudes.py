@@ -41,12 +41,15 @@ class LabeledAmplitude:
         keep = tuple(l for l in self.labels if l not in set(drop))
         return LabeledAmplitude(keep, self.data.sum(axis=axes))
 
-    def slice_at(self, values: Mapping[int, int]) -> "LabeledAmplitude":
-        """Fix the given labels at the given states, removing their axes."""
+    def slice_at(self, values: Mapping[int, int | slice]) -> "LabeledAmplitude":
+        """Fix the given labels at the given states, removing their axes.
+
+        A label given a ``slice`` keeps its axis, cut to that range of
+        states."""
         if not values:
             return self
         idx = tuple(values.get(l, slice(None)) for l in self.labels)
-        keep = tuple(l for l in self.labels if l not in values)
+        keep = tuple(l for l, i in zip(self.labels, idx) if isinstance(i, slice))
         return LabeledAmplitude(keep, self.data[idx])
 
     def norm(self) -> float:

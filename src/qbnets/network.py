@@ -6,10 +6,11 @@ a probability amplitude, and each parent configuration's column has unit
 The functions below realize the vector-amplitude algebra on top of that:
 joint tensors, kets over a multinode's complement, marginals,
 conditionals, and the brute-force posterior used as the inference oracle
-throughout the test suite. Those build the joint tensor over every node
-and are the dense references. Reduced states instead come from variable
-elimination over the doubled network {A_j, A_j*}, whose intermediates
-follow the net's width rather than its size.
+throughout the test suite. Those are the dense references: they visit
+every joint amplitude, the oracle one bounded block at a time and the
+others as one tensor over every node. Reduced states instead come from
+variable elimination over the doubled network {A_j, A_j*}, whose
+intermediates follow the net's width rather than its size.
 
 ``_contract`` is the package's one contraction core: the elimination
 here and quantum belief propagation in :mod:`qbnets.qbp` both sum
@@ -19,6 +20,7 @@ products of node tables through it, with node labels as indices.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,6 +34,9 @@ from .graph import Dag, as_multinode
 
 #: Largest dense joint tensor (in amplitudes) the exact routines will build.
 DEFAULT_CAP = 2**20
+
+# most joint amplitudes one block of posterior_oracle holds
+_ORACLE_AMPLITUDES = 2**16
 
 COLUMN_NORM_ATOL = 1e-10
 
@@ -453,7 +458,9 @@ def vector_amplitude(
 
 def marginal_probability(net: QBNet, a, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Probability table over the multinode ``a`` (axes in sorted order):
-    :func:`posterior_oracle` with no evidence, so it stays dense."""
+    :func:`posterior_oracle` with no evidence, so it stays dense. The
+    joint is built in bounded blocks, and ``cap`` still refuses a net
+    whose joint over every node would hold more than ``cap`` entries."""
     return posterior_oracle(net, a, {}, cap)
 
 
@@ -499,6 +506,29 @@ def conditional_amplitude(
     return ConditionalAmplitude(numerator, denominator)
 
 
+def _oracle_blocks(cards: Sequence[int], budget: int):
+    """Indices over nodes of cardinalities ``cards`` that cover all their
+    joint states in blocks of at most ``budget`` states (``budget`` >= 1).
+
+    The trailing nodes whose product fits in ``budget`` are held whole,
+    the node before them is cut into ranges of ``budget`` // that product
+    states, never more ranges than it has states, and the leading nodes
+    are fixed at each of their joint states in turn.
+    """
+    k, tail = len(cards), 1
+    while k and tail * cards[k - 1] <= budget:
+        k -= 1
+        tail *= cards[k]
+    whole = (slice(None),) * (len(cards) - k)
+    if not k:
+        yield whole
+        return
+    step = budget // tail
+    for lead in itertools.product(*(range(c) for c in cards[: k - 1])):
+        for start in range(0, cards[k - 1], step):
+            yield lead + (slice(start, start + step),) + whole
+
+
 def posterior_oracle(
     net: QBNet,
     query,
@@ -507,21 +537,38 @@ def posterior_oracle(
 ) -> np.ndarray:
     """Exact posterior over ``query`` given ``evidence``, by brute force.
 
-    Slices the full joint tensor at the evidence, squares, sums out the
-    hidden nodes, and normalizes. Deliberately exponential; this is the
-    reference answer every message-passing routine is tested against.
+    Every node table is sliced at the evidence; the joint amplitude of
+    the hidden nodes is then built in blocks of at most 2^16 entries
+    (``_ORACLE_AMPLITUDES``; leading hidden nodes fixed, or cut into
+    ranges of states) as the product of the sliced tables. Each
+    block is squared, summed onto the query axes and added into the
+    result, which is normalized once at the end. Every joint amplitude
+    is still visited, with no elimination order: this is the dense
+    reference every message-passing routine is tested against. The net
+    is refused, as by :func:`amplitude_tensor`, when its joint over every
+    node, observed ones included, would hold more than ``cap`` entries.
     """
     query = as_multinode(query)
     query.validate(net.dag)
     evidence = validate_evidence(net.dag, evidence)
     _require_unobserved(query, evidence)
+    _check_cap(net.dag.cardinalities, cap)
 
-    amp = amplitude_tensor(net, cap)
-    clamped = amp.slice_at(evidence)
-    squared = np.abs(clamped.data) ** 2
-    total = float(squared.sum())
+    tables = [tpm_amplitude(net, j).slice_at(evidence) for j in range(net.dag.node_count)]
+    hidden = [j for j in range(net.dag.node_count) if j not in evidence]
+    cards = [net.dag.cardinality(j) for j in hidden]
+    result = np.zeros([net.dag.cardinality(q) for q in query.members])
+    total = 0.0
+    for block in _oracle_blocks(cards, _ORACLE_AMPLITUDES):
+        at = dict(zip(hidden, block))
+        joint = product(t.slice_at(at) for t in tables)
+        # in C order, so the sums run in node order whatever the strides
+        # of the sliced tables
+        squared = np.abs(joint.data, order="C") ** 2
+        total += float(squared.sum())
+        drop = tuple(k for k, l in enumerate(joint.labels) if l not in query)
+        result[tuple(at[q] for q in query.members)] += squared.sum(axis=drop)
     if total == 0.0:
         raise ImpossibleEvidenceError("impossible evidence: the observed states have zero probability")
-    drop = tuple(k for k, l in enumerate(clamped.labels) if l not in query)
-    table = squared.sum(axis=drop) if drop else squared
-    return table / total
+    result /= total
+    return result

@@ -20,7 +20,12 @@ tangent space again. Where it does not descend, the tangent gradient
 replaces it and the memory is cleared. Each step is retracted by a
 phase-fixed QR and halved from length 1 until Armijo's condition holds.
 A restart stops when its budget is spent, its value reaches EARLY_STOP,
-an accepted step gains under 1e-15 or the tangent gradient vanishes.
+an accepted step gains under 1e-15 or the tangent gradient vanishes. It
+also stops, as converged, when a line search has halved its step below
+_MIN_STEP = 2^-52 without meeting Armijo's condition: the trial then moves
+the isometry by under one unit roundoff of the quasi-Newton step, so
+further halvings only re-read the same point (the six reference states
+of the ``esq`` benchmark workload need at most 11 halvings).
 The evaluation count is fixed for a given code but follows roundoff: an
 arithmetic rewrite that is exact in real numbers can move it.
 
@@ -67,6 +72,7 @@ WEIGHT_TOL = 1e-12
 EARLY_STOP = 1e-12
 EIG_FLOOR = 1e-300  # clip for ln; the sqrt(lam) ln(lam) terms it touches vanish
 _MEMORY = 5  # (s, y) pairs kept by the L-BFGS direction
+_MIN_STEP = 2.0**-52  # a line search whose step falls below this ends the restart
 
 _log = logging.getLogger(__name__)
 
@@ -158,7 +164,7 @@ def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
             trial_value, g = _value_grad(psi, trial)
             used += 1
             accepted = trial_value <= value - 1e-4 * step * slope
-            if accepted or used >= budget:
+            if accepted or used >= budget or step < _MIN_STEP:
                 break
             step *= 0.5
         if not accepted:

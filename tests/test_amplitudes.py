@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +28,12 @@ from qbnets import (
     reduce_qbnet,
     vector_amplitude,
 )
-from qbnets.sampling import random_dag, random_qbnet, random_reducible_net
+from qbnets import network
+from qbnets.sampling import random_dag, random_evidence, random_qbnet, random_reducible_net
 
-from conftest import assignments, brute_joint, brute_joint_table, brute_posterior
+from conftest import (
+    assignments, brute_joint, brute_joint_table, brute_posterior, chain_forward_backward, refused_peak_bytes
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -52,6 +57,11 @@ def two_roots_net():
             node_tpm(1, (), [INV_SQRT2, INV_SQRT2]),
         ],
     )
+
+
+def binary_chain(n, rng):
+    dag = Dag([(f"v{i}", 2) for i in range(n)], [(i - 1, i) for i in range(1, n)])
+    return random_qbnet(dag, rng)
 
 
 def copy_chain_net():
@@ -316,16 +326,74 @@ class TestPosteriorOracle:
             got = posterior_oracle(net, [1, 3], ev)
             np.testing.assert_allclose(got, brute_posterior(net, [1, 3], ev), atol=1e-12)
 
-    def test_impossible_evidence_rejected(self):
+    def test_impossible_evidence_rejected(self, monkeypatch):
         dag = Dag([("a", 2)], [])
         net = QBNet(dag, [node_tpm(0, (), [1, 0])])
-        with pytest.raises(ImpossibleEvidenceError):
+        with pytest.raises(ImpossibleEvidenceError, match="the observed states have zero probability"):
             posterior_oracle(net, [], {0: 1})
+        # and when the zero total is summed over many blocks
+        monkeypatch.setattr(network, "_ORACLE_AMPLITUDES", 1)
+        dag = Dag([("a", 2), ("b", 2), ("c", 2)], [(0, 2)])
+        tables = [[INV_SQRT2, INV_SQRT2], [INV_SQRT2, INV_SQRT2], [[1, 1], [0, 0]]]
+        net = QBNet(dag, [node_tpm(j, dag.parents(j), t) for j, t in enumerate(tables)])
+        with pytest.raises(ImpossibleEvidenceError, match="the observed states have zero probability"):
+            posterior_oracle(net, [0, 1], {2: 1})
 
     def test_query_overlapping_evidence_rejected(self):
         net = copy_chain_net()
         with pytest.raises(ValueError, match="disjoint"):
             posterior_oracle(net, [0], {0: 1})
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_blocks_match_enumeration(self, monkeypatch, block):
+        # small blocks fix or cut the leading hidden nodes, so many blocks
+        # run; the queries take none, the first hidden node, a random
+        # subset and every hidden node
+        monkeypatch.setattr(network, "_ORACLE_AMPLITUDES", block)
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            dag = random_dag(rng, int(rng.integers(3, 10)), max_card=3)
+            net = random_qbnet(dag, rng)
+            evidence = random_evidence(dag, rng)
+            hidden = [j for j in range(dag.node_count) if j not in evidence]
+            subset = [j for j in hidden if rng.random() < 0.5]
+            for query in ([], hidden[:1], subset, hidden):
+                got = posterior_oracle(net, query, evidence)
+                np.testing.assert_allclose(got, brute_posterior(net, query, evidence), rtol=0, atol=1e-12)
+
+    def test_long_chain_held_to_blocks(self):
+        # 2^19 hidden amplitudes; the joint over all 20 nodes took 24 MB
+        net = binary_chain(20, np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            got = posterior_oracle(net, [0], {19: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        np.testing.assert_allclose(got, chain_forward_backward(net, {19: 1})[0], rtol=0, atol=1e-12)
+
+    def test_large_node_split_into_ranges(self):
+        # a root with 2^18 states runs in a few blocks of its states, not
+        # in 2^18 blocks of one state
+        states = 2**18
+        assert len(list(network._oracle_blocks([states], network._ORACLE_AMPLITUDES))) == 4
+        rng = np.random.default_rng(13)
+        table = rng.normal(size=states) + 1j * rng.normal(size=states)
+        table /= np.linalg.norm(table)
+        net = QBNet(Dag([("r", states)], []), [node_tpm(0, (), table)])
+        start = time.perf_counter()
+        got = posterior_oracle(net, [0], {})
+        assert time.perf_counter() - start < 1.0
+        want = np.abs(table) ** 2
+        np.testing.assert_allclose(got, want / want.sum(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("evidence", [{}, {20: 1}])
+    def test_cap_refused_before_any_block(self, evidence):
+        net = binary_chain(21, np.random.default_rng(14))
+        with pytest.raises(CapacityError, match="2097152 entries, above the cap of 1048576"):
+            posterior_oracle(net, [0], evidence)
+        assert refused_peak_bytes(lambda: posterior_oracle(net, [0], evidence)) < 2**20
 
 
 class TestAlgebraIdentities:

@@ -251,6 +251,27 @@ class TestAgainstBarzilaiBorwein:
             assert result.value == pytest.approx(value, abs=1e-6)
 
 
+class TestLineSearchStop:
+    def test_step_below_roundoff_ends_the_restart(self, monkeypatch):
+        # every trial reads worse than the start, so Armijo's condition
+        # never holds; without the step floor the one line search would
+        # spend the whole budget re-reading the same retracted point
+        psi = _purification(reference_states()[3])
+        calls = []
+
+        def every_trial_worse(psi, v):
+            value, grad = _value_grad(psi, v)
+            calls.append(v)
+            return value + (1.0 if len(calls) > 1 else 0.0), grad
+
+        monkeypatch.setattr(squashed, "_value_grad", every_trial_worse)
+        start = np.eye(16, 4, dtype=complex)
+        value, v, used = squashed._descend(psi, start, 1000)
+        assert used == len(calls) <= 60
+        assert np.array_equal(v, start)
+        assert value == _value_grad(psi, start)[0]
+
+
 class TestLowerBound:
     """``lower`` is the coherent information, which bounds E_sq from below."""
 

@@ -6,15 +6,18 @@ a probability amplitude, and each parent configuration's column has unit
 The functions below realize the vector-amplitude algebra on top of that:
 joint tensors, kets over a multinode's complement, marginals,
 conditionals, and the brute-force posterior used as the inference oracle
-throughout the test suite. Those are the dense references: they visit
-every joint amplitude, the oracle one bounded block at a time and the
-others as one tensor over every node. Reduced states instead come from
-variable elimination over the doubled network {A_j, A_j*}, whose
-intermediates follow the net's width rather than its size.
+throughout the test suite. Those are the dense references: products of
+the node tables sliced at the fixed values, visiting every amplitude
+those values allow, the oracle one bounded block at a time. Reduced
+states instead come from variable elimination over the doubled network
+{A_j, A_j*}, whose intermediates follow the net's width rather than its
+size.
 
-``_contract`` is the package's one contraction core: the elimination
-here and quantum belief propagation in :mod:`qbnets.qbp` both sum
-products of node tables through it, with node labels as indices.
+``_contract`` is the elimination's contraction core: it sums products
+of node tables with node labels as indices, renamed to einsum letters
+per call, and merges more than one einsum call's operands. The
+polytree driver in :mod:`qbnets.qbp` needs neither: each of its
+messages and beliefs is one einsum call on one family's fixed letters.
 """
 
 from __future__ import annotations
@@ -442,18 +445,30 @@ def vector_amplitude(
 
     ``a_values`` aligns with the multinode's sorted members. The squared
     norm of the result equals the marginal probability of the assignment.
-    Boundary cases: an empty ``a`` returns the full joint tensor, and
-    ``a`` = all nodes returns a zero-axis tensor holding the joint
-    amplitude.
+    The ket is the product of the node tables sliced at ``a_values``, and
+    is refused before any product when it would hold more than ``cap``
+    amplitudes. Boundary cases: an empty ``a`` returns the full joint
+    tensor, and ``a`` = all nodes returns a zero-axis tensor holding the
+    joint amplitude.
     """
+    fix = _fixed_values(net, a, a_values)
+    _check_cap((d for j, d in enumerate(net.dag.cardinalities) if j not in fix), cap, "ket")
+    return product(_sliced_tables(net, fix))
+
+
+def _fixed_values(net: QBNet, a, a_values: Sequence[int]) -> dict[int, int]:
+    """The multinode ``a``'s sorted members mapped to ``a_values``, each
+    pair validated as evidence."""
     a = as_multinode(a)
     a.validate(net.dag)
     if len(a_values) != len(a):
         raise ValueError(f"{len(a)} nodes in multinode but {len(a_values)} values")
-    fix = dict(zip(a.members, (int(v) for v in a_values)))
-    fix = validate_evidence(net.dag, fix)
-    amp = amplitude_tensor(net, cap)
-    return amp.slice_at(fix)
+    return validate_evidence(net.dag, dict(zip(a.members, (int(v) for v in a_values))))
+
+
+def _sliced_tables(net: QBNet, fix: Mapping[int, int]) -> list[LabeledAmplitude]:
+    """Every node's table with the labels of ``fix`` fixed at their values."""
+    return [tpm_amplitude(net, j).slice_at(fix) for j in range(net.dag.node_count)]
 
 
 def marginal_probability(net: QBNet, a, cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -489,6 +504,9 @@ def conditional_amplitude(
     a_values: Sequence[int],
     cap: int = DEFAULT_CAP,
 ) -> ConditionalAmplitude:
+    """The kets behind P(b = b_values | a = a_values): the denominator is
+    :func:`vector_amplitude` at ``a_values``, built once, and the
+    numerator is that ket sliced at ``b_values``."""
     a, b = as_multinode(a), as_multinode(b)
     if not a.isdisjoint(b):
         raise ValueError("conditioned and conditioning multinodes must be disjoint")
@@ -498,11 +516,7 @@ def conditional_amplitude(
             "conditioning assignment has zero probability; the quotient "
             "of kets is undefined there"
         )
-    joint = a | b
-    fix = dict(zip(a.members, a_values))
-    fix.update(zip(b.members, b_values))
-    joint_values = [fix[m] for m in joint.members]
-    numerator = vector_amplitude(net, joint, joint_values, cap)
+    numerator = denominator.slice_at(_fixed_values(net, b, b_values))
     return ConditionalAmplitude(numerator, denominator)
 
 
@@ -554,7 +568,7 @@ def posterior_oracle(
     _require_unobserved(query, evidence)
     _check_cap(net.dag.cardinalities, cap)
 
-    tables = [tpm_amplitude(net, j).slice_at(evidence) for j in range(net.dag.node_count)]
+    tables = _sliced_tables(net, evidence)
     hidden = [j for j in range(net.dag.node_count) if j not in evidence]
     cards = [net.dag.cardinality(j) for j in hidden]
     result = np.zeros([net.dag.cardinality(q) for q in query.members])

@@ -31,8 +31,9 @@ neighbors. On a polytree one collect sweep and one distribute sweep
 reach the exact fixed point; a further sweep reproduces every message.
 A node's belief is Pearl's BEL = lambda * pi on the same weights, W_j
 contracted with every message j received: the posterior of j and its
-unobserved parents. Every message and belief is one sum-product through
-:mod:`qbnets.network`'s contraction core, the one reduced states use.
+unobserved parents. Every message and belief is one np.einsum call on
+W_j laid out once per run (one-state axes dropped, a fixed letter per
+family axis), the children's messages first multiplied into Pearl's lambda.
 :func:`~qbnets.bipartite.run_bipartite` runs this driver on the
 equivalent net of a factor graph.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, labeled, multiply
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import QBNet, _capped_multiply, _contract, validate_evidence
+from .network import _LETTERS, QBNet, _capped_multiply, _contract, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,10 +297,21 @@ def _masked(table: np.ndarray, axes: tuple[int, ...], evidence: Mapping[int, int
     return out
 
 
-# The message core of propagate_polytree. A message is a pair (carrier,
-# mu): Pearl's lambda or pi on the squared family weights, a real vector
-# over the carrier that sums to one. Each contraction holds one table
-# and is capped at its size, which no merged group outgrows.
+# The message core of propagate_polytree. A message is a pair (carrier, mu):
+# Pearl's lambda or pi on the squared family weights, summing to one.
+
+
+def _family_layout(net: QBNet, evidence: Mapping[int, int]) -> list:
+    """Per node j, W_j = |A_j|^2 with observed axes masked and one-state
+    axes dropped, and one einsum letter per family member, the node then
+    its parents in declared order: the next free letter, "" if one-state."""
+    layout = []
+    for j, tpm in enumerate(net.tpms):
+        weight = _masked(np.abs(tpm.table) ** 2, (j, *tpm.parents), evidence)
+        letters = iter(_LETTERS)
+        subs = tuple(next(letters) if d != 1 else "" for d in weight.shape)
+        layout.append((weight.reshape([d for d in weight.shape if d != 1]), subs))
+    return layout
 
 
 def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
@@ -321,24 +333,36 @@ def _skeleton_sweeps(dag: Dag) -> list[tuple[int, int]]:
     return sends
 
 
-def _gather(dag: Dag, weights, node: int, inbox: dict, out, skip: int | None = None):
+def _gather(dag: Dag, layout, node: int, inbox: dict, out, skip: int | None = None):
     """W_node times every message ``node`` received except the one from
-    ``skip``, summed onto ``out``; ``weights[j]`` is W_j = |A_j|^2 with
-    each observed axis masked."""
+    ``skip``, summed onto the family members ``out`` by one einsum call on
+    ``layout[node]``, the children's messages first multiplied into
+    Pearl's lambda. Messages on one-state carriers, exactly [1.0], go unused."""
+    weight, letters = layout[node]
     parents = dag.parents(node)
-    axes, weight = (node, *parents), weights[node]
-    incoming = (inbox[(k, node)] for k in (*dag.children(node), *parents) if k != skip)
-    parts = [(axes, weight), *(((c,), mu) for c, mu in incoming)]
-    return _contract(parts, out, dict(zip(axes, weight.shape)), weight.size)
+    arrays, subs, lam = [weight], ["".join(letters)], None
+    for c in dag.children(node) if letters[0] else ():
+        if c != skip:
+            lam = inbox[(c, node)][1] if lam is None else lam * inbox[(c, node)][1]
+    if lam is not None:
+        arrays.append(lam)
+        subs.append(letters[0])
+    for p, letter in zip(parents, letters[1:]):
+        if letter and p != skip:
+            arrays.append(inbox[(p, node)][1])
+            subs.append(letter)
+    held = "".join([letters[0] if l == node else letters[1 + parents.index(l)] for l in out])
+    result = np.einsum(",".join(subs) + "->" + held, *arrays)
+    return result if len(held) == len(out) else result.reshape([dag.cardinality(l) for l in out])
 
 
 def _edge_message(
-    dag: Dag, weights, sender: int, receiver: int, inbox: dict
+    dag: Dag, layout, sender: int, receiver: int, inbox: dict
 ) -> tuple[int, np.ndarray]:
     """The lambda (to a parent) or pi (to a child) message from ``sender``,
     out of the messages from its other neighbors."""
     carrier = receiver if receiver in dag.parents(sender) else sender
-    mu = _gather(dag, weights, sender, inbox, (carrier,), receiver)
+    mu = _gather(dag, layout, sender, inbox, (carrier,), receiver)
     total = mu.sum()
     if total == 0.0:
         raise ImpossibleEvidenceError("impossible evidence: a message vanished identically")
@@ -368,15 +392,11 @@ def propagate_polytree(
     if not is_polytree(dag):
         raise StructureError("belief propagation here requires a polytree skeleton")
     evidence = validate_evidence(dag, evidence or {})
-    weights = [np.abs(t.table) ** 2 for t in net.tpms]
-    weights = [_masked(w, (j, *dag.parents(j)), evidence) for j, w in enumerate(weights)]
+    layout = _family_layout(net, evidence)
 
     inbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
     for sender, receiver in _skeleton_sweeps(dag):
-        inbox[(sender, receiver)] = _edge_message(dag, weights, sender, receiver, inbox)
+        inbox[(sender, receiver)] = _edge_message(dag, layout, sender, receiver, inbox)
 
-    beliefs: dict[int, Belief] = {}
-    for node in range(dag.node_count):
-        keep = _family_nodes(dag, node, evidence)
-        beliefs[node] = _belief(node, keep, _gather(dag, weights, node, inbox, keep))
-    return beliefs
+    keeps = {node: _family_nodes(dag, node, evidence) for node in range(dag.node_count)}
+    return {j: _belief(j, keep, _gather(dag, layout, j, inbox, keep)) for j, keep in keeps.items()}

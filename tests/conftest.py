@@ -169,16 +169,19 @@ def chain_forward_backward(net, evidence):
 
 
 def counted_contractions(monkeypatch):
-    """Patch ``qbp._contract`` to record the arguments of every call the
-    belief propagation makes; returns the list it appends them to."""
+    """Patch ``np.einsum`` to record the arguments of every call made while
+    the patch holds; returns the list it appends them to. The driver's
+    one contraction site is the ``np.einsum`` call in ``qbp._gather``, on
+    one family's layout, so during a run every recorded call is a
+    message or a belief, and nothing else contracts."""
     calls = []
-    contract = qbp._contract
+    einsum = np.einsum
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return contract(*args)
+        return einsum(*args, **kwargs)
 
-    monkeypatch.setattr(qbp, "_contract", counting)
+    monkeypatch.setattr(np, "einsum", counting)
     return calls
 
 

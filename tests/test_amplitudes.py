@@ -25,7 +25,9 @@ from qbnets import (
     marginalize,
     node_tpm,
     posterior_oracle,
+    propagate_polytree,
     reduce_qbnet,
+    validate_evidence,
     vector_amplitude,
 )
 from qbnets import network
@@ -215,6 +217,37 @@ class TestVectorAmplitude:
                         expect = table[tuple(idx)].sum()
                         assert amp.norm() ** 2 == pytest.approx(expect, abs=1e-10)
 
+    def test_matches_the_sliced_joint(self):
+        # the product of the sliced tables against the whole joint sliced
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            dag = random_dag(rng, int(rng.integers(1, 11)), max_card=3)
+            net = random_qbnet(dag, rng)
+            fix = random_evidence(dag, rng)
+            got = vector_amplitude(net, sorted(fix), [fix[m] for m in sorted(fix)])
+            want = amplitude_tensor(net).slice_at(fix)
+            assert got.labels == want.labels
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-15)
+
+    def test_cap_counts_the_returned_ket(self):
+        # a 21-node chain, whose joint (2^21 amplitudes) is above the cap,
+        # with its last ten nodes fixed: the ket holds 2^11
+        net = binary_chain(21, np.random.default_rng(16))
+        tail = list(range(11, 21))
+        tracemalloc.start()
+        try:
+            ket = vector_amplitude(net, tail, [1] * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ket.labels == tuple(range(11)) and peak < 2**20
+        rng = np.random.default_rng(17)
+        for head in rng.integers(0, 2, size=(5, 11)).tolist():
+            assert abs(ket.data[tuple(head)] - brute_joint(net, head + [1] * 10)) < 1e-15
+        with pytest.raises(CapacityError, match="ket would hold 2048 entries"):
+            vector_amplitude(net, tail, [1] * 10, cap=2**10)
+        assert refused_peak_bytes(lambda: vector_amplitude(net, tail, [1] * 10, cap=2**10)) < 2**16
+
 
 class TestMarginalProbability:
     def test_single_node(self):
@@ -257,6 +290,25 @@ class TestConditionalAmplitude:
         expect = table[1, 1, :, 0].sum() / table[1].sum()
         assert cond.probability == pytest.approx(expect, abs=1e-10)
 
+    def test_numerator_is_the_denominator_sliced(self):
+        rng = np.random.default_rng(18)
+        for _ in range(20):
+            dag = random_dag(rng, int(rng.integers(2, 9)), max_card=3)
+            net = random_qbnet(dag, rng)
+            a, b = (sorted(m) for m in np.array_split(rng.permutation(dag.node_count), 2))
+            a_values = [int(rng.integers(dag.cardinality(i))) for i in a]
+            b_values = [int(rng.integers(dag.cardinality(i))) for i in b]
+            cond = conditional_amplitude(net, b, a, b_values, a_values)
+            fix = dict(zip(a + b, a_values + b_values))
+            want = vector_amplitude(net, sorted(fix), [fix[m] for m in sorted(fix)])
+            assert cond.numerator.labels == want.labels
+            np.testing.assert_allclose(cond.numerator.data, want.data, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("b_values", [(), (0, 0), (-1,), (2,)])
+    def test_bad_numerator_values_rejected(self, b_values):
+        with pytest.raises(ValueError):
+            conditional_amplitude(two_roots_net(), b=[1], a=[0], b_values=b_values, a_values=(0,))
+
     def test_zero_probability_conditioning_rejected(self):
         net = single_node_net()  # state 1 has amplitude 0
         dag = Dag([("a", 2), ("b", 2)], [])
@@ -265,6 +317,31 @@ class TestConditionalAmplitude:
         )
         with pytest.raises(ZeroProbabilityError):
             conditional_amplitude(net, b=[1], a=[0], b_values=(0,), a_values=(1,))
+
+
+class TestEvidenceOutOfRange:
+    """Evidence naming a node or a state outside the net is refused by the
+    check and by every caller; a negative node or state would otherwise
+    index from the end of a table."""
+
+    @staticmethod
+    def net():
+        dag = Dag([("a", 2), ("b", 3), ("c", 2)], [(0, 1), (1, 2)])
+        return random_qbnet(dag, np.random.default_rng(19))
+
+    CASES = [({-1: 0}, "node -1"), ({3: 0}, "node 3"), ({1: -1}, "state -1"), ({1: 3}, "state 3")]
+
+    @pytest.mark.parametrize("evidence, what", CASES)
+    @pytest.mark.parametrize("call", ("validate_evidence", "posterior_oracle", "propagate_polytree"))
+    def test_refused(self, call, evidence, what):
+        net = self.net()
+        calls = {
+            "validate_evidence": lambda: validate_evidence(net.dag, evidence),
+            "posterior_oracle": lambda: posterior_oracle(net, [2], evidence),
+            "propagate_polytree": lambda: propagate_polytree(net, evidence),
+        }
+        with pytest.raises(ValueError, match=f"{what},? out of range"):
+            calls[call]()
 
 
 class TestMarginalize:

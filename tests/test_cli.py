@@ -168,6 +168,24 @@ class TestInfer:
         assert code == 2 and out == ""
         assert "query nodes must be disjoint from evidence nodes" in err
 
+    @pytest.mark.parametrize("method", ["bp", "oracle"])
+    @pytest.mark.parametrize(
+        "evidence, message",
+        [
+            ("-1=0", "unknown node name '-1'"),
+            ("n3=0", "unknown node name 'n3'"),
+            ("n1=-1", "state -1 out of range"),
+            ("n1=3", "state 3 out of range"),
+        ],
+    )
+    def test_evidence_out_of_range_is_usage_error(self, capsys, tmp_path, method, evidence, message):
+        # nodes n0..n2, n1 with three states
+        dag = Dag([("n0", 2), ("n1", 3), ("n2", 2)], [(0, 1), (1, 2)])
+        path = str(tmp_path / "net.json")
+        save_json(path, qbnet_to_json(random_qbnet(dag, np.random.default_rng(19))))
+        code, out, err = run(capsys, "infer", path, f"--evidence={evidence}", "--method", method)
+        assert code == 2 and out == "" and message in err
+
     def test_repeated_evidence_node_is_usage_error(self, capsys, screened_net_file):
         code, out, err = run(capsys, "infer", screened_net_file, "--evidence", "y=1,y=0")
         assert code == 2 and out == "" and "twice" in err

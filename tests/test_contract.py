@@ -1,5 +1,6 @@
-"""The one contraction core, ``network._contract``, and the two routes
-that sum through it: belief propagation and reduced states."""
+"""The elimination's contraction core, ``network._contract``, the
+reduced states that sum through it, and the einsum limits that the
+polytree driver's family-local contractions must also respect."""
 
 import math
 
@@ -79,6 +80,26 @@ def test_family_past_the_einsum_subscript_limit():
     for keep, diag in (([0], [child]), ([hub], [child]), ([0, hub, child], [])):
         got = net_to_density(net, keep, diag).matrix
         np.testing.assert_allclose(got, brute_reduced_state(net, keep, diag), rtol=0, atol=1e-12)
+
+
+def test_multi_state_parent_past_the_einsum_subscript_limit():
+    # the hub's last declared parent is binary and comes after 53
+    # one-state ones: it is the family's 55th axis but its second
+    # multi-state one, so it takes the second letter
+    parent, hub, child = 53, 54, 55
+    cards = [1] * 53 + [2, 2, 2]
+    edges = [(p, hub) for p in range(54)] + [(hub, child)]
+    dag = Dag([(f"v{i}", card) for i, card in enumerate(cards)], edges)
+    net = random_qbnet(dag, np.random.default_rng(72))
+    for evidence in ({}, {child: 1}, {parent: 0}):
+        beliefs = propagate_polytree(net, evidence)
+        for node in (parent, hub, child):
+            if node not in evidence:
+                want = brute_posterior(net, [node], evidence)
+                np.testing.assert_allclose(beliefs[node].table, want, rtol=0, atol=1e-12)
+        want = brute_posterior(net, [hub, parent] if parent not in evidence else [hub], evidence)
+        family = beliefs[hub].family.reshape(want.shape)
+        np.testing.assert_allclose(family, want, rtol=0, atol=1e-12)
 
 
 def band(n, width, extra=0):

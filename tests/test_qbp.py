@@ -267,7 +267,7 @@ class TestPropagate:
 class TestStability:
     def test_second_sweep_changes_nothing(self):
         # recompute every fixed-point message from its own inputs
-        from qbnets.qbp import _edge_message, _masked, _skeleton_sweeps
+        from qbnets.qbp import _edge_message, _family_layout, _skeleton_sweeps
 
         rng = np.random.default_rng(23)
         dag = random_polytree_dag(rng, 7)
@@ -277,13 +277,12 @@ class TestStability:
             propagate_polytree(net, evidence)
         except ImpossibleEvidenceError:
             evidence = {}
-        tables = (_masked(t.table, (j, *t.parents), evidence) for j, t in enumerate(net.tpms))
-        weights = [np.abs(table) ** 2 for table in tables]
+        layout = _family_layout(net, evidence)
         inbox = {}
         for s, r in _skeleton_sweeps(net.dag):
-            inbox[(s, r)] = _edge_message(net.dag, weights, s, r, inbox)
+            inbox[(s, r)] = _edge_message(net.dag, layout, s, r, inbox)
         for s, r in _skeleton_sweeps(net.dag):
-            carrier, mu = _edge_message(net.dag, weights, s, r, inbox)
+            carrier, mu = _edge_message(net.dag, layout, s, r, inbox)
             assert carrier == inbox[(s, r)][0]
             np.testing.assert_allclose(mu, inbox[(s, r)][1], atol=1e-12)
 
@@ -480,7 +479,7 @@ def recorded_messages(monkeypatch):
 
 def forbid(monkeypatch, module, *names):
     def refuse(*args, **kwargs):
-        raise AssertionError("the driver called a literal rule or amplitude product")
+        raise AssertionError("the driver called a literal rule, an amplitude product or _contract")
 
     for name in names:
         monkeypatch.setattr(module, name, refuse)
@@ -505,7 +504,7 @@ class TestMessageCore:
         from qbnets import amplitudes, network
 
         forbid(monkeypatch, qbp, "compute_pi", "compute_lambda", "rule1_lambda_to_parent",
-               "rule2_pi_to_child", "multiply")
+               "rule2_pi_to_child", "multiply", "_contract")
         forbid(monkeypatch, amplitudes, "multiply")
         forbid(monkeypatch, network, "multiply")
         for trial in range(10):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bipartite import FactorGraphNet
 from .graph import Dag
-from .network import QBNet, node_tpm
+from .network import NodeTpm, QBNet
 from .qinfo import DensityMatrix, DiagonalExtension
 
 LOAD_NORM_ATOL = 1e-8
@@ -139,8 +139,9 @@ def qbnet_from_json(obj: dict) -> QBNet:
             raise ValueError(
                 f"table of {name!r} violates the unit-norm condition by {err:.3g}"
             )
-        table = table / np.sqrt(sums)
-        tpms.append(node_tpm(j, dag.parents(j), table))
+        # a column within LOAD_NORM_ATOL of unit norm is finite and nonzero,
+        # so the renormalized table meets node_tpm's checks with no second pass
+        tpms.append(NodeTpm(j, dag.parents(j), table / np.sqrt(sums)))
     return QBNet(dag, tpms)
 
 

@@ -8,6 +8,7 @@ must satisfy and imposes nothing else. Everything takes a
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -35,28 +36,51 @@ def _draw_tables(dag: Dag, rngs: Sequence[np.random.Generator]) -> list[np.ndarr
     """Gaussian unit-column tables of every node, one net per generator.
 
     Returns node j's tables stacked over the generators,
-    (len(rngs), card(j), *parent cards). Each generator draws its net
-    node by node, the real part of a node's table before its imaginary
-    part, in one ``normal`` call of the summed size: a ``Generator``
-    fills a call's output in order, so that call gives the numbers of
-    one call per part and leaves the generator in the same state. The
-    stacks pass :func:`qbnets.network.node_tpm`'s checks, vectorized.
+    (len(rngs), card(j), *parent cards), C-contiguous. Each generator
+    draws its net node by node, the real part of a node's table before
+    its imaginary part, in one ``normal`` call of the summed size: a
+    ``Generator`` fills a call's output in order, so that call gives the
+    numbers of one call per part and leaves the generator in the same
+    state. The columns of all nodes of one cardinality are normalized
+    side by side in one array and pass :func:`qbnets.network.node_tpm`'s
+    checks there, once; an array that fails is checked again node by
+    node, so the refusal names its first node that fails. One-column
+    tables form groups of their own, states last: NumPy sums a
+    contiguous axis pairwise and a strided one in order, so each column
+    is summed, and each table comes out, as in a draw node by node.
     """
+    count = len(rngs)
     shapes = [
         (dag.cardinality(j),) + tuple(dag.cardinality(p) for p in dag.parents(j))
         for j in range(dag.node_count)
     ]
     sizes = [math.prod(shape) for shape in shapes]
     raw = np.stack([rng.normal(size=2 * sum(sizes)) for rng in rngs])
-    tables = []
-    lo = 0
+    lo = [0, *itertools.accumulate(2 * size for size in sizes)]
+    groups: dict[tuple[int, bool], list[int]] = {}
     for j, (shape, size) in enumerate(zip(shapes, sizes)):
-        re, im = raw[:, lo : lo + size], raw[:, lo + size : lo + 2 * size]
-        table = _unit_norm((re + 1j * im).reshape((len(rngs),) + shape), 1)
-        _check_table(j, table, lead=1)
-        tables.append(table)
-        lo += 2 * size
-    return tables
+        groups.setdefault((shape[0], size == shape[0]), []).append(j)
+    tables: dict[int, np.ndarray] = {}
+    for (card, single), nodes in groups.items():
+        # (T, tables, states) for one-column tables, else (T, states, columns)
+        axis, side = (2, 1) if single else (1, 2)
+        shape = (count, 1, card) if single else (count, card, -1)
+        re = np.concatenate([raw[:, lo[j] : lo[j] + sizes[j]].reshape(shape) for j in nodes], side)
+        im = np.concatenate([raw[:, lo[j] + sizes[j] : lo[j + 1]].reshape(shape) for j in nodes], side)
+        group = _unit_norm(re + 1j * im, axis)
+        at = 0
+        for j in nodes:
+            width = sizes[j] // card
+            block = group[:, at : at + width] if single else group[:, :, at : at + width]
+            tables[j] = np.ascontiguousarray(block).reshape((count,) + shapes[j])
+            at += width
+        try:
+            _check_table(nodes[0], group, lead=axis)
+        except ValueError:
+            for j in nodes:
+                _check_table(j, tables[j], lead=1)
+            raise
+    return [tables[j] for j in range(len(shapes))]
 
 
 def random_qbnet(dag: Dag, rng) -> QBNet:

@@ -457,9 +457,13 @@ def scan_elimination(dag, keep, diag, tables=None):
     index is j and its bra index n + j if j is kept, j otherwise; the
     traced node whose intermediate would be smallest goes next, ties to
     the lower index. Returns the elimination order and, given the node
-    tables of one net, the contraction onto the held kets then bras
-    (None without tables), summed through ``network._contract`` in the
-    same steps, without a capacity limit.
+    tables of one net, the contraction onto the held kets then bras,
+    summed through ``network._contract`` in the same steps, without a
+    capacity limit, and with one identity factor per ``diag`` node in
+    the last product. Without tables it returns the order and the pair
+    (factor keys of each step, factor keys of the last product), keys
+    numbered as in ``network._DoubledPlan.scopes``: 2j node j's table,
+    2j + 1 its conjugate, 2n + s the intermediate of step s.
     """
     from qbnets.network import _contract
 
@@ -489,13 +493,14 @@ def scan_elimination(dag, keep, diag, tables=None):
 
     held = kept | set(diag)
     score = {v: math.prod(card[i] for i in scope(v)) for v in range(n) if v not in held}
-    order = []
+    order, steps = [], []
     while score:
         v = min(score, key=lambda u: (score[u], u))
         order.append(v)
         out = scope(v)
+        steps.append(tuple(sorted(where[v])))
         parts = []
-        for k in sorted(where[v]):
+        for k in steps[-1]:
             part = factors.pop(k)
             for i in part[0]:
                 where[i].discard(k)
@@ -506,7 +511,7 @@ def scan_elimination(dag, keep, diag, tables=None):
             if u in score:
                 score[u] = math.prod(card[i] for i in scope(u))
     if tables is None:
-        return order, None
+        return order, (steps, sorted(factors))
 
     for j in sorted(diag):
         add((j, n + j), np.eye(card[j]))

@@ -465,12 +465,20 @@ class TestPosteriorOracle:
         want = np.abs(table) ** 2
         np.testing.assert_allclose(got, want / want.sum(), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("evidence", [{}, {20: 1}])
+    @pytest.mark.parametrize("evidence", [{}, {21: 1}])
     def test_cap_refused_before_any_block(self, evidence):
-        net = binary_chain(21, np.random.default_rng(14))
-        with pytest.raises(CapacityError, match="2097152 entries, above the cap of 1048576"):
+        # the cap counts the hidden joint: 2^21 amplitudes on both chains
+        net = binary_chain(21 + len(evidence), np.random.default_rng(14))
+        with pytest.raises(CapacityError, match="hidden joint would hold 2097152 entries, above the cap of 1048576"):
             posterior_oracle(net, [0], evidence)
         assert refused_peak_bytes(lambda: posterior_oracle(net, [0], evidence)) < 2**20
+
+    def test_hidden_joint_at_the_cap_runs(self):
+        # 21 nodes, one observed: the joint over every node (2^21) is
+        # above the cap, the 2^20 amplitudes the blocks visit are not
+        net = binary_chain(21, np.random.default_rng(14))
+        got = posterior_oracle(net, [0], {20: 1})
+        np.testing.assert_allclose(got, chain_forward_backward(net, {20: 1})[0], rtol=0, atol=1e-12)
 
 
 class TestAlgebraIdentities:

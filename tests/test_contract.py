@@ -10,8 +10,8 @@ import pytest
 from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
-from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _contract, _doubled_plan
-from qbnets.sampling import random_dag, random_qbnet
+from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _contract, _doubled_contraction, _doubled_plan
+from qbnets.sampling import _draw_tables, random_dag, random_qbnet
 
 from conftest import (
     brute_posterior, brute_reduced_state, dense_reduced_state, refused_peak_bytes, scan_elimination
@@ -163,7 +163,11 @@ class TestEliminationOrder:
             dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.02, 0.4)))
             keep, diag = _random_held(rng, n, held=n)
             plan = _doubled_plan(dag, keep, diag, math.inf)
-            assert list(plan.order) == scan_elimination(dag, keep, diag)[0], (dag, keep, diag)
+            order, (steps, final) = scan_elimination(dag, keep, diag)
+            assert list(plan.order) == order, (dag, keep, diag)
+            # each factor goes to the step of its first eliminated index
+            assert [list(keys) for keys in plan.steps] == [list(keys) for keys in steps]
+            assert list(plan.final) == final
 
     def test_plan_refused_exactly_above_its_largest_array(self):
         rng = np.random.default_rng(75)
@@ -192,3 +196,35 @@ class TestEliminationOrder:
             want = want.reshape(dim, dim)
             want = 0.5 * (want + want.conj().T)
             assert np.array_equal(net_to_density(net, keep, diag).matrix, want)
+
+
+class TestDoubledContraction:
+    """The last product written onto the diagonal blocks, and a single
+    net contracted without the trial axis."""
+
+    def test_stack_matches_single_nets(self):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.1, 0.5)))
+            keep, diag = _random_held(rng, n)
+            plan = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            tables = _draw_tables(dag, [np.random.default_rng([78, t]) for t in range(3)])
+            stack = _doubled_contraction(plan, tables)
+            assert stack.shape[0] == 3
+            for t in range(3):
+                single = _doubled_contraction(plan, [table[t : t + 1] for table in tables])
+                assert single.shape == (1,) + stack.shape[1:]
+                np.testing.assert_allclose(stack[t], single[0], rtol=0, atol=1e-15)
+
+    def test_three_dephased_and_one_kept_node_match_dense(self):
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            n = int(rng.integers(4, 11))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.1, 0.5)))
+            net = random_qbnet(dag, rng)
+            kept, *diag = (int(i) for i in rng.choice(n, size=4, replace=False))
+            got = net_to_density(net, [kept], diag)
+            want = dense_reduced_state(net, [kept], diag)
+            assert got.labels == want.labels
+            np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)

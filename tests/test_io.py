@@ -15,6 +15,7 @@ from qbnets.io import (
     qbnet_from_json,
     qbnet_to_json,
 )
+from qbnets.network import COLUMN_NORM_ATOL, _column_norm_error
 from qbnets.sampling import (
     random_diagonal_extension,
     random_density_matrix,
@@ -62,6 +63,23 @@ class TestQbnetRoundTrip:
         }
         net = qbnet_from_json(obj)
         assert abs(net.tpms[0].table[0]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_table_off_by_1e_9_loads_renormalized(self):
+        # off by more than node_tpm allows, less than the loader allows:
+        # the loader's own check is its only norm pass, and the table
+        # comes back within the constructor's tolerance
+        rng = np.random.default_rng(2)
+        net = random_qbnet(random_polytree_dag(rng, 4, max_card=3), rng)
+        child = next(j for j in range(4) if net.dag.parents(j))
+        want = net.tpms[child].table
+        off = want * np.sqrt(1.0 + 1e-9)
+        assert COLUMN_NORM_ATOL < _column_norm_error(off) == pytest.approx(1e-9, rel=1e-6)
+        obj = qbnet_to_json(net)
+        obj["tpms"][net.dag.name(child)] = [[v.real, v.imag] for v in off.ravel(order="F")]
+        got = qbnet_from_json(obj).tpms[child]
+        assert got.table.dtype == np.complex128 and got.table.shape == want.shape
+        assert got.column_norm_error() <= COLUMN_NORM_ATOL
+        np.testing.assert_allclose(got.table, want, rtol=0, atol=1e-15)
 
     def test_unknown_parent_rejected(self):
         obj = {

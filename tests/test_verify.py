@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import re
 import time
 import tracemalloc
@@ -125,6 +126,40 @@ class TestBatchedChecks:
                     assert np.array_equal(stack[t], want)
                 # and the generator is left where the per-node draws leave it
                 assert drawn.normal() == ref.normal()
+
+    def test_one_call_draw_matches_per_node_draws_from_one_to_ten_states(self):
+        # one-state nodes, one-column tables side by side, and columns of
+        # eight states and more, which NumPy sums pairwise when contiguous
+        rng = np.random.default_rng(84)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            cards = rng.integers(1, 11, size=n).tolist()
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+            dag = Dag([(f"v{i}", c) for i, c in enumerate(cards)], edges)
+            if max(math.prod(dag.cardinality(k) for k in (j,) + dag.parents(j)) for j in range(n)) > 4096:
+                continue
+            rngs = [np.random.default_rng([85, t]) for t in range(3)]
+            stacks = _draw_tables(dag, rngs)
+            for t, drawn in enumerate(rngs):
+                ref = np.random.default_rng([85, t])
+                for stack, want in zip(stacks, per_node_tables(dag, ref)):
+                    assert stack.flags.c_contiguous and np.array_equal(stack[t], want)
+                assert drawn.normal() == ref.normal()
+
+    def test_draw_refusal_names_the_failing_node(self):
+        # a -> b -> c, all binary: b's and c's columns are checked as one
+        # array, and a non-finite entry of c's table must name c
+        dag = Dag([("a", 2), ("b", 2), ("c", 2)], [(0, 1), (1, 2)])
+
+        class Broken:
+            def normal(self, size):
+                draw = np.random.default_rng(86).normal(size=size)
+                draw[2 * (2 + 4) + 1] = np.nan  # c's first entries start after a's and b's
+                return draw
+
+        with np.errstate(invalid="ignore"):  # normalizing the NaN column
+            with pytest.raises(ValueError, match="node 2: table has a non-finite entry"):
+                _draw_tables(dag, [np.random.default_rng(87), Broken()])
 
     def test_cmis_match_per_model_reference(self):
         rng = np.random.default_rng(81)

@@ -44,6 +44,14 @@ def _from_pairs(pairs, what: str, depth: int = 1) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _table_from_pairs(pairs, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The table of ``shape`` flattened, first axis fastest, as ``[re, im]`` pairs."""
+    flat = _from_pairs(pairs, what)
+    if flat.size != math.prod(shape):
+        raise ValueError(f"{what} has {flat.size} entries, expected {math.prod(shape)}")
+    return flat.reshape(shape, order="F")
+
+
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
 
 
@@ -123,15 +131,8 @@ def qbnet_from_json(obj: dict) -> QBNet:
         name = dag.name(j)
         if name not in tables:
             raise ValueError(f"net file: no table for node {name!r}")
-        flat = _from_pairs(tables[name], f"table of {name!r}")
-        shape = (dag.cardinality(j),) + tuple(
-            dag.cardinality(p) for p in dag.parents(j)
-        )
-        if flat.size != math.prod(shape):
-            raise ValueError(
-                f"table of {name!r} has {flat.size} entries, expected {math.prod(shape)}"
-            )
-        table = flat.reshape(shape, order="F")
+        shape = (dag.cardinality(j),) + tuple(dag.cardinality(p) for p in dag.parents(j))
+        table = _table_from_pairs(tables[name], shape, f"table of {name!r}")
         with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
             sums = (np.abs(table) ** 2).sum(axis=0)
         err = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
@@ -250,14 +251,8 @@ def factor_graph_from_json(obj: dict) -> FactorGraphNet:
             if rname not in index:
                 raise ValueError(f"factor {name!r} names unknown root {rname!r}")
             nb.append(index[rname])
-        flat = _from_pairs(_field(entry, "table", list, path), f"table of {name!r}")
         shape = tuple(roots[i][1] for i in nb)
-        expected = math.prod(shape)
-        if flat.size != expected:
-            raise ValueError(
-                f"table of factor {name!r} has {flat.size} entries, expected {expected}"
-            )
-        table = flat.reshape(shape, order="F")
+        table = _table_from_pairs(_field(entry, "table", list, path), shape, f"table of factor {name!r}")
         factors.append((name, nb, table))
     return FactorGraphNet(roots, factors)
 

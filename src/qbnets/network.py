@@ -16,11 +16,11 @@ the held indices alone and is written straight onto the diagonal blocks
 of the dephased nodes; a single net is contracted without the trial axis
 that a stack of sampled nets carries.
 
-``_contract`` is the elimination's contraction core: it sums products
-of node tables with node labels as indices, renamed to einsum letters
-per call, and merges more than one einsum call's operands. The
-polytree driver in :mod:`qbnets.qbp` needs neither: each of its
-messages and beliefs is one einsum call on one family's fixed letters.
+The plan is the whole schedule: the einsum calls, merges of more
+factors than one call takes included, each result counted against the
+cap before any table is drawn; ``_einsum`` runs each call. The polytree
+driver in :mod:`qbnets.qbp` needs no plan: each of its messages and
+beliefs is one einsum call on one family's fixed letters.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
     One-state axes are dropped before the call and restored in the
     output, and the other indices are renamed to letters for this call
     alone, so NumPy's limit on subscript symbols bounds the multi-state
-    indices of one step, not the indices of the net. The subscripts go
+    indices of one call, not the indices of the net. The subscripts go
     in as one string: NumPy copies integer subscript lists into a
     256-character buffer, which a call with many operands overruns. The
     k-th new index gets the letter NumPy gives the integer k, so the
@@ -266,53 +266,37 @@ def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
     return result
 
 
-def _contract(
-    parts: Sequence[_Factor], out: Sequence[int], card: Mapping[int, int], cap: int
-) -> np.ndarray:
-    """Sum-product of ``parts`` onto ``out``, with at most ``_MAX_OPERANDS``
-    operands per einsum call. A group of parts merged ahead of the
-    summation keeps all of its indices and is held to ``cap`` too."""
-    parts = list(parts)
-    while len(parts) > _MAX_OPERANDS:
-        head, parts = parts[:_MAX_OPERANDS], parts[_MAX_OPERANDS:]
-        scope = sorted(set().union(*(idx for idx, _ in head)))
-        _check_cap((card[i] for i in scope), cap, "an elimination step")
-        parts.insert(0, (tuple(scope), _einsum(head, scope)))
-    return _einsum(parts, out)
-
-
 # the index label of the trial axis that every table of a doubled
-# contraction of more than one net carries; its cardinality is 1 in the
-# plan, so it enters no score and no capacity check
+# contraction of more than one net carries; the plan never sees it
 _TRIAL = -1
 
 
 @dataclass(frozen=True, eq=False)
 class _DoubledPlan:
-    """The elimination schedule of a doubled network, without its tables.
+    """The contraction schedule of a doubled network, without its tables.
 
     ``scopes[k]`` is the index tuple of factor k: 2j is node j's table,
-    2j + 1 its conjugate, and 2n + s the intermediate of step s.
-    ``steps[s]`` lists the factors that step s multiplies and sums over
-    its node; ``final`` lists the factors left for the last product.
-    ``out`` is the state's indices, the held kets then their bras; a
-    ``diag`` node's bra is its ket in every factor, so the last product
-    runs over the distinct indices and fills that node's diagonal.
-    ``largest`` is the size of the largest per-model array the schedule
-    holds, at most ``cap``: a node table, an intermediate or the D x D
-    state.
+    2j + 1 its conjugate, and 2n + c the result of call c, which
+    multiplies the factors ``calls[c]`` and sums out the indices its
+    result lacks. The calls are the elimination steps in ``order``, then
+    the last product; ahead of one with more than ``_MAX_OPERANDS``
+    factors, merge calls multiply its first ``_MAX_OPERANDS`` factors
+    left, keeping all their indices, and put the result first. ``out``
+    is the state's indices, the held kets then their bras; a ``diag``
+    node's bra is its ket in every factor, so the last product runs over
+    the distinct indices and fills that node's diagonal. ``largest`` is
+    the size of the largest per-model array: a node table, a call's
+    result or the D x D state.
     """
 
     n: int
     card: dict[int, int]
     scopes: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
-    steps: tuple[tuple[int, ...], ...]
-    final: tuple[int, ...]
+    calls: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
     out: tuple[int, ...]
     largest: int
-    cap: int
 
 
 def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
@@ -333,7 +317,8 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     is skipped when it comes up (Koller & Friedman, *Probabilistic
     Graphical Models*, 2009, ch. 9). Once the order is fixed, each
     factor joins the step of the first of its indices to be eliminated,
-    or the last product if none of them is.
+    or the last product if none of them is, and the steps and the last
+    product become einsum calls, merges included.
 
     Raises
     ------
@@ -345,11 +330,12 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     """
     n = dag.node_count
     kept = set(keep)
+    diag = tuple(diag)
     held = kept | set(diag)
     if not held:
         raise ValueError("keep | diag must name at least one node")
     bra = [n + j if j in kept else j for j in range(n)]
-    card = {_TRIAL: 1}
+    card = {}
     for j in range(n):
         card[j] = card[n + j] = dag.cardinality(j)
 
@@ -367,11 +353,10 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     def size(idx: Iterable[int]) -> int:
         return math.prod(card[i] for i in idx)
 
-    largest = max(size(idx) for idx in scopes)
     score = {v: size(near[v]) for v in range(n) if v not in held}
     heap = [(s, v) for v, s in score.items()]
     heapq.heapify(heap)
-    order = []
+    order, inter = [], []
     while heap:
         s, v = heapq.heappop(heap)
         if score.get(v) != s:
@@ -379,36 +364,45 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
         del score[v]
         out = near.pop(v)
         order.append(v)
-        scopes.append(tuple(sorted(out)))
-        largest = max(largest, size(out))
+        inter.append(tuple(sorted(out)))
         for u in out:
             near[u] = (near[u] | out) - {u, v}
             if u in score:
                 score[u] = size(near[u])
                 heapq.heappush(heap, (score[u], u))
 
+    # the factors of each step, then of the last product, by key
     step = {v: s for s, v in enumerate(order)}
-    steps: list[list[int]] = [[] for _ in order]
-    final = []
-    for k, scope in enumerate(scopes):
-        first = min((step[i] for i in scope if i in step), default=None)
-        (final if first is None else steps[first]).append(k)
+    groups: list[list[int]] = [[] for _ in range(len(order) + 1)]
+    for k, scope in enumerate(scopes + inter):
+        groups[min((step[i] for i in scope if i in step), default=-1)].append(k)
 
     kets = sorted(held)
     out = tuple(kets) + tuple(n + j for j in kets)
-    largest = max(largest, size(out))
+    results = inter + [tuple(kets) + tuple(n + j for j in kets if j not in diag)]
+    calls = []
+    key = {}  # step s's intermediate, numbered past the merge calls before it
+    for s, (group, result) in enumerate(zip(groups, results)):
+        keys = [key.get(k, k) for k in group]
+        while len(keys) > _MAX_OPERANDS:
+            calls.append(tuple(keys[:_MAX_OPERANDS]))
+            keys = [len(scopes)] + keys[_MAX_OPERANDS:]
+            scopes.append(tuple(sorted(set().union(*(scopes[k] for k in calls[-1])))))
+        key[2 * n + s] = len(scopes)
+        calls.append(tuple(keys))
+        scopes.append(result)
+
+    largest = max(size(idx) for idx in scopes + [out])
     _check_cap((largest,), cap, "the largest array of the reduction")
     return _DoubledPlan(
         n=n,
         card=card,
         scopes=tuple(scopes),
         order=tuple(order),
-        steps=tuple(tuple(keys) for keys in steps),
-        final=tuple(final),
-        diag=tuple(diag),
+        calls=tuple(calls),
+        diag=diag,
         out=out,
         largest=largest,
-        cap=cap,
     )
 
 
@@ -416,37 +410,30 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
     """Run ``plan`` on node tables that carry one leading trial axis.
 
     ``tables[j]`` is node j's table stacked over T trials, (T, *shape);
-    every factor gets the trial axis under its own label, so one einsum
-    per step serves all trials and each step's order is the plan's. A
-    single net, T = 1, is contracted without the trial axis, which the
-    result gets back at the end. The last product runs over the distinct
-    held indices only (a ``diag`` node's bra index is its ket index) and
-    is written through a strided view onto the diagonal blocks of the
-    ``diag`` nodes in a zero state stack, so no identity factor enters
-    any product. That product, every step and any group that
-    ``_contract`` merges ahead of a step are held to the plan's ``cap``
-    per trial. Returns the (T, D, D) stack of the states' Hermitian
-    parts, rows and columns over the held nodes ascending.
+    every factor gets the trial axis under its own label, so each of the
+    plan's einsum calls serves all trials and runs as planned. A single
+    net, T = 1, is contracted without the trial axis, which the result
+    gets back at the end. The last call runs over the distinct held
+    indices only (a ``diag`` node's bra index is its ket index) and its
+    result is written through a strided view onto the diagonal blocks of
+    the ``diag`` nodes in a zero state stack, so no identity factor
+    enters any product. No array here is larger per trial than the
+    plan's ``largest``. Returns the (T, D, D) stack of the states'
+    Hermitian parts, rows and columns over the held nodes ascending.
     """
     count = len(tables[0])
     trial = (_TRIAL,) if count > 1 else ()
     if not trial:
         tables = [t[0] for t in tables]
     data: list[np.ndarray | None] = [x for t in tables for x in (t, t.conj())]
-
-    def parts(keys: Sequence[int]) -> list[_Factor]:
-        got = [(trial + plan.scopes[k], data[k]) for k in keys]
+    for keys in plan.calls:
+        parts = [(trial + plan.scopes[k], data[k]) for k in keys]
         for k in keys:
             data[k] = None
-        return got
+        data.append(_einsum(parts, trial + plan.scopes[len(data)]))
+    last = data[-1]
 
-    for keys in plan.steps:
-        out = trial + plan.scopes[len(data)]
-        data.append(_contract(parts(keys), out, plan.card, plan.cap))
     kets = plan.out[: len(plan.out) // 2]
-    bras = tuple(plan.n + j for j in kets if j not in plan.diag)
-    last = _contract(parts(plan.final), trial + kets + bras, plan.card, plan.cap)
-
     dims = tuple(plan.card[j] for j in kets)
     dim = math.prod(dims)
     rho = np.zeros((count, dim, dim), dtype=np.complex128)

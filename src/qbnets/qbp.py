@@ -48,7 +48,7 @@ import numpy as np
 from .amplitudes import LabeledAmplitude, labeled, multiply
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import _LETTERS, QBNet, _capped_multiply, _contract, validate_evidence
+from .network import _LETTERS, QBNet, _capped_multiply, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +272,9 @@ def _literal_belief(net: QBNet, node: int, inbox, evidence) -> Belief:
     amp = multiply(lam.data, pi.data)
     weight = np.abs(amp.data) ** 2
     keep = _family_nodes(dag, node, evidence)
-    card = dict(zip(amp.labels, weight.shape))
-    return _belief(node, keep, _contract([(amp.labels, weight)], keep, card, weight.size))
+    # amp.labels and keep both ascend, so the sum's axes follow keep
+    hidden = tuple(k for k, l in enumerate(amp.labels) if l not in keep)
+    return _belief(node, keep, weight.sum(axis=hidden))
 
 
 def _assert_disjoint(parts: Iterable[LabeledAmplitude], local: Collection[int]) -> None:

@@ -58,6 +58,26 @@ def _group(g) -> tuple[str, ...]:
     return tuple(str(x) for x in g)
 
 
+def _check_states(arr: np.ndarray) -> None:
+    """Refuse a stack (..., D, D) of matrices, D >= 1, holding one that is
+    not finite, has a part above 2, is not Hermitian or has a trace off 1,
+    each check run on the whole stack in that order."""
+    if not np.isfinite(arr).all():
+        raise InvalidStateError("matrix has a non-finite entry")
+    # a state's entries have modulus at most 1; parts above 2, which no
+    # matrix passing the checks below has, would overflow those checks
+    big = float(np.abs(arr.view(np.float64)).max())
+    if big > 2.0:
+        raise InvalidStateError(f"an entry has a real or imaginary part of size {big:.3g}")
+    herm = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))))
+    if herm > HERMITIAN_ATOL:
+        raise InvalidStateError(f"matrix deviates from Hermitian by {herm:.3g}")
+    trace = np.trace(arr, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0)
+    if float(off.max()) > TRACE_ATOL:
+        raise InvalidStateError(f"trace is {complex(trace.flat[off.argmax()]):.12g}, expected 1")
+
+
 def _check_spectrum(w: np.ndarray) -> None:
     if w.size and float(w.min()) < EIG_REJECT:
         raise InvalidStateError(
@@ -80,19 +100,7 @@ class DensityMatrix:
         dim = int(np.prod([d for _, d in labels])) if labels else 1
         if arr.shape != (dim, dim):
             raise ValueError(f"matrix shape {arr.shape}, expected {(dim, dim)}")
-        if not np.isfinite(arr).all():
-            raise InvalidStateError("matrix has a non-finite entry")
-        # a state's entries have modulus at most 1; parts above 2, which no
-        # matrix passing the checks below has, would overflow those checks
-        big = float(np.abs(arr.view(np.float64)).max())
-        if big > 2.0:
-            raise InvalidStateError(f"an entry has a real or imaginary part of size {big:.3g}")
-        herm = float(np.max(np.abs(arr - arr.conj().T))) if dim else 0.0
-        if herm > HERMITIAN_ATOL:
-            raise InvalidStateError(f"matrix deviates from Hermitian by {herm:.3g}")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
+        _check_states(arr)
         _check_spectrum(np.linalg.eigvalsh(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "labels", labels)
@@ -241,10 +249,12 @@ def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
 
     An eigenvalue below ``EIG_REJECT`` anywhere in the stack raises
     InvalidStateError; roundoff above it is clipped away, and 0 ln 0 := 0.
+    A pure spectrum has entropy +0.0: ``0.0 - x`` is ``-x`` but for the
+    sign of a zero.
     """
     _check_spectrum(w)
     w = np.clip(w, 0.0, 1.0)
-    return -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+    return 0.0 - (w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
 def _pair_entropy(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:

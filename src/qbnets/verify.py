@@ -17,14 +17,14 @@ Three kinds of experiment, all seeded and reproducible:
 A forward check or witness search contracts all its sampled models at
 once. Trial t still draws its net from ``default_rng([seed, t])``, but
 the trials' tables are drawn as per-node stacks
-(``sampling._draw_tables``), the elimination order of the doubled
-network is planned once from the graph (``network._doubled_plan``), and
-each elimination step is one einsum over the stack, the trial axis under
-its own index label (``network._doubled_contraction``). The (T, D, D)
-reduced states then go to one call of the batched CMI kernel of
-:mod:`qbnets.qinfo`. A chunk holds at most ``DEFAULT_CAP`` // m trials,
-m being the largest per-model array of the plan (a node table, an
-intermediate or the D x D state, which the plan holds to the cap), so
+(``sampling._draw_tables``), the einsum calls that contract the doubled
+network are planned once from the graph (``network._doubled_plan``), and
+each call runs once over the stack, the trial axis under its own index
+label (``network._doubled_contraction``). The (T, D, D) reduced states
+then go to one call of the batched CMI kernel of :mod:`qbnets.qinfo`. A
+chunk holds at most ``DEFAULT_CAP`` // m trials, m being the largest
+per-model array of the plan (a node table, a call's result or the D x D
+state, which the plan holds to the cap), so
 no array of a chunk holds more than ``DEFAULT_CAP`` entries; a witness
 search runs chunks of 1, 2, 4, ... trials and stops at its first
 witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
@@ -70,7 +70,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, ImpossibleEvidenceError, InvalidStateError
+from .errors import CapacityError, ImpossibleEvidenceError
 from .graph import (
     Dag,
     _bits,
@@ -89,7 +89,7 @@ from .network import (
     posterior_oracle,
 )
 from .qbp import propagate_polytree
-from .qinfo import TRACE_ATOL, _cmi, _purified_cmi
+from .qinfo import _check_states, _cmi, _purified_cmi
 from .sampling import _draw_tables, _unit_norm, random_evidence, random_polytree_dag, random_qbnet
 
 _log = logging.getLogger(__name__)
@@ -195,8 +195,9 @@ def _sampled_cmis(
     trial and double up to that bound, so a search that stops at its
     first trial costs one model.
 
-    Raises CapacityError, or InvalidStateError on a state that is not
-    finite or has a trace off 1, where ``net_to_density`` would.
+    Raises CapacityError, or InvalidStateError on a state that fails
+    the checks ``DensityMatrix`` makes ahead of its spectrum
+    (``qinfo._check_states``), where ``net_to_density`` would.
     """
     held = (a | b | z).members
     dims = tuple(dag.cardinality(i) for i in held)
@@ -208,12 +209,7 @@ def _sampled_cmis(
         hi = min(trials, lo + min(size, width))
         tables = _draw_tables(dag, [np.random.default_rng([seed, t]) for t in range(lo, hi)])
         rho = _doubled_contraction(plan, tables)
-        if not np.isfinite(rho).all():
-            raise InvalidStateError("matrix has a non-finite entry")
-        trace = np.trace(rho, axis1=-2, axis2=-1)
-        off = np.abs(trace - 1.0)
-        if float(off.max()) > TRACE_ATOL:
-            raise InvalidStateError(f"trace is {complex(trace[off.argmax()]):.12g}, expected 1")
+        _check_states(rho)
         yield _cmi(rho, dims, x, y, w)
         lo, size = hi, 2 * size
 

@@ -458,14 +458,16 @@ def scan_elimination(dag, keep, diag, tables=None):
     traced node whose intermediate would be smallest goes next, ties to
     the lower index. Returns the elimination order and, given the node
     tables of one net, the contraction onto the held kets then bras,
-    summed through ``network._contract`` in the same steps, without a
-    capacity limit, and with one identity factor per ``diag`` node in
-    the last product. Without tables it returns the order and the pair
-    (factor keys of each step, factor keys of the last product), keys
-    numbered as in ``network._DoubledPlan.scopes``: 2j node j's table,
-    2j + 1 its conjugate, 2n + s the intermediate of step s.
+    each step and the last product one ``network._einsum`` call, without
+    a capacity limit, and with one identity factor per ``diag`` node in
+    the last product; no step of a net of at most 10 nodes reaches the
+    32 operands of one call. Without tables it returns the order and the
+    pair (factor keys of each step, factor keys of the last product):
+    2j node j's table, 2j + 1 its conjugate, 2n + s the intermediate of
+    step s, as ``network._DoubledPlan.scopes`` numbers them when no step
+    needs a merge call.
     """
-    from qbnets.network import _contract
+    from qbnets.network import _einsum
 
     n = dag.node_count
     kept = set(keep)
@@ -505,7 +507,7 @@ def scan_elimination(dag, keep, diag, tables=None):
             for i in part[0]:
                 where[i].discard(k)
             parts.append(part)
-        add(out, None if tables is None else _contract(parts, out, card, math.inf))
+        add(out, None if tables is None else _einsum(parts, out))
         del score[v]
         for u in out:
             if u in score:
@@ -517,7 +519,7 @@ def scan_elimination(dag, keep, diag, tables=None):
         add((j, n + j), np.eye(card[j]))
     kets = sorted(held)
     out = tuple(kets) + tuple(n + j for j in kets)
-    return order, _contract(list(factors.values()), out, card, math.inf)
+    return order, _einsum(list(factors.values()), out)
 
 
 _SIGMA_Y2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])

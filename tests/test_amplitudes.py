@@ -270,6 +270,10 @@ class TestMarginalProbability:
 
 
 class TestConditionalAmplitude:
+    def test_overlapping_multinodes_rejected(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            conditional_amplitude(copy_chain_net(), b=[0, 1], a=[1], b_values=(0, 0), a_values=(0,))
+
     def test_complement_empty(self):
         net = copy_chain_net()
         cond = conditional_amplitude(net, b=[1], a=[0], b_values=(0,), a_values=(0,))

@@ -50,6 +50,14 @@ class TestFactorGraphNet:
         with pytest.raises(ValueError, match="non-finite"):
             FactorGraphNet([("a", 2)], [("f", (0,), [np.nan, 1.0])])
 
+    def test_root_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="names root index 1"):
+            FactorGraphNet(roots=[("a", 2)], factors=[("f", (1,), np.ones(2))])
+
+    def test_wrong_table_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"table shape \(3,\), expected \(2,\)"):
+            FactorGraphNet(roots=[("a", 2)], factors=[("f", (0,), np.ones(3))])
+
     def test_repeated_neighbor_rejected(self):
         with pytest.raises(ValueError, match="twice"):
             FactorGraphNet(roots=[("a", 2)], factors=[("f", (0, 0), np.ones((2, 2)))])

@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from qbnets import Dag, QBNet, node_tpm, posterior_oracle
+from qbnets import Dag, DensityMatrix, QBNet, node_tpm, posterior_oracle, quantum_cmi
 from qbnets.cli import main
 from qbnets.io import (
+    density_from_json,
     density_to_json,
     extension_to_json,
     qbnet_from_json,
@@ -186,6 +187,10 @@ class TestInfer:
         code, out, err = run(capsys, "infer", path, f"--evidence={evidence}", "--method", method)
         assert code == 2 and out == "" and message in err
 
+    def test_evidence_item_without_state_is_usage_error(self, capsys, screened_net_file):
+        code, out, err = run(capsys, "infer", screened_net_file, "--evidence", "x")
+        assert code == 2 and out == "" and "is not name=state" in err
+
     def test_repeated_evidence_node_is_usage_error(self, capsys, screened_net_file):
         code, out, err = run(capsys, "infer", screened_net_file, "--evidence", "y=1,y=0")
         assert code == 2 and out == "" and "twice" in err
@@ -258,10 +263,33 @@ class TestEntropy:
         code, out, _ = run(capsys, "entropy", str(tmp_path / "bell.json"), "--conditional", "y")
         assert code == 0 and float(out) == pytest.approx(-np.log(2), abs=1e-10)
 
+    @pytest.fixture
+    def ghz_file(self, tmp_path):
+        """The three-qubit GHZ state over a, b, c, its nonzero entries 1/2."""
+        m = np.zeros((8, 8))
+        m[np.ix_([0, 7], [0, 7])] = 0.5
+        save_json(tmp_path / "ghz.json", density_to_json(DensityMatrix((("a", 2), ("b", 2), ("c", 2)), m)))
+        return str(tmp_path / "ghz.json")
+
+    def test_pure_state_prints_positive_zero(self, capsys, ghz_file):
+        code, out, _ = run(capsys, "entropy", ghz_file)
+        assert code == 0 and out == "0.0\n"
+
+    def test_cmi_prints_quantum_cmi(self, capsys, ghz_file):
+        code, out, _ = run(capsys, "entropy", ghz_file, "--cmi", "a:b|c")
+        want = quantum_cmi(density_from_json(load_json(ghz_file)), ["a"], ["b"], ["c"])
+        assert code == 0 and out == f"{want}\n"
+        assert want == pytest.approx(np.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("flag, spec, message", [
+        ("--cmi", "a:b", "x:y|z"), ("--cmi", "a|c", "x:y|z"), ("--mutual", "a", "two groups"),
+    ])
+    def test_malformed_groups_exit_two(self, capsys, ghz_file, flag, spec, message):
+        code, out, err = run(capsys, "entropy", ghz_file, flag, spec)
+        assert code == 2 and out == "" and message in err
+
 
 def density_to_json_from(matrix):
-    from qbnets import DensityMatrix
-
     return density_to_json(DensityMatrix((("x", 2), ("y", 2)), matrix))
 
 
@@ -386,6 +414,10 @@ class TestVerifyCommand:
             assert code == 2 and out == "" and "trials" in err
         code, out, err = run(capsys, "verify", "bp", "--trials", "0")
         assert code == 2 and out == "" and "count" in err
+
+    def test_dsep_without_dag_exits_two(self, capsys):
+        code, out, err = run(capsys, "verify", "dsep", "--a", "x", "--b", "y")
+        assert code == 2 and out == "" and "needs --dag" in err
 
     def test_dsep_without_tested_sets_exits_two(self, capsys, tmp_path, screened_pair_dag):
         path = tmp_path / "dag.json"

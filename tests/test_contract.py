@@ -1,6 +1,6 @@
-"""The elimination's contraction core, ``network._contract``, the
-reduced states that sum through it, and the einsum limits that the
-polytree driver's family-local contractions must also respect."""
+"""Reduced states by the planned einsum calls of ``network._doubled_plan``,
+merge calls included, and the einsum limits that the polytree driver's
+family-local contractions must also respect."""
 
 import math
 
@@ -10,54 +10,13 @@ import pytest
 from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
-from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _contract, _doubled_contraction, _doubled_plan
+from qbnets import network
+from qbnets.network import _MAX_OPERANDS, _TRIAL, DEFAULT_CAP, _doubled_contraction, _doubled_plan
 from qbnets.sampling import _draw_tables, random_dag, random_qbnet
 
 from conftest import (
     brute_posterior, brute_reduced_state, dense_reduced_state, refused_peak_bytes, scan_elimination
 )
-
-
-def broadcast_product(parts, out, card):
-    """Sum-product by broadcasting every part over all indices at once."""
-    labels = sorted(card)
-    total = np.ones([card[i] for i in labels], dtype=complex)
-    for idx, data in parts:
-        order = sorted(range(len(idx)), key=lambda k: idx[k])
-        shape = [card[i] if i in idx else 1 for i in labels]
-        total = total * np.transpose(data, order).reshape(shape)
-    summed = total.sum(axis=tuple(k for k, i in enumerate(labels) if i not in out))
-    held = [i for i in labels if i in out]
-    return np.transpose(summed, [held.index(i) for i in out])
-
-
-class TestContract:
-    card = {7: 2, 60: 1, 3: 3, 99: 1, 42: 2, 5: 1}
-
-    def parts(self, rng, count):
-        labels = list(self.card)
-        parts = []
-        for _ in range(count):
-            idx = tuple(rng.choice(labels, size=int(rng.integers(1, 4)), replace=False).tolist())
-            shape = [self.card[i] for i in idx]
-            parts.append((idx, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-        return parts
-
-    def test_more_parts_than_one_einsum_call_takes(self):
-        rng = np.random.default_rng(69)
-        cap = math.prod(self.card.values())
-        for out in ((99, 42, 60, 3), (5, 60), (), (3, 7, 42, 99, 60, 5)):
-            parts = self.parts(rng, 2 * _MAX_OPERANDS + 3)
-            got = _contract(parts, out, self.card, cap)
-            want = broadcast_product(parts, out, self.card)
-            assert np.shape(got) == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-
-    def test_merged_group_held_to_cap(self):
-        parts = self.parts(np.random.default_rng(70), _MAX_OPERANDS + 1)
-        scope = set().union(*(idx for idx, _ in parts[:_MAX_OPERANDS]))
-        with pytest.raises(CapacityError):
-            _contract(parts, (), self.card, math.prod(self.card[i] for i in scope) - 1)
 
 
 @pytest.mark.skipif(
@@ -153,11 +112,36 @@ def _random_held(rng, n, held=3):
     return [i for i in range(n) if codes[i] == 1], [i for i in range(n) if codes[i] == 2]
 
 
+def unmerged(plan):
+    """The factor keys of each elimination step of ``plan`` and of its
+    last product, each merge call folded back into the call that takes
+    its result and step s's result keyed 2n + s. A merge keeps every
+    index of its factors; an elimination step sums one out."""
+    n2 = 2 * plan.n
+    factors = {k: [k] for k in range(n2)}
+    groups = []
+    for c, keys in enumerate(plan.calls):
+        got = [k for key in keys for k in factors[key]]
+        union = set().union(*(plan.scopes[k] for k in keys))
+        if c + 1 < len(plan.calls) and set(plan.scopes[n2 + c]) == union:
+            factors[n2 + c] = got
+        else:
+            factors[n2 + c] = [n2 + len(groups)]
+            groups.append(got)
+    return groups[:-1], groups[-1]
+
+
+def star(leaves):
+    """A binary hub, node 0, whose ``leaves`` binary children are leaves."""
+    return Dag([("hub", 2)] + [(f"l{i}", 2) for i in range(leaves)], [(0, i) for i in range(1, leaves + 1)])
+
+
 class TestEliminationOrder:
     """The plan's heap against the O(n^2) scan of ``tests/conftest.py``."""
 
     def test_heap_order_matches_scan(self):
         rng = np.random.default_rng(72)
+        merged = 0
         for _ in range(300):
             n = int(rng.integers(1, 31))
             dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.02, 0.4)))
@@ -165,9 +149,11 @@ class TestEliminationOrder:
             plan = _doubled_plan(dag, keep, diag, math.inf)
             order, (steps, final) = scan_elimination(dag, keep, diag)
             assert list(plan.order) == order, (dag, keep, diag)
+            assert max(len(keys) for keys in plan.calls) <= _MAX_OPERANDS
+            merged += len(plan.calls) > len(plan.order) + 1
             # each factor goes to the step of its first eliminated index
-            assert [list(keys) for keys in plan.steps] == [list(keys) for keys in steps]
-            assert list(plan.final) == final
+            assert unmerged(plan) == ([list(keys) for keys in steps], final)
+        assert merged
 
     def test_plan_refused_exactly_above_its_largest_array(self):
         rng = np.random.default_rng(75)
@@ -196,6 +182,67 @@ class TestEliminationOrder:
             want = want.reshape(dim, dim)
             want = 0.5 * (want + want.conj().T)
             assert np.array_equal(net_to_density(net, keep, diag).matrix, want)
+
+
+def recorded_sizes(monkeypatch):
+    """Patch ``network._einsum`` to record the size of each result per
+    trial; returns the list it appends them to."""
+    sizes = []
+    einsum = network._einsum
+
+    def recording(parts, out):
+        result = einsum(parts, out)
+        sizes.append(result.size // (result.shape[0] if out[:1] == (_TRIAL,) else 1))
+        return result
+
+    monkeypatch.setattr(network, "_einsum", recording)
+    return sizes
+
+
+class TestPlannedCalls:
+    """Every einsum call of a reduced state is a call of the plan, whose
+    ``largest`` counts its result."""
+
+    @staticmethod
+    def check(sizes, dag, keep, diag, cap=DEFAULT_CAP):
+        plan = _doubled_plan(dag, keep, diag, cap)
+        for trials in (1, 3):
+            sizes.clear()
+            tables = _draw_tables(dag, [np.random.default_rng([80, t]) for t in range(trials)])
+            _doubled_contraction(plan, tables)
+            assert len(sizes) == len(plan.calls)
+            assert max(sizes) <= plan.largest
+        return plan
+
+    def test_results_within_largest_on_random_dags(self, monkeypatch):
+        sizes = recorded_sizes(monkeypatch)
+        rng = np.random.default_rng(80)
+        for _ in range(60):
+            n = int(rng.integers(1, 21))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.05, 0.4)))
+            keep, diag = _random_held(rng, n)
+            try:
+                self.check(sizes, dag, keep, diag, cap=2**14)
+            except CapacityError:
+                continue
+
+    def test_results_within_largest_with_merge_calls(self, monkeypatch):
+        # the 70-leaf hub of test_many_factors_on_one_node, and the star
+        # whose merge call is the largest array of its reduction
+        sizes = recorded_sizes(monkeypatch)
+        for dag, keep, largest in ((star(70), [0], 4), (star(40), [1, 2], 32)):
+            plan = self.check(sizes, dag, keep, [])
+            assert len(plan.calls) > len(plan.order) + 1
+            assert plan.largest == max(sizes) == largest
+
+    def test_merge_call_above_cap_refused_by_the_plan(self):
+        # eliminating the hub multiplies 44 factors; the merge call of the
+        # first 32 keeps the hub and both kept leaves' kets and bras
+        with pytest.raises(CapacityError, match="the largest array of the reduction would hold 32 entries"):
+            _doubled_plan(star(40), {1, 2}, set(), 20)
+        net = random_qbnet(star(40), np.random.default_rng(81))
+        peak = refused_peak_bytes(lambda: net_to_density(net, [1, 2], cap=20))
+        assert peak < 2**20
 
 
 class TestDoubledContraction:

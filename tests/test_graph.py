@@ -34,6 +34,10 @@ class TestDagValidation:
         with pytest.raises(ValueError, match="duplicate"):
             Dag([("a", 2), ("b", 2)], [(0, 1), (0, 1)])
 
+    def test_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range"):
+            Dag([("a", 2), ("b", 2)], [(0, 2)])
+
     def test_bad_cardinality_rejected(self):
         with pytest.raises(ValueError, match="cardinality"):
             Dag([("a", 0)], [])

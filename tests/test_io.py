@@ -90,6 +90,36 @@ class TestQbnetRoundTrip:
             dag_from_json(obj)
 
 
+class TestRefusals:
+    """Well-typed files that still describe no net or factor graph."""
+
+    A = {"name": "a", "states": 2}
+
+    def test_duplicate_node_names(self):
+        with pytest.raises(ValueError, match="duplicate node names"):
+            dag_from_json({"nodes": [self.A, self.A]})
+
+    def test_node_without_table(self):
+        obj = {"nodes": [self.A, {"name": "b", "states": 2}], "tpms": {"a": [[1, 0], [0, 0]]}}
+        with pytest.raises(ValueError, match="no table for node 'b'"):
+            qbnet_from_json(obj)
+
+    def test_net_table_with_wrong_entry_count(self):
+        obj = {"nodes": [self.A], "tpms": {"a": [[1, 0], [0, 0], [0, 0]]}}
+        with pytest.raises(ValueError, match="table of 'a' has 3 entries, expected 2"):
+            qbnet_from_json(obj)
+
+    def test_factor_table_with_wrong_entry_count(self):
+        obj = {"roots": [self.A], "factors": [{"name": "f", "nb": ["a"], "table": [[1, 0]]}]}
+        with pytest.raises(ValueError, match="table of factor 'f' has 1 entries, expected 2"):
+            factor_graph_from_json(obj)
+
+    def test_factor_naming_an_unknown_root(self):
+        obj = {"roots": [self.A], "factors": [{"name": "f", "nb": ["b"], "table": [[1, 0], [0, 0]]}]}
+        with pytest.raises(ValueError, match="factor 'f' names unknown root 'b'"):
+            factor_graph_from_json(obj)
+
+
 class TestDensityRoundTrip:
     def test_state_survives(self):
         rng = np.random.default_rng(2)

@@ -153,7 +153,20 @@ class TestRule1:
         np.testing.assert_allclose(profile, profile[0], atol=1e-12)
 
 
+    def test_target_out_of_range_or_not_a_parent_rejected(self):
+        net = random_qbnet(Dag([("x", 2), ("y", 2), ("z", 2)], [(0, 1)]), np.random.default_rng(7))
+        with pytest.raises(ValueError, match="parent index 3 out of range"):
+            rule1_lambda_to_parent(net, 1, 3)
+        with pytest.raises(ValueError, match="node 2 is not a parent of node 1"):
+            rule1_lambda_to_parent(net, 1, 2)
+
+
 class TestRule2:
+    def test_target_not_a_child_rejected(self):
+        net = random_qbnet(Dag([("x", 2), ("y", 2), ("z", 2)], [(0, 1)]), np.random.default_rng(7))
+        with pytest.raises(ValueError, match="node 2 is not a child of node 0"):
+            rule2_pi_to_child(net, 0, 2, compute_pi(net, 0))
+
     def test_single_child_gets_normalized_pi(self):
         net = chain_net()
         pi_x = compute_pi(net, 0)
@@ -479,7 +492,7 @@ def recorded_messages(monkeypatch):
 
 def forbid(monkeypatch, module, *names):
     def refuse(*args, **kwargs):
-        raise AssertionError("the driver called a literal rule, an amplitude product or _contract")
+        raise AssertionError("the driver called a literal rule, an amplitude product or _einsum")
 
     for name in names:
         monkeypatch.setattr(module, name, refuse)
@@ -504,9 +517,9 @@ class TestMessageCore:
         from qbnets import amplitudes, network
 
         forbid(monkeypatch, qbp, "compute_pi", "compute_lambda", "rule1_lambda_to_parent",
-               "rule2_pi_to_child", "multiply", "_contract")
+               "rule2_pi_to_child", "multiply")
         forbid(monkeypatch, amplitudes, "multiply")
-        forbid(monkeypatch, network, "multiply")
+        forbid(monkeypatch, network, "multiply", "_einsum")
         for trial in range(10):
             rng = np.random.default_rng([61, trial])
             dag = random_polytree_dag(rng, 8, max_card=3)

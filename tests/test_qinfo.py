@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -88,9 +89,22 @@ class TestDensityMatrixValidation:
         qubit(m)
 
 
+def ghz_state():
+    """The three-qubit GHZ state, its four nonzero entries exactly 1/2."""
+    m = np.zeros((8, 8))
+    m[np.ix_([0, 7], [0, 7])] = 0.5
+    return DensityMatrix((("a", 2), ("b", 2), ("c", 2)), m)
+
+
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(qubit([[1, 0], [0, 0]])) == 0.0
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # one state per entropy route: 1 x 1, the 2 x 2 closed form, eigvalsh
+        for rho in (DensityMatrix((("x", 1),), [[1.0]]), qubit([[0, 0], [0, 1]]), ghz_state()):
+            got = von_neumann_entropy(rho)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0, rho
 
     def test_maximally_mixed(self):
         assert von_neumann_entropy(qubit(np.eye(2) / 2)) == pytest.approx(LN2)
@@ -556,6 +570,11 @@ class TestNetToDensity:
         net = random_qbnet(screened_pair_dag, np.random.default_rng(16))
         with pytest.raises(ValueError, match="disjoint"):
             net_to_density(net, keep=[3], diag=[3])
+
+    def test_nothing_held_rejected(self, screened_pair_dag):
+        net = random_qbnet(screened_pair_dag, np.random.default_rng(16))
+        with pytest.raises(ValueError, match="at least one node"):
+            net_to_density(net, [], [])
 
 
 def _chain(n, rng):

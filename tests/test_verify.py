@@ -13,6 +13,7 @@ import pytest
 from qbnets import (
     CapacityError,
     Dag,
+    InvalidStateError,
     bp_campaign,
     check_dsep_forward,
     d_separated,
@@ -234,6 +235,16 @@ class TestBatchedChecks:
             chunks = list(_sampled_cmis(screened_pair_dag, a, b, z, 5, 9, grow, cap=2 * largest))
             assert [len(c) for c in chunks] == ([2, 2, 2, 2, 1] if not grow else [1, 2, 2, 2, 2])
             np.testing.assert_allclose(np.concatenate(chunks), whole[0], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda rho: np.where(np.eye(rho.shape[-1], dtype=bool), np.nan, rho), "non-finite"),
+        (lambda rho: 2 * rho, "trace is 2"),
+    ], ids=["nan", "trace"])
+    def test_contracted_states_checked(self, monkeypatch, screened_pair_dag, spoil, message):
+        contraction = verify._doubled_contraction
+        monkeypatch.setattr(verify, "_doubled_contraction", lambda *args: spoil(contraction(*args)))
+        with pytest.raises(InvalidStateError, match=message):
+            check_dsep_forward(screened_pair_dag, [3], [4], [0], trials=4)
 
     def test_each_check_logs_one_line(self, screened_pair_dag, cross_pair_dag, caplog):
         with caplog.at_level(logging.INFO, logger="qbnets"):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .amplitudes import LabeledAmplitude, fold
 from .errors import ConvergenceError, StructureError
-from .graph import Dag, is_polytree
+from .graph import Dag, _as_int, is_polytree
 from .network import QBNet, _require_tolerance, node_tpm, tpm_amplitude
 from .qbp import AmplitudeMessage, Belief, _literal_belief, _literal_message, propagate_polytree
 
@@ -67,11 +67,11 @@ class FactorGraphNet:
         roots: Sequence[tuple[str, int]],
         factors: Sequence[tuple[str, Sequence[int], object]],
     ) -> None:
-        clean_roots = [(str(name), int(card)) for name, card in roots]
+        clean_roots = [(str(name), _as_int(card, f"root {name!r} cardinality")) for name, card in roots]
         clean_factors = []
         for name, nb, table in factors:
             name = str(name)
-            nb = tuple(int(i) for i in nb)
+            nb = tuple(_as_int(i, f"factor {name!r}: root index") for i in nb)
             if len(set(nb)) != len(nb):
                 raise ValueError(f"factor {name!r} lists a root twice")
             for i in nb:

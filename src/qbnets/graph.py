@@ -23,6 +23,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an ``int``: Python and NumPy integers pass, while a
+    bool, a float or a string raises ValueError instead of being
+    truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 class Multinode:
     """A set of DAG node indices treated as one composite variable.
 
@@ -33,7 +42,7 @@ class Multinode:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()) -> None:
-        seen = sorted({int(m) for m in members})
+        seen = sorted({_as_int(m, "node index") for m in members})
         if seen and seen[0] < 0:
             raise ValueError("node indices must be nonnegative")
         object.__setattr__(self, "members", tuple(seen))
@@ -89,7 +98,7 @@ def as_multinode(obj) -> Multinode:
     """Coerce an iterable of node indices (or a Multinode) to a Multinode."""
     if isinstance(obj, Multinode):
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, (int, np.integer)):
         return Multinode((obj,))
     return Multinode(obj)
 
@@ -116,7 +125,7 @@ class Dag:
         clean_nodes = []
         for name, card in nodes:
             name = str(name)
-            card = int(card)
+            card = _as_int(card, f"node {name!r} cardinality")
             if not name:
                 raise ValueError("node names must be nonempty")
             if card < 1:
@@ -132,7 +141,7 @@ class Dag:
         clean_edges = []
         seen = set()
         for p, c in edges:
-            p, c = int(p), int(c)
+            p, c = _as_int(p, "edge endpoint"), _as_int(c, "edge endpoint")
             if not (0 <= p < n and 0 <= c < n):
                 raise ValueError(f"edge ({p}, {c}) out of range")
             if p == c:

@@ -13,14 +13,15 @@ states instead come from variable elimination over the doubled network
 {A_j, A_j*}, planned on its interaction graph, whose intermediates
 follow the net's width rather than its size. Its last product runs over
 the held indices alone and is written straight onto the diagonal blocks
-of the dephased nodes; a single net is contracted without the trial axis
-that a stack of sampled nets carries.
+of the dephased nodes; one net and a stack of sampled nets run the same
+calls, the trial axis of a stack being the ``...`` of every subscript.
 
-The plan is the whole schedule: the einsum calls, merges of more
-factors than one call takes included, each result counted against the
-cap before any table is drawn; ``_einsum`` runs each call. The polytree
-driver in :mod:`qbnets.qbp` needs no plan: each of its messages and
-beliefs is one einsum call on one family's fixed letters.
+The plan is the whole program: the einsum calls, merges of more factors
+than one call takes included, each result counted against the cap and
+each call's subscripts written before any table is drawn, so running it
+is one ``np.einsum`` call per planned call. The polytree driver in
+:mod:`qbnets.qbp` needs no plan: each of its messages and beliefs is one
+einsum call on one family's fixed letters.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .amplitudes import LabeledAmplitude, labeled, multiply, product
 from .errors import CapacityError, ImpossibleEvidenceError, ZeroProbabilityError
-from .graph import Dag, as_multinode
+from .graph import Dag, _as_int, as_multinode
 
 #: Largest dense joint tensor (in amplitudes) the exact routines will build.
 DEFAULT_CAP = 2**20
@@ -88,15 +89,16 @@ def _check_table(node: int, table: np.ndarray, atol: float = COLUMN_NORM_ATOL, l
 
 def node_tpm(node: int, parents: Sequence[int], table, atol: float = COLUMN_NORM_ATOL) -> NodeTpm:
     _require_tolerance("atol", atol)
+    node = _as_int(node, "node index")
     arr = np.asarray(table, dtype=np.complex128)
-    parents = tuple(int(p) for p in parents)
+    parents = tuple(_as_int(p, f"node {node}: parent index") for p in parents)
     if arr.ndim != 1 + len(parents):
         raise ValueError(
             f"node {node}: table rank {arr.ndim} but {len(parents)} parents"
         )
     with np.errstate(over="ignore"):  # a norm that overflows is inf, rejected
         _check_table(node, arr, atol)
-    return NodeTpm(int(node), parents, arr)
+    return NodeTpm(node, parents, arr)
 
 
 class QBNet:
@@ -137,9 +139,8 @@ class QBNet:
 def validate_evidence(dag: Dag, evidence: Mapping[int, int]) -> dict[int, int]:
     out = {}
     for node, value in evidence.items():
-        if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in (node, value)):
-            raise ValueError(f"evidence {node!r}: {value!r} is not an integer node and state")
-        node, value = int(node), int(value)
+        node = _as_int(node, "evidence node")
+        value = _as_int(value, f"evidence state of node {node}:")
         if not 0 <= node < dag.node_count:
             raise ValueError(f"evidence names node {node}, out of range")
         if not 0 <= value < dag.cardinality(node):
@@ -197,22 +198,9 @@ def _capped_multiply(a: LabeledAmplitude, b: LabeledAmplitude) -> LabeledAmplitu
 
 
 def joint_amplitude(net: QBNet, assignment: Sequence[int]) -> complex:
-    """Product of table entries at one full assignment."""
-    dag = net.dag
-    if len(assignment) != dag.node_count:
-        raise ValueError(
-            f"assignment length {len(assignment)} for {dag.node_count} nodes"
-        )
-    for j, x in enumerate(assignment):
-        if not 0 <= x < dag.cardinality(j):
-            raise ValueError(
-                f"state {x} out of range for node {dag.name(j)}"
-            )
-    value = 1.0 + 0.0j
-    for j, tpm in enumerate(net.tpms):
-        idx = (assignment[j],) + tuple(assignment[p] for p in tpm.parents)
-        value *= tpm.table[idx]
-    return value
+    """Product of table entries at one full assignment: the
+    :func:`vector_amplitude` that fixes every node."""
+    return vector_amplitude(net, range(net.dag.node_count), assignment).item()
 
 
 def amplitude_tensor(net: QBNet, cap: int = DEFAULT_CAP) -> LabeledAmplitude:
@@ -231,45 +219,6 @@ _MAX_OPERANDS = 32
 # einsum's subscript symbols, in the order NumPy gives integer subscripts
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
-_Factor = tuple[tuple[int, ...], np.ndarray]
-
-
-def _einsum(parts: Sequence[_Factor], out: Sequence[int]) -> np.ndarray:
-    """Sum-product of ``parts`` onto the indices ``out``, in one einsum call.
-
-    One-state axes are dropped before the call and restored in the
-    output, and the other indices are renamed to letters for this call
-    alone, so NumPy's limit on subscript symbols bounds the multi-state
-    indices of one call, not the indices of the net. The subscripts go
-    in as one string: NumPy copies integer subscript lists into a
-    256-character buffer, which a call with many operands overruns. The
-    k-th new index gets the letter NumPy gives the integer k, so the
-    call is the same one either way.
-    """
-    local: dict[int, str] = {}
-    arrays, subs = [], []
-    for idx, data in parts:
-        if 1 in data.shape:
-            idx = [i for i, d in zip(idx, data.shape) if d != 1]
-            data = data.reshape([d for d in data.shape if d != 1])
-        for i in idx:
-            if i not in local:
-                if len(local) == len(_LETTERS):
-                    raise ValueError(f"one einsum call takes at most {len(_LETTERS)} indices")
-                local[i] = _LETTERS[len(local)]
-        arrays.append(data)
-        subs.append("".join([local[i] for i in idx]))
-    held = "".join([local[i] for i in out if i in local])
-    result = np.einsum(",".join(subs) + "->" + held, *arrays)
-    if len(held) < len(out):
-        result = np.expand_dims(result, [k for k, i in enumerate(out) if i not in local])
-    return result
-
-
-# the index label of the trial axis that every table of a doubled
-# contraction of more than one net carries; the plan never sees it
-_TRIAL = -1
-
 
 @dataclass(frozen=True, eq=False)
 class _DoubledPlan:
@@ -281,12 +230,15 @@ class _DoubledPlan:
     result lacks. The calls are the elimination steps in ``order``, then
     the last product; ahead of one with more than ``_MAX_OPERANDS``
     factors, merge calls multiply its first ``_MAX_OPERANDS`` factors
-    left, keeping all their indices, and put the result first. ``out``
-    is the state's indices, the held kets then their bras; a ``diag``
-    node's bra is its ket in every factor, so the last product runs over
-    the distinct indices and fills that node's diagonal. ``largest`` is
-    the size of the largest per-model array: a node table, a call's
-    result or the D x D state.
+    left, keeping all their indices, and put the result first.
+    ``subscripts[c]`` is call c's einsum string: its multi-state indices
+    lettered in order of first use, its one-state indices left out, and
+    ``...`` leading every operand and the result for the trial axis.
+    ``out`` is the state's indices, the held kets then their bras; a
+    ``diag`` node's bra is its ket in every factor, so the last product
+    runs over the distinct indices and fills that node's diagonal.
+    ``largest`` is the size of the largest per-model array: a node
+    table, a call's result or the D x D state.
     """
 
     n: int
@@ -294,6 +246,7 @@ class _DoubledPlan:
     scopes: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
     calls: tuple[tuple[int, ...], ...]
+    subscripts: tuple[str, ...]
     diag: tuple[int, ...]
     out: tuple[int, ...]
     largest: int
@@ -318,12 +271,18 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
     Graphical Models*, 2009, ch. 9). Once the order is fixed, each
     factor joins the step of the first of its indices to be eliminated,
     or the last product if none of them is, and the steps and the last
-    product become einsum calls, merges included.
+    product become einsum calls, merges included, each with its
+    subscripts. Each call letters its own indices, so NumPy's 52
+    subscript letters bound the multi-state indices of one call, not
+    those of the net; the subscripts are strings, since NumPy copies
+    integer subscript lists into a 256-character buffer, which a call
+    with many operands overruns.
 
     Raises
     ------
     ValueError
-        if ``keep | diag`` is empty.
+        if ``keep | diag`` is empty, or if a call has more than 52
+        multi-state indices.
     CapacityError
         if ``largest`` is above ``cap``: checked once, on the finished
         schedule, before anything is drawn or contracted.
@@ -394,12 +353,29 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
 
     largest = max(size(idx) for idx in scopes + [out])
     _check_cap((largest,), cap, "the largest array of the reduction")
+    subscripts = []
+    for c, keys in enumerate(calls):
+        letter: dict[int, str] = {}
+        terms = []
+        for k in keys:
+            term = "..."
+            for i in scopes[k]:
+                if card[i] > 1:
+                    if i not in letter:
+                        if len(letter) == len(_LETTERS):
+                            raise ValueError(f"one einsum call takes at most {len(_LETTERS)} indices")
+                        letter[i] = _LETTERS[len(letter)]
+                    term += letter[i]
+            terms.append(term)
+        held = "".join([letter[i] for i in scopes[2 * n + c] if i in letter])
+        subscripts.append(",".join(terms) + "->..." + held)
     return _DoubledPlan(
         n=n,
         card=card,
         scopes=tuple(scopes),
         order=tuple(order),
         calls=tuple(calls),
+        subscripts=tuple(subscripts),
         diag=diag,
         out=out,
         largest=largest,
@@ -409,45 +385,46 @@ def _doubled_plan(dag: Dag, keep, diag, cap: int) -> _DoubledPlan:
 def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Run ``plan`` on node tables that carry one leading trial axis.
 
-    ``tables[j]`` is node j's table stacked over T trials, (T, *shape);
-    every factor gets the trial axis under its own label, so each of the
-    plan's einsum calls serves all trials and runs as planned. A single
-    net, T = 1, is contracted without the trial axis, which the result
-    gets back at the end. The last call runs over the distinct held
-    indices only (a ``diag`` node's bra index is its ket index) and its
-    result is written through a strided view onto the diagonal blocks of
-    the ``diag`` nodes in a zero state stack, so no identity factor
-    enters any product. No array here is larger per trial than the
-    plan's ``largest``. Returns the (T, D, D) stack of the states'
-    Hermitian parts, rows and columns over the held nodes ascending.
+    ``tables[j]`` is node j's table stacked over T trials, (T, *shape).
+    Every size-1 axis of each table is dropped once, on entry: the
+    one-state axes, and the trial axis of a single net, T = 1. The
+    trial axis, if left, is the ``...`` of the plan's subscripts, so
+    each of its einsum calls serves all trials and runs as planned. The
+    last call runs over the distinct multi-state held indices only (a
+    ``diag`` node's bra index is its ket index) and its result is
+    written through a strided view onto the diagonal blocks of the
+    ``diag`` nodes in a zero state stack, broadcast over the trial axis,
+    so no identity factor enters any product. No array here is larger
+    per trial than the plan's ``largest``. Returns the (T, D, D) stack
+    of the states' Hermitian parts, rows and columns over the held nodes
+    ascending.
     """
-    count = len(tables[0])
-    trial = (_TRIAL,) if count > 1 else ()
-    if not trial:
-        tables = [t[0] for t in tables]
-    data: list[np.ndarray | None] = [x for t in tables for x in (t, t.conj())]
-    for keys in plan.calls:
-        parts = [(trial + plan.scopes[k], data[k]) for k in keys]
+    squeezed = [t.squeeze() for t in tables]
+    data: list[np.ndarray | None] = [x for t in squeezed for x in (t, t.conj())]
+    for keys, subscripts in zip(plan.calls, plan.subscripts):
+        operands = [data[k] for k in keys]
         for k in keys:
             data[k] = None
-        data.append(_einsum(parts, trial + plan.scopes[len(data)]))
-    last = data[-1]
+        data.append(np.einsum(subscripts, *operands))
 
+    count = len(tables[0])
     kets = plan.out[: len(plan.out) // 2]
     dims = tuple(plan.card[j] for j in kets)
     dim = math.prod(dims)
     rho = np.zeros((count, dim, dim), dtype=np.complex128)
     # rho with its axes split per node, (T, kets, bras); a diag node's
-    # axis steps along its ket and bra axes at once, down their diagonal
+    # axis steps along its ket and bra axes at once, down their diagonal,
+    # and a one-state node's axes are left out, as in the last result
     full = rho.reshape((count,) + dims + dims)
     ket, bra = full.strides[1 : 1 + len(kets)], full.strides[1 + len(kets) :]
-    dephased = [j in plan.diag for j in kets]
+    axes = [(s, t, j in plan.diag) for j, s, t in zip(kets, ket, bra) if plan.card[j] > 1]
     strides = (
         full.strides[:1]
-        + tuple(s + t if d else s for s, t, d in zip(ket, bra, dephased))
-        + tuple(t for t, d in zip(bra, dephased) if not d)
+        + tuple(s + t if d else s for s, t, d in axes)
+        + tuple(t for _, t, d in axes if not d)
     )
-    np.lib.stride_tricks.as_strided(full, (count,) + last.shape[len(trial) :], strides)[...] = last
+    shape = (count,) + tuple(plan.card[i] for i in plan.scopes[-1] if plan.card[i] > 1)
+    np.lib.stride_tricks.as_strided(full, shape, strides)[...] = data[-1]
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
@@ -476,7 +453,7 @@ def _fixed_values(net: QBNet, a, a_values: Sequence[int]) -> dict[int, int]:
     a.validate(net.dag)
     if len(a_values) != len(a):
         raise ValueError(f"{len(a)} nodes in multinode but {len(a_values)} values")
-    return validate_evidence(net.dag, dict(zip(a.members, (int(v) for v in a_values))))
+    return validate_evidence(net.dag, dict(zip(a.members, a_values)))
 
 
 def _sliced_tables(net: QBNet, fix: Mapping[int, int]) -> list[LabeledAmplitude]:

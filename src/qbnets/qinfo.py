@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidStateError
-from .graph import as_multinode
+from .graph import _as_int, as_multinode
 from .network import DEFAULT_CAP, QBNet, _doubled_contraction, _doubled_plan, _require_tolerance
 
 HERMITIAN_ATOL = 1e-10
@@ -42,7 +42,8 @@ Labels = tuple[tuple[str, int], ...]
 def _clean_labels(labels) -> Labels:
     out = []
     for name, dim in labels:
-        name, dim = str(name), int(dim)
+        name = str(name)
+        dim = _as_int(dim, f"label {name!r} dimension")
         if dim < 1:
             raise ValueError(f"label {name!r} has dimension {dim}")
         out.append((name, dim))
@@ -568,10 +569,11 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     share one, and every other node is summed out. The product over the
     held nodes is written straight onto the diagonal blocks of the
     ``diag`` nodes. The elimination is planned from the graph alone
-    (``network._doubled_plan``) and run on the tables as a stack of one
-    trial (``network._doubled_contraction``): the route by which the
-    sampled d-separation checks of :mod:`qbnets.verify` contract all
-    their models at once.
+    (``network._doubled_plan``) and run on the net's tables, given one
+    leading trial axis of length 1 that the contraction drops
+    (``network._doubled_contraction``): the same einsum calls by which
+    the sampled d-separation checks of :mod:`qbnets.verify` contract
+    all their models at once.
 
     ``cap`` bounds every array the reduction holds, the D x D state
     included (so D <= 1,024 at the default cap); a plan above it raises

@@ -19,15 +19,14 @@ once. Trial t still draws its net from ``default_rng([seed, t])``, but
 the trials' tables are drawn as per-node stacks
 (``sampling._draw_tables``), the einsum calls that contract the doubled
 network are planned once from the graph (``network._doubled_plan``), and
-each call runs once over the stack, the trial axis under its own index
-label (``network._doubled_contraction``). The (T, D, D) reduced states
-then go to one call of the batched CMI kernel of :mod:`qbnets.qinfo`. A
-chunk holds at most ``DEFAULT_CAP`` // m trials, m being the largest
-per-model array of the plan (a node table, a call's result or the D x D
-state, which the plan holds to the cap), so
-no array of a chunk holds more than ``DEFAULT_CAP`` entries; a witness
-search runs chunks of 1, 2, 4, ... trials and stops at its first
-witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
+each call runs once over the stack, the trial axis the leading ``...``
+of its subscripts (``network._doubled_contraction``). The (T, D, D)
+reduced states then go to one call of the batched CMI kernel of
+:mod:`qbnets.qinfo`. A chunk holds at most ``DEFAULT_CAP`` // m trials,
+m being the largest per-model array of the plan (a node table, a call's
+result or the D x D state, which the plan holds to the cap), so no array
+of a chunk holds more than ``DEFAULT_CAP`` entries; a witness search
+runs chunks of 1, 2, 4, ... trials and stops at its first witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
 
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node

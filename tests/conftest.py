@@ -173,7 +173,9 @@ def counted_contractions(monkeypatch):
     the patch holds; returns the list it appends them to. The driver's
     one contraction site is the ``np.einsum`` call in ``qbp._gather``, on
     one family's layout, so during a run every recorded call is a
-    message or a belief, and nothing else contracts."""
+    message or a belief, and nothing else contracts. A reduced state's
+    is the call in ``network._doubled_contraction``, once per planned
+    call."""
     calls = []
     einsum = np.einsum
 
@@ -458,17 +460,16 @@ def scan_elimination(dag, keep, diag, tables=None):
     traced node whose intermediate would be smallest goes next, ties to
     the lower index. Returns the elimination order and, given the node
     tables of one net, the contraction onto the held kets then bras,
-    each step and the last product one ``network._einsum`` call, without
-    a capacity limit, and with one identity factor per ``diag`` node in
-    the last product; no step of a net of at most 10 nodes reaches the
-    32 operands of one call. Without tables it returns the order and the
-    pair (factor keys of each step, factor keys of the last product):
-    2j node j's table, 2j + 1 its conjugate, 2n + s the intermediate of
-    step s, as ``network._DoubledPlan.scopes`` numbers them when no step
-    needs a merge call.
+    each step and the last product one ``np.einsum`` call on integer
+    subscript lists (the net-wide indices themselves, so at most 26
+    nodes), without a capacity limit, and with one identity factor per
+    ``diag`` node in the last product; no step of a net of at most 10
+    nodes reaches the 32 operands of one call. Without tables it returns
+    the order and the pair (factor keys of each step, factor keys of the
+    last product): 2j node j's table, 2j + 1 its conjugate, 2n + s the
+    intermediate of step s, as ``network._DoubledPlan.scopes`` numbers
+    them when no step needs a merge call.
     """
-    from qbnets.network import _einsum
-
     n = dag.node_count
     kept = set(keep)
     bra = [n + j if j in kept else j for j in range(n)]
@@ -493,6 +494,9 @@ def scan_elimination(dag, keep, diag, tables=None):
     def scope(v):
         return tuple(sorted(set().union(*(factors[k][0] for k in where[v])) - {v}))
 
+    def einsum(parts, out):
+        return np.einsum(*[x for idx, data in parts for x in (data, list(idx))], list(out))
+
     held = kept | set(diag)
     score = {v: math.prod(card[i] for i in scope(v)) for v in range(n) if v not in held}
     order, steps = [], []
@@ -507,7 +511,7 @@ def scan_elimination(dag, keep, diag, tables=None):
             for i in part[0]:
                 where[i].discard(k)
             parts.append(part)
-        add(out, None if tables is None else _einsum(parts, out))
+        add(out, None if tables is None else einsum(parts, out))
         del score[v]
         for u in out:
             if u in score:
@@ -519,7 +523,7 @@ def scan_elimination(dag, keep, diag, tables=None):
         add((j, n + j), np.eye(card[j]))
     kets = sorted(held)
     out = tuple(kets) + tuple(n + j for j in kets)
-    return order, _einsum(list(factors.values()), out)
+    return order, einsum(list(factors.values()), out)
 
 
 _SIGMA_Y2 = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])

@@ -23,6 +23,7 @@ from qbnets import (
     labeled,
     marginal_probability,
     marginalize,
+    multiply,
     node_tpm,
     posterior_oracle,
     propagate_polytree,
@@ -95,6 +96,39 @@ class TestNodeTpm:
         dag = Dag([("a", 2), ("b", 2)], [(0, 1)])
         with pytest.raises(ValueError, match="parents"):
             QBNet(dag, [node_tpm(0, (), [1, 0]), node_tpm(1, (), [1, 0])])
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="node 0: table rank 1 but 1 parents"):
+            node_tpm(0, (1,), [1, 0])
+
+    def test_table_count_mismatch_rejected(self):
+        dag = Dag([("a", 2), ("b", 2)], [])
+        with pytest.raises(ValueError, match="2 nodes but 1 tables"):
+            QBNet(dag, [node_tpm(0, (), [1, 0])])
+
+    def test_misdeclared_node_rejected(self):
+        dag = Dag([("a", 2), ("b", 2)], [])
+        with pytest.raises(ValueError, match="table 0 is declared for node 1"):
+            QBNet(dag, [node_tpm(1, (), [1, 0]), node_tpm(1, (), [1, 0])])
+
+    def test_wrong_shape_rejected(self):
+        dag = Dag([("a", 3)], [])
+        with pytest.raises(ValueError, match=r"node 0: table shape \(2,\), expected \(3,\)"):
+            QBNet(dag, [node_tpm(0, (), [1, 0])])
+
+
+class TestLabeledAmplitude:
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            labeled((0, 0), np.eye(2))
+
+    def test_rank_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="1 labels for a rank-2 tensor"):
+            labeled((0,), np.eye(2))
+
+    def test_multiply_refuses_a_cardinality_clash(self):
+        with pytest.raises(ValueError, match="label 0 has cardinality 2 on one side and 3 on the other"):
+            multiply(labeled((0,), [1, 0]), labeled((0, 1), np.ones((3, 2))))
 
 
 def _unconverged_chain_beliefs(tol):
@@ -346,6 +380,36 @@ class TestEvidenceOutOfRange:
         }
         with pytest.raises(ValueError, match=f"{what},? out of range"):
             calls[call]()
+
+
+class TestFixedValuesNotCoerced:
+    """The dense references refuse a fixed value that is a bool or not an
+    integer, where it was once truncated to a state or used as a mask."""
+
+    @staticmethod
+    def net():
+        dag = Dag([("a", 2), ("b", 2)], [(0, 1)])
+        return random_qbnet(dag, np.random.default_rng(20))
+
+    def test_vector_amplitude_refuses_a_float_state(self):
+        with pytest.raises(ValueError, match="1.5 is not an integer"):
+            vector_amplitude(self.net(), [0, 1], [1.5, 0])
+
+    def test_conditional_amplitude_refuses_a_float_state(self):
+        with pytest.raises(ValueError, match="0.7 is not an integer"):
+            conditional_amplitude(self.net(), [1], [0], [0.7], [1])
+
+    @pytest.mark.parametrize("assignment", [[True, 0], [1.5, 0]])
+    def test_joint_amplitude_refuses_a_non_integer_state(self, assignment):
+        with pytest.raises(ValueError, match="is not an integer"):
+            joint_amplitude(self.net(), assignment)
+
+    def test_joint_amplitude_is_the_ket_fixing_every_node(self):
+        net = self.net()
+        for assignment in itertools.product(range(2), repeat=2):
+            got = joint_amplitude(net, np.array(assignment))
+            assert type(got) is complex
+            assert got == vector_amplitude(net, [0, 1], assignment).item()
 
 
 class TestMarginalize:

@@ -49,6 +49,21 @@ class TestDensityToQbnet:
         assert net.dag.cardinalities == (2, 2, 3, 2, 3)
         assert len(net.dag.edges) == 10
 
+    @pytest.mark.parametrize(
+        "x, y, names",
+        [("lam", "y", ("lam_", "lam0", "y0")), ("x", "x0", ("lam", "x0_", "x00"))],
+    )
+    def test_fresh_names_avoid_the_components(self, x, y, names):
+        ext = random_diagonal_extension(np.random.default_rng(3), (2, 3), 2)
+        ext = DiagonalExtension(
+            ext.weights, [DensityMatrix(((x, 2), (y, 3)), c.matrix) for c in ext.components]
+        )
+        net = density_to_qbnet(ext)
+        assert net.dag.names == names + (x, y)
+        rho = net_to_density(net, keep=[3, 4], diag=[0])
+        want = reordered(ext.assemble(names[0]), rho.names)
+        assert float(np.max(np.abs(rho.matrix - want.matrix))) < 1e-9
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(1)
         for _ in range(30):

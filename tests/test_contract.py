@@ -10,12 +10,16 @@ import pytest
 from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
-from qbnets import network
-from qbnets.network import _MAX_OPERANDS, _TRIAL, DEFAULT_CAP, _doubled_contraction, _doubled_plan
+from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _doubled_contraction, _doubled_plan
 from qbnets.sampling import _draw_tables, random_dag, random_qbnet
 
 from conftest import (
-    brute_posterior, brute_reduced_state, dense_reduced_state, refused_peak_bytes, scan_elimination
+    brute_posterior,
+    brute_reduced_state,
+    counted_contractions,
+    dense_reduced_state,
+    refused_peak_bytes,
+    scan_elimination,
 )
 
 
@@ -59,6 +63,16 @@ def test_multi_state_parent_past_the_einsum_subscript_limit():
         want = brute_posterior(net, [hub, parent] if parent not in evidence else [hub], evidence)
         family = beliefs[hub].family.reshape(want.shape)
         np.testing.assert_allclose(family, want, rtol=0, atol=1e-12)
+
+
+def test_call_past_the_einsum_subscript_limit_refused_by_the_plan():
+    # eliminating one of 53 binary parents of a kept child joins the
+    # other 52 parents and the child's ket and bra: 55 multi-state
+    # indices in one call, past einsum's 52 letters
+    child = 53
+    dag = Dag([(f"v{i}", 2) for i in range(54)], [(p, child) for p in range(53)])
+    with pytest.raises(ValueError, match="one einsum call takes at most 52 indices"):
+        _doubled_plan(dag, {child}, set(), math.inf)
 
 
 def band(n, width, extra=0):
@@ -185,17 +199,17 @@ class TestEliminationOrder:
 
 
 def recorded_sizes(monkeypatch):
-    """Patch ``network._einsum`` to record the size of each result per
-    trial; returns the list it appends them to."""
+    """Patch ``np.einsum`` to record the size of each result; returns the
+    list it appends them to."""
     sizes = []
-    einsum = network._einsum
+    einsum = np.einsum
 
-    def recording(parts, out):
-        result = einsum(parts, out)
-        sizes.append(result.size // (result.shape[0] if out[:1] == (_TRIAL,) else 1))
+    def recording(*args, **kwargs):
+        result = einsum(*args, **kwargs)
+        sizes.append(result.size)
         return result
 
-    monkeypatch.setattr(network, "_einsum", recording)
+    monkeypatch.setattr(np, "einsum", recording)
     return sizes
 
 
@@ -207,9 +221,11 @@ class TestPlannedCalls:
     def check(sizes, dag, keep, diag, cap=DEFAULT_CAP):
         plan = _doubled_plan(dag, keep, diag, cap)
         for trials in (1, 3):
-            sizes.clear()
             tables = _draw_tables(dag, [np.random.default_rng([80, t]) for t in range(trials)])
+            sizes.clear()
             _doubled_contraction(plan, tables)
+            # every result of a stack carries the trial axis
+            sizes[:] = [size // trials for size in sizes]
             assert len(sizes) == len(plan.calls)
             assert max(sizes) <= plan.largest
         return plan
@@ -234,6 +250,22 @@ class TestPlannedCalls:
             plan = self.check(sizes, dag, keep, [])
             assert len(plan.calls) > len(plan.order) + 1
             assert plan.largest == max(sizes) == largest
+
+    def test_one_einsum_call_per_planned_call(self, monkeypatch):
+        # a net with one-state nodes, whose axes no subscript names
+        dag = Dag(
+            [("l1", 2), ("u", 1), ("x", 2), ("y", 3), ("w", 1), ("v", 2)],
+            [(0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 5), (4, 5)],
+        )
+        calls = counted_contractions(monkeypatch)
+        for keep, diag in (([2, 3], [0, 1]), ([5], []), ([1], [4])):
+            plan = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            for trials in (1, 3):
+                tables = _draw_tables(dag, [np.random.default_rng([82, t]) for t in range(trials)])
+                calls.clear()
+                _doubled_contraction(plan, tables)
+                assert [args[0] for args in calls] == list(plan.subscripts)
+                assert len(calls) == len(plan.calls)
 
     def test_merge_call_above_cap_refused_by_the_plan(self):
         # eliminating the hub multiplies 44 factors; the merge call of the

@@ -6,12 +6,19 @@ import pytest
 from qbnets import (
     ClassicalDistribution,
     Dag,
+    DensityMatrix,
+    FactorGraphNet,
     Multinode,
     classical_cmi,
     d_separated,
     is_polytree,
+    net_to_density,
+    node_tpm,
+    posterior_oracle,
     topological_order,
 )
+from qbnets.graph import as_multinode
+from qbnets.sampling import random_qbnet
 from qbnets.verify import _assignment_codes, canonical_separated_cases, enumerate_dags
 
 from conftest import brute_d_separated
@@ -67,6 +74,45 @@ class TestMultinode:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Multinode([-1])
+
+
+def _chain_net():
+    return random_qbnet(chain(3), np.random.default_rng(2))
+
+
+class TestIntegerArguments:
+    """Node indices, cardinalities and label dimensions that are bools or
+    not integers are refused, where they were once truncated by ``int``."""
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda: Multinode([1.5]), "node index 1.5"),
+            (lambda: Multinode(["1"]), "node index '1'"),
+            (lambda: posterior_oracle(_chain_net(), [0.9], {}), "node index 0.9"),
+            (lambda: net_to_density(_chain_net(), [1.7]), "node index 1.7"),
+            (lambda: d_separated(chain(3), [0.5], [2], [1]), "node index 0.5"),
+            (lambda: Dag([("a", 2.7)]), "node 'a' cardinality 2.7"),
+            (lambda: Dag([("a", True)]), "node 'a' cardinality True"),
+            (lambda: Dag([("a", 2), ("b", 2)], [(0.5, 1)]), "edge endpoint 0.5"),
+            (lambda: node_tpm(0.5, (), [1, 0]), "node index 0.5"),
+            (lambda: FactorGraphNet([("x", 2.9)], [("f", (0,), [1, 1])]), "root 'x' cardinality 2.9"),
+            (lambda: DensityMatrix([("x", 2.9)], np.eye(2) / 2), "label 'x' dimension 2.9"),
+        ],
+        ids=[
+            "multinode_float", "multinode_str", "posterior_oracle", "net_to_density", "d_separated",
+            "dag_float_card", "dag_bool_card", "dag_float_edge", "node_tpm", "factor_graph", "density_matrix",
+        ],
+    )
+    def test_refused(self, call, what):
+        with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert as_multinode(np.int64(1)) == as_multinode(1) == Multinode([1])
+        dag = Dag([("a", np.int64(2)), ("b", np.int32(3))], [(np.int64(0), np.int64(1))])
+        assert dag.cardinalities == (2, 3) and dag.edges == ((0, 1),)
+        assert all(type(x) is int for x in dag.cardinalities + dag.edges[0])
 
 
 class TestTopologicalOrder:

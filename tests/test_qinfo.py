@@ -88,6 +88,18 @@ class TestDensityMatrixValidation:
         m /= np.trace(m).real
         qubit(m)
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(3, 3\), expected \(2, 2\)"):
+            DensityMatrix((("q", 2),), np.eye(3) / 3)
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="label 'q' has dimension 0"):
+            DensityMatrix((("q", 0),), np.zeros((0, 0)))
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="label names must be unique"):
+            DensityMatrix((("q", 2), ("q", 2)), np.eye(4) / 4)
+
 
 def ghz_state():
     """The three-qubit GHZ state, its four nonzero entries exactly 1/2."""
@@ -150,6 +162,14 @@ class TestQuantumInformation:
 
 
 class TestPartialTraceAndReorder:
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown labels \['z'\]"):
+            partial_trace(bell_state(), ("x", "z"))
+
+    def test_keeping_every_label_returns_the_state(self):
+        rho = bell_state()
+        assert partial_trace(rho, ("y", "x")) is rho
+
     def test_bell_marginal_is_mixed(self):
         rho_x = partial_trace(bell_state(), "x")
         np.testing.assert_allclose(rho_x.matrix, np.eye(2) / 2, atol=1e-12)
@@ -270,6 +290,28 @@ class TestClassicalInformation:
 
 
 class TestDiagonalExtension:
+    def test_component_validation(self):
+        rho = qubit(np.eye(2) / 2)
+        with pytest.raises(ValueError, match="nonempty vector"):
+            DiagonalExtension([], [])
+        with pytest.raises(ValueError, match="2 weights but 1 components"):
+            DiagonalExtension([0.5, 0.5], [rho])
+        other = DensityMatrix((("r", 2),), np.eye(2) / 2)
+        with pytest.raises(ValueError, match="identical labels"):
+            DiagonalExtension([0.5, 0.5], [rho, other])
+
+    def test_assemble_refuses_a_component_label(self):
+        ext = random_diagonal_extension(np.random.default_rng(8), (2, 2), lam_card=2)
+        with pytest.raises(ValueError, match="label 'x' already used by the components"):
+            ext.assemble("x")
+
+    def test_zero_weight_block_gets_maximally_mixed_component(self):
+        rho = DensityMatrix((("lam", 2), ("x", 3)), np.diag([0.5, 0.25, 0.25, 0, 0, 0]))
+        ext = diagonal_blocks(rho, "lam")
+        np.testing.assert_array_equal(ext.weights, [1.0, 0.0])
+        np.testing.assert_allclose(ext.components[0].matrix, np.diag([0.5, 0.25, 0.25]), atol=0)
+        np.testing.assert_allclose(ext.components[1].matrix, np.eye(3) / 3, atol=0)
+
     def test_weight_validation(self):
         rho = qubit(np.eye(2) / 2)
         with pytest.raises(ValueError, match="sum"):
@@ -307,6 +349,11 @@ class TestDiagonalExtension:
 
 
 class TestCmiDiagonal:
+    def test_x_without_y_rejected(self):
+        ext = random_diagonal_extension(np.random.default_rng(11), (2, 2), lam_card=2)
+        with pytest.raises(ValueError, match="pass both the x and the y group"):
+            cmi_diagonal(ext, x=("x",))
+
     def test_product_components_zero(self):
         rng = np.random.default_rng(11)
         comps = []
@@ -575,6 +622,12 @@ class TestNetToDensity:
         net = random_qbnet(screened_pair_dag, np.random.default_rng(16))
         with pytest.raises(ValueError, match="at least one node"):
             net_to_density(net, [], [])
+
+    def test_node_out_of_range_rejected(self, screened_pair_dag):
+        net = random_qbnet(screened_pair_dag, np.random.default_rng(16))
+        n = screened_pair_dag.node_count
+        with pytest.raises(ValueError, match=f"node index {n} out of range for a {n}-node graph"):
+            net_to_density(net, [n])
 
 
 def _chain(n, rng):

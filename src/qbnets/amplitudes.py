@@ -20,6 +20,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .graph import _as_int
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledAmplitude:
@@ -66,8 +68,11 @@ class LabeledAmplitude:
 
 
 def labeled(labels: Iterable[int], data) -> LabeledAmplitude:
-    """Build a LabeledAmplitude, sorting axes into ascending label order."""
-    labels = tuple(int(l) for l in labels)
+    """Build a LabeledAmplitude, sorting axes into ascending label order.
+
+    Labels are integers; a bool, float or string label raises ValueError
+    rather than being truncated."""
+    labels = tuple(_as_int(l, "label") for l in labels)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     arr = np.asarray(data, dtype=np.complex128)
@@ -129,9 +134,10 @@ def marginalize(amp: LabeledAmplitude, over: Iterable[int]) -> LabeledAmplitude:
     """Complex entrywise sum over the given labels.
 
     The amplitude analogue of marginalizing a probability table: the
-    dropped axes are summed, not squared.
+    dropped axes are summed, not squared. A label that is not an
+    integer raises ValueError, as in :func:`labeled`.
     """
-    over = tuple(sorted({int(l) for l in over}))
+    over = tuple(sorted({_as_int(l, "label") for l in over}))
     unknown = set(over) - set(amp.labels)
     if unknown:
         raise ValueError(f"unknown labels {sorted(unknown)}")

@@ -568,9 +568,11 @@ def net_to_density(net: QBNet, keep, diag=(), cap: int = DEFAULT_CAP) -> Density
     built: kept nodes keep separate ket and bra indices, ``diag`` nodes
     share one, and every other node is summed out. The product over the
     held nodes is written straight onto the diagonal blocks of the
-    ``diag`` nodes. The elimination is planned from the graph alone
-    (``network._doubled_plan``) and run on the net's tables, given one
-    leading trial axis of length 1 that the contraction drops
+    ``diag`` nodes. The elimination is planned from the graph alone,
+    and the plan is looked up rather than made per call: only the first
+    call for a (graph, keep, diag, cap) makes it
+    (``network._doubled_plan``). It is run on the net's tables, given
+    one leading trial axis of length 1 that the contraction drops
     (``network._doubled_contraction``): the same einsum calls by which
     the sampled d-separation checks of :mod:`qbnets.verify` contract
     all their models at once.

@@ -18,7 +18,8 @@ A forward check or witness search contracts all its sampled models at
 once. Trial t still draws its net from ``default_rng([seed, t])``, but
 the trials' tables are drawn as per-node stacks
 (``sampling._draw_tables``), the einsum calls that contract the doubled
-network are planned once from the graph (``network._doubled_plan``), and
+network are looked up by the query's shape, planned from the graph only
+the first time that shape is asked for (``network._doubled_plan``), and
 each call runs once over the stack, the trial axis the leading ``...``
 of its subscripts (``network._doubled_contraction``). The (T, D, D)
 reduced states then go to one call of the batched CMI kernel of
@@ -185,8 +186,9 @@ def _sampled_cmis(
     Trial t samples its net from ``default_rng([seed, t])`` as
     :func:`qbnets.sampling.random_qbnet` would. A chunk of trials is
     drawn as one stack of tables, contracted onto ``a | b`` with ``z``
-    dephased in one run of a plan made once from the graph
-    (``network._doubled_plan``), and its (T, D, D) states go to one
+    dephased in one run of the plan that ``network._doubled_plan``
+    looks up for (graph, a | b, z, cap), made from the graph only on the
+    first call of that shape, and its (T, D, D) states go to one
     call of the CMI kernel, whose full-state entropy holds the spectrum
     check of every state. A chunk holds at most ``cap`` // m trials, m
     being the plan's largest per-model array, so each array of a chunk

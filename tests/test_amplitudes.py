@@ -126,6 +126,11 @@ class TestLabeledAmplitude:
         with pytest.raises(ValueError, match="1 labels for a rank-2 tensor"):
             labeled((0,), np.eye(2))
 
+    def test_non_integer_labels_rejected(self):
+        # int() would truncate these to the labels (0, 1)
+        with pytest.raises(ValueError, match="label 0.5 is not an integer"):
+            labeled((0.5, 1.9), np.eye(2))
+
     def test_multiply_refuses_a_cardinality_clash(self):
         with pytest.raises(ValueError, match="label 0 has cardinality 2 on one side and 3 on the other"):
             multiply(labeled((0,), [1, 0]), labeled((0, 1), np.ones((3, 2))))
@@ -428,6 +433,12 @@ class TestMarginalize:
         amp = labeled((0,), np.ones(2, dtype=complex))
         with pytest.raises(ValueError, match="unknown"):
             marginalize(amp, [5])
+
+    def test_non_integer_label_rejected(self):
+        # int() would truncate 0.7 to label 0 and sum it out
+        amp = labeled((0,), np.ones(2, dtype=complex))
+        with pytest.raises(ValueError, match="label 0.7 is not an integer"):
+            marginalize(amp, [0.7])
 
     def test_matches_slice_sums(self):
         rng = np.random.default_rng(7)

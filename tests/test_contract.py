@@ -1,6 +1,7 @@
 """Reduced states by the planned einsum calls of ``network._doubled_plan``,
-merge calls included, and the einsum limits that the polytree driver's
-family-local contractions must also respect."""
+merge calls included, the cache that plans each query shape once, and
+the einsum limits that the polytree driver's family-local contractions
+must also respect."""
 
 import math
 
@@ -10,7 +11,8 @@ import pytest
 from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
-from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _doubled_contraction, _doubled_plan
+from qbnets.graph import Multinode
+from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _built_plan, _doubled_contraction, _doubled_plan
 from qbnets.sampling import _draw_tables, random_dag, random_qbnet
 
 from conftest import (
@@ -307,3 +309,95 @@ class TestDoubledContraction:
             want = dense_reduced_state(net, [kept], diag)
             assert got.labels == want.labels
             np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+
+def chain(n):
+    return Dag([(f"v{i}", 2) for i in range(n)], [(i - 1, i) for i in range(1, n)])
+
+
+class TestPlanCache:
+    """``_doubled_plan`` looks plans up in a bounded cache of
+    ``_built_plan`` keyed on (dag, keep, diag, cap); refusals are never
+    cached."""
+
+    def test_cached_plan_gives_bit_identical_states(self):
+        rng = np.random.default_rng(83)
+        cases = [(star(70), [0], []), (star(40), [1, 2], [3])]
+        for _ in range(40):
+            n = int(rng.integers(1, 11))
+            dag = random_dag(rng, n, max_card=3, edge_prob=float(rng.uniform(0.1, 0.5)))
+            # about a third of the nodes get one state
+            cards = np.where(rng.random(n) < 0.3, 1, dag.cardinalities)
+            dag = Dag([(name, int(c)) for name, c in zip(dag.names, cards)], dag.edges)
+            cases.append((dag, *_random_held(rng, n)))
+        merged = 0
+        for dag, keep, diag in cases:
+            tables = _draw_tables(dag, [np.random.default_rng([84, t]) for t in range(3)])
+            _built_plan.cache_clear()
+            fresh = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            want = _doubled_contraction(fresh, tables)
+            cached = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            assert cached is fresh and _built_plan.cache_info().hits == 1
+            merged += len(fresh.calls) > len(fresh.order) + 1
+            assert np.array_equal(_doubled_contraction(cached, tables), want)
+            _built_plan.cache_clear()
+            again = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            assert again is not fresh and vars(again) == vars(fresh)
+            assert np.array_equal(_doubled_contraction(again, tables), want)
+            # every field is a tuple, a string or a number: no caller can
+            # change the plan that the next one gets
+            hash(tuple(vars(again).values()))
+        assert merged == 2
+
+    def test_equal_graphs_built_apart_share_an_entry(self):
+        _built_plan.cache_clear()
+        first = _doubled_plan(band(8, 2), [0, 7], [4], DEFAULT_CAP)
+        second = _doubled_plan(band(8, 2), [0, 7], [4], DEFAULT_CAP)
+        assert second is first
+        info = _built_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_held_sets_of_any_type_and_order_share_an_entry(self):
+        _built_plan.cache_clear()
+        dag = band(8, 2)
+        plans = [
+            _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            for keep, diag in (
+                ([0, 7], [5, 3]),
+                ((7, 0), (3, 5)),
+                ({7, 0}, {5, 3}),
+                (Multinode([7, 0]), Multinode([3, 5])),
+                ([7, 0, 7], [5, 3, 5, 3]),
+            )
+        ]
+        assert all(plan is plans[0] for plan in plans)
+        assert plans[0].diag == (3, 5)
+        info = _built_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+
+    def test_entries_stay_within_the_bound(self):
+        _built_plan.cache_clear()
+        bound = _built_plan.cache_info().maxsize
+        assert bound is not None
+        for n in range(1, bound + 6):
+            _doubled_plan(chain(n), [n - 1], [], DEFAULT_CAP)
+            assert _built_plan.cache_info().currsize == min(n, bound)
+        # the least recently used shape went first
+        misses = _built_plan.cache_info().misses
+        _doubled_plan(chain(1), [0], [], DEFAULT_CAP)
+        assert _built_plan.cache_info().misses == misses + 1
+
+    def test_refusals_raised_on_every_call(self):
+        _built_plan.cache_clear()
+        dag = band(12, 3)
+        plan = _doubled_plan(dag, [0, 11], [6], math.inf)
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                _doubled_plan(dag, [0, 11], [6], plan.largest - 1)
+            assert _doubled_plan(dag, [0, 11], [6], plan.largest).largest == plan.largest
+            with pytest.raises(CapacityError, match="would hold 32 entries"):
+                _doubled_plan(star(40), {1, 2}, set(), 20)
+            with pytest.raises(ValueError, match="must name at least one node"):
+                _doubled_plan(dag, [], [], DEFAULT_CAP)
+        # only the two plans made under caps they fit are kept
+        assert _built_plan.cache_info().currsize == 2

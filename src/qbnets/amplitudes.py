@@ -71,11 +71,14 @@ def labeled(labels: Iterable[int], data) -> LabeledAmplitude:
     """Build a LabeledAmplitude, sorting axes into ascending label order.
 
     Labels are integers; a bool, float or string label raises ValueError
-    rather than being truncated."""
+    rather than being truncated, and so does a non-finite entry."""
     labels = tuple(_as_int(l, "label") for l in labels)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     arr = np.asarray(data, dtype=np.complex128)
+    if not np.isfinite(arr).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"data has a non-finite entry {arr[at]} at {at}")
     if arr.ndim != len(labels):
         raise ValueError(
             f"{len(labels)} labels for a rank-{arr.ndim} tensor"
@@ -124,8 +127,9 @@ def fold(amp: LabeledAmplitude, carrier: int) -> LabeledAmplitude:
 
 
 def product(parts: Iterable[LabeledAmplitude]) -> LabeledAmplitude:
-    out = scalar(1.0)
-    for p in parts:
+    """The parts multiplied in order from the first; the scalar 1 for none."""
+    out, *rest = [*parts] or [scalar(1.0)]
+    for p in rest:
         out = multiply(out, p)
     return out
 

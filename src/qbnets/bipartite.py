@@ -6,9 +6,9 @@ Every route here runs on the equivalent qbnet of
 :func:`factor_graph_to_qbnet`, whose skeleton is the factor graph's.
 :func:`bipartite_iterate` is the polytree rules of :mod:`qbnets.qbp`
 run synchronously on it: one generation recomputes every unfolded ket
-message from the previous one, and the rules raise
-:class:`~qbnets.errors.CapacityError` before building a product of more
-than ``DEFAULT_CAP`` entries. On a tree skeleton the messages stop
+message from the previous one, and a rule whose product would hold more
+than ``DEFAULT_CAP`` entries raises :class:`~qbnets.errors.CapacityError`
+before its first multiply. On a tree skeleton the messages stop
 changing after at most diameter-many generations;
 :func:`bipartite_beliefs` reads a fixed point out through the rules.
 

@@ -8,13 +8,15 @@ joint tensors, kets over a multinode's complement, marginals,
 conditionals, and the brute-force posterior used as the inference oracle
 throughout the test suite. Those are the dense references: products of
 the node tables sliced at the fixed values, visiting every amplitude
-those values allow, the oracle one bounded block at a time. Reduced
-states instead come from variable elimination over the doubled network
-{A_j, A_j*}, planned on its interaction graph, whose intermediates
-follow the net's width rather than its size. Its last product runs over
-the held indices alone and is written straight onto the diagonal blocks
-of the dephased nodes; one net and a stack of sampled nets run the same
-calls, the trial axis of a stack being the ``...`` of every subscript.
+those values allow, the oracle one bounded block at a time, each capped
+before its first multiply, as are the literal rules of
+:mod:`qbnets.qbp`. Reduced states instead come from variable elimination
+over the doubled network {A_j, A_j*}, planned on its interaction graph,
+whose intermediates follow the net's width rather than its size. Its
+last product runs over the held indices alone and is written straight
+onto the diagonal blocks of the dephased nodes; one net and a stack of
+sampled nets run the same calls, the trial axis of a stack being the
+``...`` of every subscript.
 
 The plan is the whole program: the einsum calls, merges of more factors
 than one call takes included, each result counted against the cap and
@@ -37,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, labeled, multiply, product
+from .amplitudes import LabeledAmplitude, labeled, product
 from .errors import CapacityError, ImpossibleEvidenceError, ZeroProbabilityError
 from .graph import Dag, _as_int, as_multinode
 
@@ -187,16 +189,14 @@ def _check_cap(dims: Iterable[int], cap: int, what: str = "joint tensor") -> Non
         )
 
 
-def _capped_multiply(a: LabeledAmplitude, b: LabeledAmplitude) -> LabeledAmplitude:
-    """``multiply(a, b)``, refused before it is built if it would hold
-    more than ``DEFAULT_CAP`` entries. The product of the two sizes
-    bounds the product's size, so the exact count is only taken when
-    that bound is above the cap."""
-    if a.data.size * b.data.size > DEFAULT_CAP:
-        dims = dict(zip(a.labels, a.data.shape))
-        dims.update(zip(b.labels, b.data.shape))
-        _check_cap(dims.values(), DEFAULT_CAP, "product")
-    return multiply(a, b)
+def _capped_product(parts: Sequence[LabeledAmplitude], cap: int, what: str) -> LabeledAmplitude:
+    """``product(parts)``, multiplied in the order given, refused before
+    the first multiply if it would hold more than ``cap`` entries. Each
+    partial product spans a subset of the union of the parts' labels,
+    so nothing built is larger than the size checked here."""
+    dims = {l: d for p in parts for l, d in zip(p.labels, p.data.shape)}
+    _check_cap(dims.values(), cap, what)
+    return product(parts)
 
 
 def joint_amplitude(net: QBNet, assignment: Sequence[int]) -> complex:
@@ -211,8 +211,8 @@ def amplitude_tensor(net: QBNet, cap: int = DEFAULT_CAP) -> LabeledAmplitude:
     Its global squared norm is 1 up to roundoff, by the unit-column
     condition on every table.
     """
-    _check_cap(net.dag.cardinalities, cap)
-    return product(tpm_amplitude(net, j) for j in range(net.dag.node_count))
+    tables = [tpm_amplitude(net, j) for j in range(net.dag.node_count)]
+    return _capped_product(tables, cap, "joint tensor")
 
 
 # Operands per np.einsum call; NumPy 1.x allows 32, NumPy 2 allows 64.
@@ -466,9 +466,7 @@ def vector_amplitude(
     tensor, and ``a`` = all nodes returns a zero-axis tensor holding the
     joint amplitude.
     """
-    fix = _fixed_values(net, a, a_values)
-    _check_cap((d for j, d in enumerate(net.dag.cardinalities) if j not in fix), cap, "ket")
-    return product(_sliced_tables(net, fix))
+    return _capped_product(_sliced_tables(net, _fixed_values(net, a, a_values)), cap, "ket")
 
 
 def _fixed_values(net: QBNet, a, a_values: Sequence[int]) -> dict[int, int]:

@@ -15,8 +15,8 @@ Applied literally, a message would carry the edge variable (its
 carrier c) plus one hidden axis H for every unobserved node of the
 sending subtree, so its size grows exponentially with that subtree.
 The rule functions stay literal: handed unfolded messages they return
-the paper's messages, and raise :class:`~qbnets.errors.CapacityError`
-before building a product of more than ``DEFAULT_CAP`` entries.
+the paper's messages, and refuse a product of more than ``DEFAULT_CAP``
+entries with :class:`~qbnets.errors.CapacityError` before its first multiply.
 :func:`~qbnets.bipartite.bipartite_iterate` runs them synchronously on
 the equivalent net of a factor graph, each message out of its inbox.
 
@@ -45,10 +45,10 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .amplitudes import LabeledAmplitude, labeled, multiply
+from .amplitudes import LabeledAmplitude, labeled
 from .errors import ImpossibleEvidenceError, SchedulingError, StructureError
 from .graph import Dag, is_polytree
-from .network import _LETTERS, QBNet, _capped_multiply, validate_evidence
+from .network import _LETTERS, DEFAULT_CAP, QBNet, _capped_product, validate_evidence
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +111,12 @@ def _masked_tpm(net: QBNet, node: int, evidence: Mapping[int, int]) -> LabeledAm
     return labeled(axes, _masked(net.tpms[node].table, axes, evidence))
 
 
-def _combine(data: LabeledAmplitude, messages, evidence: Mapping[int, int], carrier: int):
-    """The tail of every rule: ``data`` times each message in source
-    order, refused above ``DEFAULT_CAP``, with its observed axes other
+def _combine(head: Sequence[LabeledAmplitude], messages, evidence: Mapping[int, int], carrier: int):
+    """The tail of every rule: the ``head`` parts times each message in
+    source order as one capped product, with its observed axes other
     than ``carrier`` summed out, at unit 2-norm."""
-    for msg in sorted(messages, key=lambda m: m.source):
-        data = _capped_multiply(data, msg.data)
+    parts = [*head, *(m.data for m in sorted(messages, key=lambda m: m.source))]
+    data = _capped_product(parts, DEFAULT_CAP, "product")
     data = data.sum_over(l for l in data.labels if l in evidence and l != carrier)
     norm = data.norm()
     if norm == 0.0:
@@ -161,7 +161,7 @@ def compute_pi(
     parents = net.dag.parents(node)
     _expect_messages(parent_messages, parents, "pi", {p: p for p in parents})
     _assert_disjoint([m.data for m in parent_messages], [node, *parents])
-    data = _combine(_masked_tpm(net, node, evidence), parent_messages, evidence, node)
+    data = _combine([_masked_tpm(net, node, evidence)], parent_messages, evidence, node)
     return AmplitudeMessage(node, node, "pi", node, data)
 
 
@@ -180,8 +180,8 @@ def compute_lambda(
     children = net.dag.children(node)
     _expect_messages(child_messages, children, "lambda", {c: node for c in children})
     _assert_disjoint([m.data for m in child_messages], [node])
-    data = labeled((node,), np.ones(net.dag.cardinality(node)))
-    data = _combine(data, child_messages, evidence, node)
+    ones = labeled((node,), np.ones(net.dag.cardinality(node)))
+    data = _combine([ones], child_messages, evidence, node)
     return AmplitudeMessage(node, node, "lambda", node, data)
 
 
@@ -214,10 +214,9 @@ def rule1_lambda_to_parent(
     _expect_messages([lambda_message] if lambda_message else [], [node], "lambda", {node: node})
     others = tuple(p for p in parents if p != parent)
     _expect_messages(other_parent_messages, others, "pi", {p: p for p in others})
-    incoming = [lambda_message, *other_parent_messages]
-    _assert_disjoint([m.data for m in incoming], [node, *parents])
-    data = _capped_multiply(_masked_tpm(net, node, evidence), lambda_message.data)
-    data = _combine(data, other_parent_messages, evidence, parent)
+    _assert_disjoint([m.data for m in (lambda_message, *other_parent_messages)], [node, *parents])
+    head = [_masked_tpm(net, node, evidence), lambda_message.data]
+    data = _combine(head, other_parent_messages, evidence, parent)
     return AmplitudeMessage(node, parent, "lambda", parent, data)
 
 
@@ -245,9 +244,8 @@ def rule2_pi_to_child(
     _expect_messages([pi_message], [node], "pi", {node: node})
     others = tuple(c for c in children if c != child)
     _expect_messages(other_child_messages, others, "lambda", {c: node for c in others})
-    incoming = [pi_message, *other_child_messages]
-    _assert_disjoint([m.data for m in incoming], [node])
-    data = _combine(pi_message.data, other_child_messages, evidence, node)
+    _assert_disjoint([m.data for m in (pi_message, *other_child_messages)], [node])
+    data = _combine([pi_message.data], other_child_messages, evidence, node)
     return AmplitudeMessage(node, child, "pi", node, data)
 
 
@@ -269,7 +267,7 @@ def _literal_belief(net: QBNet, node: int, inbox, evidence) -> Belief:
     dag = net.dag
     lam = compute_lambda(net, node, [inbox[(c, node)] for c in dag.children(node)], evidence)
     pi = compute_pi(net, node, [inbox[(p, node)] for p in dag.parents(node)], evidence)
-    amp = multiply(lam.data, pi.data)
+    amp = _capped_product([lam.data, pi.data], DEFAULT_CAP, "belief")
     weight = np.abs(amp.data) ** 2
     keep = _family_nodes(dag, node, evidence)
     # amp.labels and keep both ascend, so the sum's axes follow keep

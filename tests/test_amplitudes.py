@@ -131,6 +131,17 @@ class TestLabeledAmplitude:
         with pytest.raises(ValueError, match="label 0.5 is not an integer"):
             labeled((0.5, 1.9), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "data, entry",
+        [([[1, 0], [np.nan, 1]], r"\(nan\+0j\) at \(1, 0\)"),
+         (np.full((2, 2), np.inf), r"\(inf\+0j\) at \(0, 0\)"),
+         ([[1, 0], [0, complex(0, np.nan)]], r"nanj at \(1, 1\)")],
+        ids=["nan", "inf", "complex nan"],
+    )
+    def test_non_finite_data_rejected(self, data, entry):
+        with pytest.raises(ValueError, match="data has a non-finite entry " + entry):
+            labeled((0, 1), data)
+
     def test_multiply_refuses_a_cardinality_clash(self):
         with pytest.raises(ValueError, match="label 0 has cardinality 2 on one side and 3 on the other"):
             multiply(labeled((0,), [1, 0]), labeled((0, 1), np.ones((3, 2))))

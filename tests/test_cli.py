@@ -131,6 +131,13 @@ class TestInfer:
         code, out, err = run(capsys, "infer", str(tmp_path / "net.json"))
         assert code == 2 and out == "" and "unit-norm" in err
 
+    def test_oracle_over_the_cap_exits_one(self, capsys, tmp_path):
+        # 21 binary nodes, none observed: the hidden joint is 2^21 > 2^20
+        dag = Dag([(f"v{i}", 2) for i in range(21)], [(i - 1, i) for i in range(1, 21)])
+        save_json(tmp_path / "chain.json", qbnet_to_json(random_qbnet(dag, np.random.default_rng(5))))
+        code, out, err = run(capsys, "infer", str(tmp_path / "chain.json"), "--method", "oracle")
+        assert code == 1 and out == "" and "hidden joint would hold 2097152 entries" in err
+
     def test_oracle_matches_per_node_oracle(self, capsys, tmp_path):
         rng = np.random.default_rng(12)
         net = random_qbnet(random_polytree_dag(rng, 7, max_card=3), rng)

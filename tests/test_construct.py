@@ -98,6 +98,12 @@ class TestReduceQbnet:
         assert red.dag.cardinalities == (cl, cx * cx0, cy * cy0)
         assert red.dag.edges == ((0, 1), (1, 2), (0, 2))
 
+    def test_regrouped_cards_must_match(self):
+        net = random_reducible_net(np.random.default_rng(3), full_shape=True)
+        cl, cx0, cy0, cx, cy = net.dag.cardinalities
+        with pytest.raises(ValueError, match="cards do not match the reduced net's shape"):
+            regrouped_reduced_tensor(reduce_qbnet(net), (cl, cx0, cy0, cx + 1, cy))
+
     def test_y0_dependence_rejected(self):
         rng = np.random.default_rng(4)
         # a generic construction net from a random extension depends on y0

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from qbnets.amplitudes import labeled, multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
 from conftest import (
-    brute_posterior, chain_forward_backward, counted_contractions, unfolded_messages
+    brute_posterior, chain_forward_backward, counted_contractions, refused_peak_bytes, unfolded_messages
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -472,6 +474,43 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             rule2_pi_to_child(self.net(), 0, 3, pi, other)
 
+    @pytest.mark.parametrize("rule", ["compute_pi", "compute_lambda", "rule1", "rule2"])
+    def test_refused_before_the_first_multiply(self, rule):
+        # two messages of a carrier and 19 hidden axes each: every part
+        # fits in 2^20 entries, the product of all of them does not
+        dag = Dag([(f"n{i}", 2) for i in range(43)], [(1, 0), (2, 0), (0, 3), (0, 4)])
+        net = random_qbnet(dag, np.random.default_rng(30))
+        first, second = range(5, 24), range(24, 43)
+        if rule == "compute_pi":
+            msgs = [self.message(1, 0, "pi", 1, first), self.message(2, 0, "pi", 2, second)]
+            call = functools.partial(compute_pi, net, 0, msgs)
+        elif rule == "compute_lambda":
+            msgs = [self.message(3, 0, "lambda", 0, first), self.message(4, 0, "lambda", 0, second)]
+            call = functools.partial(compute_lambda, net, 0, msgs)
+        elif rule == "rule1":
+            lam = self.message(0, 0, "lambda", 0, first)
+            other = [self.message(2, 0, "pi", 2, second)]
+            call = functools.partial(rule1_lambda_to_parent, net, 0, 1, lam, other)
+        else:
+            pi = self.message(0, 0, "pi", 0, first)
+            other = [self.message(4, 0, "lambda", 0, second)]
+            call = functools.partial(rule2_pi_to_child, net, 0, 3, pi, other)
+        # one 2^20-entry partial product alone would take 16 MB
+        assert refused_peak_bytes(call) < 2**16
+
+    def test_literal_belief_refused(self):
+        # node 0's pi aggregate (node 0, its parent 1 and 18 hidden axes)
+        # and its lambda aggregate (node 0 and 19 hidden axes) hold 2^20
+        # entries each; their product would hold 2^39
+        dag = Dag([(f"n{i}", 2) for i in range(40)], [(1, 0), (0, 2)])
+        net = random_qbnet(dag, np.random.default_rng(31))
+        inbox = {
+            (1, 0): self.message(1, 0, "pi", 1, range(3, 21)),
+            (2, 0): self.message(2, 0, "lambda", 0, range(21, 40)),
+        }
+        with pytest.raises(CapacityError, match=f"belief would hold {2**39} entries"):
+            qbp._literal_belief(net, 0, inbox, {})
+
 
 def recorded_messages(monkeypatch):
     """Patch the driver's per-message hook to keep every message it sends,
@@ -517,9 +556,9 @@ class TestMessageCore:
         from qbnets import amplitudes, network
 
         forbid(monkeypatch, qbp, "compute_pi", "compute_lambda", "rule1_lambda_to_parent",
-               "rule2_pi_to_child", "multiply")
-        forbid(monkeypatch, amplitudes, "multiply")
-        forbid(monkeypatch, network, "multiply")
+               "rule2_pi_to_child", "_capped_product")
+        forbid(monkeypatch, amplitudes, "multiply", "product")
+        forbid(monkeypatch, network, "_capped_product", "product")
         for trial in range(10):
             rng = np.random.default_rng([61, trial])
             dag = random_polytree_dag(rng, 8, max_card=3)

@@ -100,6 +100,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="label names must be unique"):
             DensityMatrix((("q", 2), ("q", 2)), np.eye(4) / 4)
 
+    def test_dim_of_unknown_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown label 'z'"):
+            bell_state().dim_of("z")
+
 
 def ghz_state():
     """The three-qubit GHZ state, its four nonzero entries exactly 1/2."""
@@ -190,6 +194,11 @@ class TestPartialTraceAndReorder:
             flipped.matrix, np.kron(b.matrix, a.matrix), atol=1e-12
         )
 
+    @pytest.mark.parametrize("names", [("x",), ("x", "z"), ("x", "x"), ("x", "y", "y")])
+    def test_reorder_needs_a_permutation(self, names):
+        with pytest.raises(ValueError, match="new order must be a permutation of the labels"):
+            reordered(bell_state(), names)
+
 
 class TestDephase:
     def test_diagonal_input_unchanged(self):
@@ -272,6 +281,15 @@ class TestClassicalInformation:
             ClassicalDistribution((("x", 2),), [np.nan, 1.0])
         with pytest.raises(ValueError, match="sums to inf"):  # the sum overflows
             ClassicalDistribution((("x", 2),), [1e308, 1e308])
+
+    def test_wrong_table_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"table shape \(3, 2\), expected \(2, 3\)"):
+            ClassicalDistribution((("x", 2), ("y", 3)), np.full((3, 2), 1 / 6))
+
+    def test_marginal_of_unknown_labels_rejected(self):
+        dist = ClassicalDistribution((("x", 2), ("y", 3)), np.full((2, 3), 1 / 6))
+        with pytest.raises(ValueError, match=r"unknown labels \['w', 'z'\]"):
+            dist.marginal(["x", "z", "w"])
 
     def test_cmi_is_weighted_sum_over_conditioner(self):
         rng = np.random.default_rng(7)

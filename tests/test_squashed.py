@@ -272,6 +272,25 @@ class TestLineSearchStop:
         assert value == _value_grad(psi, start)[0]
 
 
+class TestDescentFallback:
+    def test_non_descent_direction_restarts_from_the_gradient(self, monkeypatch):
+        # a quasi-Newton direction that ascends (here -xi) is replaced by
+        # the tangent gradient and the memory cleared, so the restart
+        # still lowers the value within its budget
+        psi = _purification(reference_states()[3])
+        held = []
+
+        def ascent(v, xi, pairs):
+            held.append(len(pairs))
+            return -xi
+
+        monkeypatch.setattr(squashed, "_lbfgs_direction", ascent)
+        start = np.eye(16, 4, dtype=complex)
+        value, v, used = squashed._descend(psi, start, 200)
+        assert held and max(held) <= 1 and used <= 200
+        assert value < _value_grad(psi, start)[0] - 1e-3
+
+
 class TestLowerBound:
     """``lower`` is the coherent information, which bounds E_sq from below."""
 

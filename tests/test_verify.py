@@ -13,6 +13,7 @@ import pytest
 from qbnets import (
     CapacityError,
     Dag,
+    ImpossibleEvidenceError,
     InvalidStateError,
     bp_campaign,
     check_dsep_forward,
@@ -272,6 +273,22 @@ class TestBpCampaign:
         r2 = bp_campaign(count=6, max_nodes=6, seed=5)
         assert r1 == r2
         assert r1.to_json() == r2.to_json()
+
+    def test_impossible_evidence_is_drawn_again(self, monkeypatch):
+        # the first trial's first evidence is refused; the trial draws new
+        # evidence from its generator and runs again
+        calls = []
+        propagate = verify.propagate_polytree
+
+        def refuse_once(net, evidence):
+            calls.append(evidence)
+            if len(calls) == 1:
+                raise ImpossibleEvidenceError("impossible evidence: refused once")
+            return propagate(net, evidence)
+
+        monkeypatch.setattr(verify, "propagate_polytree", refuse_once)
+        report = bp_campaign(count=3, max_nodes=6, seed=0)
+        assert report.passed and len(calls) == 4
 
 
 class TestVacuousRunsRejected:

@@ -199,9 +199,9 @@ def regrouped_reduced_tensor(reduced: QBNet, cards: tuple[int, int, int, int, in
     """
     from .network import amplitude_tensor
 
-    amp = amplitude_tensor(reduced)
     cl, cx0, cy0, cx, cy = cards
     if reduced.dag.cardinalities != (cl, cx * cx0, cy * cy0):
         raise ValueError("cards do not match the reduced net's shape")
+    amp = amplitude_tensor(reduced)
     data = amp.data.reshape(cl, cx, cx0, cy, cy0)
     return data.transpose(0, 2, 4, 1, 3)

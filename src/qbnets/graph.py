@@ -115,7 +115,7 @@ class Dag:
         which a node's in-edges appear fixes its declared parent order.
     """
 
-    __slots__ = ("_nodes", "_edges", "_parents", "_children", "_index")
+    __slots__ = ("_nodes", "_edges", "_parents", "_children", "_index", "_hash")
 
     def __init__(
         self,
@@ -158,6 +158,7 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(tuple(ps) for ps in parents))
         object.__setattr__(self, "_children", tuple(tuple(cs) for cs in children))
         object.__setattr__(self, "_index", {name: i for i, (name, _) in enumerate(clean_nodes)})
+        object.__setattr__(self, "_hash", hash((self._nodes, self._parents)))
 
         # raises on a directed cycle
         topological_order(self)
@@ -205,7 +206,7 @@ class Dag:
         return self._children[i]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self._parents[i]) | set(self._children[i])))
+        return tuple(sorted(self._parents[i] + self._children[i]))  # disjoint, no repeats
 
     def __eq__(self, other) -> bool:
         # same nodes and same declared parent order per node; the global
@@ -215,7 +216,7 @@ class Dag:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._nodes, self._parents))
+        return self._hash
 
     def __repr__(self) -> str:
         spec = ", ".join(f"{n}:{c}" for n, c in self._nodes)

@@ -171,11 +171,11 @@ def chain_forward_backward(net, evidence):
 def counted_contractions(monkeypatch):
     """Patch ``np.einsum`` to record the arguments of every call made while
     the patch holds; returns the list it appends them to. The driver's
-    one contraction site is the ``np.einsum`` call in ``qbp._gather``, on
-    one family's layout, so during a run every recorded call is a
-    message or a belief, and nothing else contracts. A reduced state's
-    is the call in ``network._doubled_contraction``, once per planned
-    call."""
+    one contraction site is the ``np.einsum`` call in ``qbp._gathered``,
+    once per message or belief of the run's cached schedule, so during a
+    run every recorded call is a message or a belief, and nothing else
+    contracts. A reduced state's is the call in
+    ``network._doubled_contraction``, once per planned call."""
     calls = []
     einsum = np.einsum
 

@@ -309,9 +309,9 @@ class TestFold:
         sent = {}
         real_edge_message = qbp._edge_message
 
-        def capture(dag, weights, sender, receiver, inbox):
-            sent[(sender, receiver)] = real_edge_message(dag, weights, sender, receiver, inbox)
-            return sent[(sender, receiver)]
+        def capture(step, weights, inbox):
+            sent[step[:2]] = real_edge_message(step, weights, inbox)
+            return sent[step[:2]]
 
         def refuse(*args):
             raise AssertionError("the driver measured a gap between generations")
@@ -366,9 +366,9 @@ class TestMessageCore:
         sent = []
         real_edge_message = qbp._edge_message
 
-        def counting_edge_message(*args):
-            sent.append(args[2:4])
-            return real_edge_message(*args)
+        def counting_edge_message(step, *args):
+            sent.append(step[:2])  # (sender, receiver)
+            return real_edge_message(step, *args)
 
         monkeypatch.setattr(bipartite, "bipartite_iterate", refuse)
         monkeypatch.setattr(bipartite, "_state_gap", refuse)

@@ -98,11 +98,19 @@ class TestReduceQbnet:
         assert red.dag.cardinalities == (cl, cx * cx0, cy * cy0)
         assert red.dag.edges == ((0, 1), (1, 2), (0, 2))
 
-    def test_regrouped_cards_must_match(self):
+    def test_regrouped_cards_must_match(self, monkeypatch):
+        # the cards are checked before the joint tensor is built
+        from qbnets import network
+
+        def refuse(*args):
+            raise AssertionError("amplitude_tensor called before the cards were checked")
+
         net = random_reducible_net(np.random.default_rng(3), full_shape=True)
         cl, cx0, cy0, cx, cy = net.dag.cardinalities
+        reduced = reduce_qbnet(net)
+        monkeypatch.setattr(network, "amplitude_tensor", refuse)
         with pytest.raises(ValueError, match="cards do not match the reduced net's shape"):
-            regrouped_reduced_tensor(reduce_qbnet(net), (cl, cx0, cy0, cx + 1, cy))
+            regrouped_reduced_tensor(reduced, (cl, cx0, cy0, cx + 1, cy))
 
     def test_y0_dependence_rejected(self):
         rng = np.random.default_rng(4)

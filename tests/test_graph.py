@@ -57,6 +57,15 @@ class TestDagValidation:
         dag = Dag([("a", 2), ("b", 2), ("c", 2)], [(1, 2), (0, 2)])
         assert dag.parents(2) == (1, 0)
 
+    def test_equal_graphs_built_apart_hash_alike(self):
+        # the interleaving of edges across children carries no meaning,
+        # a node's parent order does
+        nodes = [("a", 2), ("b", 2), ("c", 3)]
+        first, second = Dag(nodes, [(0, 2), (1, 2), (0, 1)]), Dag(nodes, [(0, 1), (0, 2), (1, 2)])
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert first != Dag(nodes, [(1, 2), (0, 2), (0, 1)])
+        assert first.neighbors(0) == (1, 2) and first.neighbors(2) == (0, 1)
+
 
 class TestMultinode:
     def test_sorted_and_deduped(self):

@@ -19,7 +19,7 @@ from qbnets import (
     rule1_lambda_to_parent,
     rule2_pi_to_child,
 )
-from qbnets import qbp
+from qbnets import network, qbp
 from qbnets.amplitudes import labeled, multiply
 from qbnets.sampling import random_evidence, random_polytree_dag, random_qbnet
 
@@ -280,10 +280,9 @@ class TestPropagate:
 
 
 class TestStability:
-    def test_second_sweep_changes_nothing(self):
-        # recompute every fixed-point message from its own inputs
-        from qbnets.qbp import _edge_message, _family_layout, _skeleton_sweeps
-
+    def test_second_sweep_changes_nothing(self, monkeypatch):
+        # recompute every fixed-point message from its own inputs: the
+        # driver's own steps, weights and final inbox, kept by its hook
         rng = np.random.default_rng(23)
         dag = random_polytree_dag(rng, 7)
         net = random_qbnet(dag, rng)
@@ -292,12 +291,19 @@ class TestStability:
             propagate_polytree(net, evidence)
         except ImpossibleEvidenceError:
             evidence = {}
-        layout = _family_layout(net, evidence)
-        inbox = {}
-        for s, r in _skeleton_sweeps(net.dag):
-            inbox[(s, r)] = _edge_message(net.dag, layout, s, r, inbox)
-        for s, r in _skeleton_sweeps(net.dag):
-            carrier, mu = _edge_message(net.dag, layout, s, r, inbox)
+        steps = []
+        edge_message = qbp._edge_message
+
+        def keeping(step, weights, inbox):
+            steps.append((step, weights, inbox))
+            return edge_message(step, weights, inbox)
+
+        monkeypatch.setattr(qbp, "_edge_message", keeping)
+        propagate_polytree(net, evidence)
+        assert len(steps) == 2 * len(dag.edges)
+        for step, weights, inbox in steps:
+            s, r = step[:2]
+            carrier, mu = edge_message(step, weights, inbox)
             assert carrier == inbox[(s, r)][0]
             np.testing.assert_allclose(mu, inbox[(s, r)][1], atol=1e-12)
 
@@ -419,9 +425,9 @@ class TestFold:
         sent = []
         edge_message = qbp._edge_message
 
-        def recording(dag, weights, sender, receiver, box):
-            carrier, mu = edge_message(dag, weights, sender, receiver, box)
-            sent.append((sender, receiver, carrier, mu))
+        def recording(step, weights, box):
+            carrier, mu = edge_message(step, weights, box)
+            sent.append((*step[:2], carrier, mu))
             return carrier, mu
 
         monkeypatch.setattr(qbp, "_edge_message", recording)
@@ -518,8 +524,9 @@ def recorded_messages(monkeypatch):
     inbox = {}
     edge_message = qbp._edge_message
 
-    def recording(dag, weights, sender, receiver, box):
-        carrier, mu = edge_message(dag, weights, sender, receiver, box)
+    def recording(step, weights, box):
+        carrier, mu = edge_message(step, weights, box)
+        sender, receiver = step[:2]
         kind = "lambda" if carrier == receiver else "pi"
         ket = labeled((carrier,), np.sqrt(mu))
         inbox[(sender, receiver)] = AmplitudeMessage(sender, receiver, kind, carrier, ket)
@@ -667,3 +674,95 @@ class TestMessageCore:
             beliefs = propagate_polytree(net, evidence)
             want = brute_posterior(net, [0], evidence)
             np.testing.assert_allclose(beliefs[0].table, want, rtol=0, atol=1e-12)
+
+
+def one_state_polytree(rng, n):
+    """A random polytree on n nodes, about a third of them with one state."""
+    dag = random_polytree_dag(rng, n, max_card=3)
+    cards = np.where(rng.random(n) < 0.3, 1, dag.cardinalities)
+    return Dag([(name, int(c)) for name, c in zip(dag.names, cards)], dag.edges)
+
+
+class TestScheduleCache:
+    """``propagate_polytree`` looks its schedule up in a bounded cache of
+    ``_polytree_schedule`` keyed on (dag, observed nodes); refusals are
+    never cached."""
+
+    def test_cached_schedule_gives_bit_identical_beliefs(self):
+        schedule = qbp._polytree_schedule
+        one_state = observed = 0
+        for trial in range(40):
+            rng = np.random.default_rng([86, trial])
+            dag = one_state_polytree(rng, int(rng.integers(1, 13)))
+            net = random_qbnet(dag, rng)
+            evidence = random_evidence(dag, rng, observe_prob=0.4)
+            schedule.cache_clear()
+            try:
+                fresh = propagate_polytree(net, evidence)
+            except ImpossibleEvidenceError:
+                continue
+            cached = propagate_polytree(net, evidence)
+            assert schedule.cache_info().hits == 1
+            schedule.cache_clear()
+            again = propagate_polytree(net, evidence)
+            for want in (cached, again):
+                assert want.keys() == fresh.keys()
+                for node, belief in want.items():
+                    assert belief.family_nodes == fresh[node].family_nodes
+                    assert np.array_equal(belief.family, fresh[node].family)
+                    assert np.array_equal(belief.table, fresh[node].table)
+            # every part is a tuple, a string, a number or None: no caller
+            # can change the schedule that the next one gets
+            hash(schedule(dag, frozenset(evidence)))
+            one_state += 1 in dag.cardinalities
+            observed += bool(evidence)
+        assert one_state >= 10 and observed >= 10
+
+    def test_equal_shapes_share_an_entry(self):
+        def build():
+            return Dag([("a", 2), ("b", 3), ("c", 1), ("d", 2)], [(0, 1), (2, 1), (1, 3)])
+
+        first, second = build(), build()
+        assert first is not second and first == second and hash(first) == hash(second)
+        qbp._polytree_schedule.cache_clear()
+        propagate_polytree(random_qbnet(first, np.random.default_rng(87)), {1: 0, 3: 1})
+        propagate_polytree(random_qbnet(second, np.random.default_rng(88)), {3: 0, 1: 2})
+        propagate_polytree(random_qbnet(second, np.random.default_rng(89)), {np.int64(1): 1, 3: 1})
+        info = qbp._polytree_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+    def test_entries_stay_within_the_bound(self):
+        # 37 observed sets on one chain: more shapes than the cache keeps
+        dag = Dag([(f"c{i}", 2) for i in range(6)], [(i, i + 1) for i in range(5)])
+        net = random_qbnet(dag, np.random.default_rng(90))
+        schedule = qbp._polytree_schedule
+        schedule.cache_clear()
+        bound = schedule.cache_info().maxsize
+        assert bound == network._PLANS_CACHED
+        for k in range(37):
+            propagate_polytree(net, {i: 0 for i in range(6) if k >> i & 1})
+            assert schedule.cache_info().currsize == min(k + 1, bound)
+        assert schedule.cache_info().misses == 37
+
+    def test_non_polytree_refused_on_every_call(self):
+        dag = Dag([("a", 2), ("b", 2), ("c", 2), ("d", 2)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        net = random_qbnet(dag, np.random.default_rng(91))
+        qbp._polytree_schedule.cache_clear()
+        for _ in range(2):
+            with pytest.raises(StructureError, match="polytree"):
+                propagate_polytree(net, {3: 1})
+        info = qbp._polytree_schedule.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_impossible_evidence_raised_on_a_hit(self):
+        # x is 0 for sure, so x = 1 is impossible, under the schedule that
+        # x = 0 made
+        dag = Dag([("x", 2), ("y", 2)], [(0, 1)])
+        net = QBNet(dag, [node_tpm(0, (), [1.0, 0.0]), node_tpm(1, (0,), np.eye(2))])
+        qbp._polytree_schedule.cache_clear()
+        propagate_polytree(net, {0: 0})
+        for _ in range(2):
+            with pytest.raises(ImpossibleEvidenceError):
+                propagate_polytree(net, {0: 1})
+        info = qbp._polytree_schedule.cache_info()
+        assert (info.hits, info.misses) == (2, 1)

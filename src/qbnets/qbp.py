@@ -398,20 +398,25 @@ def propagate_polytree(
 
     Everything but the arrays depends on ``net.dag`` and the observed nodes
     alone, so each such shape is scheduled once and kept in an LRU cache of
-    ``_PLANS_CACHED`` (32); the polytree check runs on a miss alone. Binary
+    ``_PLANS_CACHED`` (32); the polytree check runs on a miss alone. The
+    evidence is validated before the lookup, and the schedule is keyed on
+    the validated nodes, so refused evidence takes no cache slot. Binary
     chains of 200 and 1,000 nodes observed at the far end take 3.2 and 17 ms
     a call cached (45 kB, 0.5 MB traced), 4.8 and 25 ms not (2-vCPU host).
 
     Raises
     ------
+    ValueError
+        if the evidence names a node or state out of range, checked before
+        the skeleton is.
     StructureError
         if the skeleton has an undirected cycle.
     ImpossibleEvidenceError
         if the evidence has probability zero.
     """
     dag = net.dag
-    layout, messages, beliefs = _polytree_schedule(dag, frozenset(evidence or ()))
     evidence = validate_evidence(dag, evidence or {})
+    layout, messages, beliefs = _polytree_schedule(dag, frozenset(evidence))
     weights = [(w if family is None else _masked(w, family, evidence)).reshape(shape)
                for w, (family, shape) in zip((np.square(np.abs(t.table)) for t in net.tpms), layout)]
     inbox: dict[tuple[int, int], tuple[int, np.ndarray]] = {}

@@ -754,6 +754,23 @@ class TestScheduleCache:
         info = qbp._polytree_schedule.cache_info()
         assert (info.misses, info.currsize) == (2, 0)
 
+    def test_refused_evidence_takes_no_slot(self):
+        # the evidence is validated before the schedule lookup, so a refused
+        # call neither adds an entry nor evicts one, and on a non-polytree
+        # the bad evidence is what is named
+        chain = Dag([("a", 2), ("b", 2)], [(0, 1)])
+        diamond = Dag([("a", 2), ("b", 2), ("c", 2), ("d", 2)], [(0, 1), (0, 2), (1, 3), (2, 3)])
+        schedule = qbp._polytree_schedule
+        schedule.cache_clear()
+        propagate_polytree(random_qbnet(chain, np.random.default_rng(92)), {1: 0})
+        for dag in (chain, diamond):
+            net = random_qbnet(dag, np.random.default_rng(93))
+            for evidence in ({99: 0}, {"a": 0}, {0: 5}):
+                with pytest.raises(ValueError, match="out of range|not an integer"):
+                    propagate_polytree(net, evidence)
+                assert schedule.cache_info().currsize == 1
+        assert schedule.cache_info().misses == 1
+
     def test_impossible_evidence_raised_on_a_hit(self):
         # x is 0 for sure, so x = 1 is impossible, under the schedule that
         # x = 0 made

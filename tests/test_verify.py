@@ -38,6 +38,8 @@ from qbnets import verify  # the module, for monkeypatching its names
 from qbnets.verify import (
     _CENSUS_AMPLITUDES,
     _assignment_codes,
+    _CENSUS_MAX_NODES,
+    _census_cases,
     _census_cmis,
     _census_kets,
     _class_representatives,
@@ -375,6 +377,8 @@ class TestCensusCap:
 
     @pytest.mark.parametrize("card", [2, 3])  # 1,600 and 12,150 amplitudes a case
     def test_census_kets_under_cap_run(self, monkeypatch, card):
+        # a cached graph half would skip canonicalization
+        _census_cases.cache_clear()
         monkeypatch.setattr(verify, "canonical_separated_cases", self._canonicalization_reached)
         with pytest.raises(LookupError, match="canonicalization reached"):
             dsep_forward_census(max_nodes=5, card=card)
@@ -526,6 +530,7 @@ class TestCanonicalization:
             raise AssertionError(f"labeled DAGs on {n} nodes listed")
 
         monkeypatch.setattr(verify, "enumerate_dags", listed)
+        _census_cases.cache_clear()  # so that the census canonicalizes
         report = dsep_forward_census(max_nodes=4, trials=2)
         assert (report.classes, report.separated_classes) == (1_377, 221)
 
@@ -730,3 +735,82 @@ class TestBatchedCensus:
         assert report.max_cmi == pytest.approx(worst, rel=0, abs=1e-14)
         assert report.max_cmi_assignable == pytest.approx(max(assignable), rel=0, abs=1e-14)
         assert report.worst_case == f"n={n} parents={parents} a,b,z={masks}"
+
+
+class TestCensusCases:
+    """The census's graph half, one entry per node count, kept in a cache
+    that every census shares."""
+
+    @staticmethod
+    def _report(**kwargs) -> str:
+        return dsep_forward_census(**kwargs).to_json(include_wall_time=False)
+
+    @pytest.mark.parametrize("card, trials", [(2, 50), (3, 7)])
+    def test_cold_and_warm_reports_identical(self, card, trials):
+        _census_cases.cache_clear()
+        cold = self._report(max_nodes=4, trials=trials, seed=5, card=card)
+        # another shape in between uses the same entries
+        self._report(max_nodes=3, trials=trials + 1, seed=6, card=card + 1)
+        assert self._report(max_nodes=4, trials=trials, seed=5, card=card) == cold
+        info = _census_cases.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 7, 4)
+
+    def test_one_entry_per_node_count(self):
+        _census_cases.cache_clear()
+        assert _census_cases.cache_info().maxsize == _CENSUS_MAX_NODES
+        for trials, card in itertools.product((1, 2, 3), (2, 3)):
+            dsep_forward_census(max_nodes=2, trials=trials, card=card)
+            assert _census_cases.cache_info().currsize == 2
+        assert _census_cases.cache_info().misses == 2
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"max_nodes": 6}, CapacityError),
+            ({"max_nodes": 5, "card": 17}, CapacityError),  # kets above the cap
+            ({"trials": 0}, ValueError),
+            ({"trials": 2.0}, ValueError),
+            ({"card": 0}, ValueError),
+            ({"tol": -1.0}, ValueError),
+            ({"tol": float("nan")}, ValueError),
+        ],
+    )
+    def test_no_refusal_leaves_an_entry(self, kwargs, error):
+        _census_cases.cache_clear()
+        dsep_forward_census(max_nodes=2, trials=3)
+        held = _census_cases.cache_info().currsize
+        with pytest.raises(error):
+            dsep_forward_census(**{"max_nodes": 4, "trials": 3, **kwargs})
+        assert _census_cases.cache_info().currsize == held == 2
+
+    def test_callers_share_nothing_mutable(self):
+        _census_cases.cache_clear()
+        before = self._report(max_nodes=4, trials=3, seed=2)
+        for n in range(1, 5):
+            cases, _, _ = canonical_separated_cases(n)
+            cases.reverse()
+            cases[:1] = []
+        assert self._report(max_nodes=4, trials=3, seed=2) == before
+
+        cases, classes, labeled, sides = _census_cases(4)
+        fresh, *counts = canonical_separated_cases(4)
+        assert cases == tuple(fresh) and [classes, labeled] == counts
+        assert len(sides) == len(cases) == 209
+        with pytest.raises(ValueError, match="read-only"):
+            sides[0] = not sides[0]
+
+    def test_memory_held_to_one_slice(self):
+        # the cache holds the cases alone: a census of large kets holds
+        # one slice's kets and gather orders while it runs (3.3 MB peak),
+        # and nothing after it returns. Keeping each case's card^n gather
+        # order would hold 209 x 8^4 x 8 bytes (6.8 MB) here, and 55 GB
+        # at n = 5 and card 16.
+        dsep_forward_census(max_nodes=4, trials=1)
+        tracemalloc.start()
+        try:
+            dsep_forward_census(max_nodes=4, trials=1, card=8)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
+        assert peak < 5_000_000

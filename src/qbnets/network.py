@@ -171,13 +171,14 @@ def _require_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
-def _require_positive(name: str, value: int) -> None:
+def _require_positive(name: str, value: int, least: int = 1) -> None:
     """Reject a count that is not an integer (bools and floats included)
-    or that would make a run vacuous."""
+    or that is below ``least``: by default one that would make a run
+    vacuous."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _check_cap(dims: Iterable[int], cap: int, what: str = "joint tensor") -> None:

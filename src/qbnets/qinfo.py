@@ -258,15 +258,21 @@ def _spectrum_entropy(w: np.ndarray) -> np.ndarray:
     return 0.0 - (w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
 
 
-def _pair_entropy(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entropy of each Hermitian [[a, b*], [b, d]] from a, d and |b|.
+def _pair_spectrum(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (lo, hi) of each Hermitian [[a, b*], [b, d]] from a, d and |b|.
 
-    The eigenvalues are m -+ hypot(h, |b|), with m = (a + d) / 2 and
-    h = (a - d) / 2: the one 2 x 2 spectrum formula of the package.
+    They are m -+ hypot(h, |b|), with m = (a + d) / 2 and h = (a - d) / 2:
+    the one 2 x 2 spectrum formula of the package.
     """
     m = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), b)
-    return _spectrum_entropy(np.stack([m - r, m + r], axis=-1))
+    return m - r, m + r
+
+
+def _pair_entropy(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entropy of each Hermitian [[a, b*], [b, d]] from a, d and |b|
+    (the spectrum of :func:`_pair_spectrum`)."""
+    return _spectrum_entropy(np.stack(_pair_spectrum(a, d, b), axis=-1))
 
 
 def _reduce(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:

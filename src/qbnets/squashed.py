@@ -7,9 +7,14 @@ psi[x, y, e] of rank r: every ensemble decomposition with at most n
 members arises from a rank-one n-outcome measurement on the purifying
 system, that is from an n-by-r isometry V, with unnormalized members
 phi_l = sum_e psi[:, :, e] V[l, e]. Members are pure, so half the CMI is
-f(V) = sum_l p_l S(M_l / p_l), with M_l the x-marginal of phi_l and
-p_l = Tr M_l. One eigendecomposition of the stack of M_l gives f and its
-Euclidean gradient G[l, e] = Tr(psi_e^dag K_l phi_l), K_l = -ln(M_l / p_l).
+f(V) = sum_l p_l S(M_l / p_l), with M_l the marginal of phi_l on its
+smaller side (pure members have S(x) = S(y)) and p_l = Tr M_l. The
+spectra of the stack of M_l give f and its Euclidean gradient
+G[l, e] = Tr(psi_e^dag K_l phi_l), K_l = -ln(M_l / p_l). On a side of 2
+each spectrum comes from the closed 2 x 2 formula, and K_l = alpha_l I +
+beta_l M_l with alpha_l + beta_l lam = -ln(lam / p_l) at both eigenvalues
+(the tangent line at a tie); other sides take one eigendecomposition of
+the stack.
 V descends on the Stiefel manifold (Abrudan, Eriksson & Koivunen, IEEE
 TSP 56:1134, 2008) by Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM
 J. Optim. 25:1660, 2015). The direction is the two-loop recursion applied
@@ -63,6 +68,7 @@ from .qinfo import (
     DiagonalExtension,
     _check_spectrum,
     _entropy_on,
+    _pair_spectrum,
     _spectral_entropy,
     cmi_diagonal,
 )
@@ -100,15 +106,39 @@ def _members(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _value_grad(psi: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """f(V) = sum_l p_l S(M_l / p_l) and its Euclidean gradient G, with
-    df = 2 Re Tr(G^dag dV)."""
+    df = 2 Re Tr(G^dag dV).
+
+    M_l is the marginal on psi's first side, which :func:`_descend` makes
+    the smaller one. A side of 2 gets each spectrum from
+    :func:`_pair_spectrum` and applies K_l = -ln(M_l / p_l) as
+    alpha_l I + beta_l M_l; other sides go through ``eigh``.
+    """
     phi = _members(psi, v)
-    w, u = np.linalg.eigh(phi @ phi.conj().swapaxes(1, 2))
-    _check_spectrum(w)
-    w = np.maximum(w, EIG_FLOOR)
-    log_ratio = np.log(w) - np.log(w.sum(axis=1))[:, None]
-    k_phi = u @ (-log_ratio[:, :, None] * (u.conj().swapaxes(1, 2) @ phi))
+    gram = phi @ phi.conj().swapaxes(1, 2)
+    if gram.shape[1] == 2:
+        lo, hi = _pair_spectrum(gram[:, 0, 0].real, gram[:, 1, 1].real, np.abs(gram[:, 1, 0]))
+        _check_spectrum(lo)
+        lo, hi = np.maximum(lo, EIG_FLOOR), np.maximum(hi, EIG_FLOOR)
+        log_p = np.log(lo + hi)
+        log_lo, log_hi = np.log(lo) - log_p, np.log(hi) - log_p
+        # beta is the divided difference of -ln(lam / p) over (lo, hi), -1 / lam
+        # at a tie; a member with lo at the floor is rank one, phi has no part
+        # for the ln of the floor to act on, and beta = 0 keeps that roundoff out
+        gap = hi - lo
+        beta = np.divide(log_lo - log_hi, gap, out=-1.0 / hi, where=gap > 0.0)
+        beta[lo <= EIG_FLOOR] = 0.0
+        alpha = -log_hi - beta * hi
+        k_phi = alpha[:, None, None] * phi + beta[:, None, None] * (gram @ phi)
+        value = -(lo * log_lo + hi * log_hi).sum()
+    else:
+        w, u = np.linalg.eigh(gram)
+        _check_spectrum(w)
+        w = np.maximum(w, EIG_FLOOR)
+        log_ratio = np.log(w) - np.log(w.sum(axis=1))[:, None]
+        k_phi = u @ (-log_ratio[:, :, None] * (u.conj().swapaxes(1, 2) @ phi))
+        value = -(w * log_ratio).sum()
     grad = k_phi.reshape(len(v), -1) @ psi.reshape(-1, psi.shape[2]).conj()
-    return float(-(w * log_ratio).sum()), grad
+    return float(value), grad
 
 
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -122,6 +152,16 @@ def _retract(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     d = np.diagonal(r)
     return q * (d / np.abs(d))[None, :]
+
+
+def _smaller_side_first(psi: np.ndarray) -> np.ndarray:
+    """psi[x, y, e], or a contiguous psi[y, x, e] when y is the smaller side.
+
+    Members are pure, so S(x) = S(y) and f(V) and its gradient are the same
+    on either side; the smaller one has the smaller marginals."""
+    if psi.shape[0] > psi.shape[1]:
+        return np.ascontiguousarray(psi.swapaxes(0, 1))
+    return psi
 
 
 def _lbfgs_direction(v: np.ndarray, xi: np.ndarray, pairs) -> np.ndarray:
@@ -148,6 +188,7 @@ def _lbfgs_direction(v: np.ndarray, xi: np.ndarray, pairs) -> np.ndarray:
 def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
     """Riemannian L-BFGS on the isometry; every value-and-gradient call is
     one evaluation of the budget."""
+    psi = _smaller_side_first(psi)
     value, g = _value_grad(psi, v)
     xi, used, pairs = _tangent(v, g), 1, deque(maxlen=_MEMORY)
     while used < budget and value > EARLY_STOP:
@@ -213,7 +254,8 @@ def squashed_entanglement(
         eigenbasis ensemble); later restarts start from Haar-random
         isometries
     budget : value-and-gradient evaluations per restart, at least 1
-    seed : master seed; restart r draws from ``default_rng([seed, r])``
+    seed : master seed, a non-negative integer; restart r draws from
+        ``default_rng([seed, r])``
 
     Each restart is one Riemannian L-BFGS descent on the isometry (see
     the module docstring).
@@ -232,6 +274,7 @@ def squashed_entanglement(
         raise ValueError("squashed entanglement needs exactly two label groups")
     _require_positive("restarts", restarts)
     _require_positive("budget", budget)
+    _require_positive("seed", seed, least=0)
     if lam_card is not None:
         _require_positive("lam_card", lam_card)
 

@@ -24,7 +24,8 @@ from qbnets import (
     rule1_lambda_to_parent,
     rule2_pi_to_child,
 )
-from qbnets.squashed import EARLY_STOP, _retract, _tangent, _value_grad
+from qbnets.qinfo import _check_spectrum
+from qbnets.squashed import EARLY_STOP, EIG_FLOOR, _members, _retract, _tangent, _value_grad
 
 
 @pytest.fixture
@@ -552,6 +553,20 @@ def wootters_eof(matrix):
     c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     p = 0.5 * (1.0 + np.sqrt(max(0.0, 1.0 - c * c)))
     return float(sum(-q * np.log(q) for q in (p, 1.0 - p) if q > 0.0))
+
+
+def eigh_value_grad(psi, v):
+    """The squashed objective and its gradient by one ``eigh`` of the
+    members' x-marginals, whatever their size: the reference for the
+    closed 2 x 2 form of ``qbnets.squashed._value_grad``."""
+    phi = _members(psi, v)
+    w, u = np.linalg.eigh(phi @ phi.conj().swapaxes(1, 2))
+    _check_spectrum(w)
+    w = np.maximum(w, EIG_FLOOR)
+    log_ratio = np.log(w) - np.log(w.sum(axis=1))[:, None]
+    k_phi = u @ (-log_ratio[:, :, None] * (u.conj().swapaxes(1, 2) @ phi))
+    grad = k_phi.reshape(len(v), -1) @ psi.reshape(-1, psi.shape[2]).conj()
+    return float(-(w * log_ratio).sum()), grad
 
 
 def bb_descend(psi, v, budget):

@@ -14,9 +14,18 @@ from qbnets import (
     von_neumann_entropy,
 )
 from qbnets.sampling import random_density_matrix
-from qbnets.squashed import _members, _purification, _retract, _tangent, _value_grad, _witness_from
+from qbnets.qinfo import _pair_spectrum
+from qbnets.squashed import (
+    _members,
+    _purification,
+    _retract,
+    _smaller_side_first,
+    _tangent,
+    _value_grad,
+    _witness_from,
+)
 
-from conftest import bb_descend, wootters_eof
+from conftest import bb_descend, eigh_value_grad, wootters_eof
 
 LN2 = np.log(2.0)
 
@@ -143,6 +152,24 @@ class TestContracts:
         rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(4))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             squashed_entanglement(rho, **kwargs)
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_not_a_non_negative_integer_rejected_before_any_work(self, monkeypatch, seed, restarts):
+        # -1 and 1.5 used to pass at one restart, where no seed is drawn,
+        # and fail at two only after restart 0's whole descent
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(4))
+        descents = []
+        monkeypatch.setattr(squashed, "_descend", lambda *args: descents.append(args))
+        with pytest.raises(ValueError, match="^seed must be"):
+            squashed_entanglement(rho, restarts=restarts, budget=50, seed=seed)
+        assert descents == []
+
+    def test_numpy_integer_seed_accepted(self):
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(4))
+        ours = squashed_entanglement(rho, restarts=2, budget=50, seed=np.int64(3))
+        plain = squashed_entanglement(rho, restarts=2, budget=50, seed=3)
+        assert ours.value == plain.value and ours.evaluations == plain.evaluations
 
     def test_counts_checked_before_the_pure_state_shortcut(self):
         with pytest.raises(ValueError, match="^restarts must be"):
@@ -343,6 +370,90 @@ class TestGradient:
         d = _tangent(v, complex_normal(rng, 9, 3))
         skew = v.conj().T @ d
         assert np.allclose(skew, -skew.conj().T, atol=1e-14)
+
+
+def product_column_psi(rng, dx, dy):
+    """psi[x, y, e] whose first two columns are product vectors and whose
+    last is entangled: under the identity isometry, rank-one members
+    next to a rank-two one."""
+    cols = [np.outer(complex_normal(rng, dx), complex_normal(rng, dy)) for _ in range(2)]
+    cols.append(complex_normal(rng, dx, dy))
+    psi = np.stack(cols, axis=-1)
+    return psi / np.linalg.norm(psi)
+
+
+def with_zero_row(rng, n, rank):
+    """An n-by-rank isometry whose second row is zero: an empty member."""
+    v = _retract(complex_normal(rng, n - 1, rank))
+    return np.insert(v, 1, 0.0, axis=0)
+
+
+class TestClosedFormKernel:
+    """The closed 2 x 2 form of ``_value_grad``, on psi with its smaller side
+    first as the descent passes it, against the ``eigh`` of every member's
+    x-marginal (``conftest.eigh_value_grad``)."""
+
+    @staticmethod
+    def assert_matches_eigh(psi, v):
+        value, grad = _value_grad(_smaller_side_first(psi), v)
+        ref_value, ref_grad = eigh_value_grad(psi, v)
+        assert abs(value - ref_value) <= 1e-14
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("dx, dy", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_random_isometries(self, dx, dy, rank):
+        rng = np.random.default_rng(70 + 10 * dx + dy + rank)
+        psi = _purification(state_of_rank(rng, dx, dy, rank))
+        assert psi.shape == (dx, dy, rank)
+        for n in (rank, rank * rank):
+            self.assert_matches_eigh(psi, _retract(complex_normal(rng, n, rank)))
+
+    @pytest.mark.parametrize("p", [0.5, 0.7])
+    def test_identity_isometry_on_bell_states_in_noise(self, p):
+        # members with a == d and b == 0 exactly: ties, where beta = -1 / lam;
+        # the isometry's last twelve rows are zero, so are their members
+        rho = DensityMatrix((("x", 2), ("y", 2)), p * bell_state().matrix + (1 - p) * np.eye(4) / 4)
+        psi = _purification(rho)
+        v = np.eye(16, 4, dtype=complex)
+        phi = _members(psi, v)
+        gram = phi @ phi.conj().swapaxes(1, 2)
+        lo, hi = _pair_spectrum(gram[:, 0, 0].real, gram[:, 1, 1].real, np.abs(gram[:, 1, 0]))
+        assert np.any((lo == hi) & (hi > 0.0))
+        self.assert_matches_eigh(psi, v)
+
+    @pytest.mark.parametrize("dx, dy", [(2, 2), (2, 3), (3, 2)])
+    def test_isometry_with_a_zero_row(self, dx, dy):
+        rng = np.random.default_rng(80 + 10 * dx + dy)
+        psi = _purification(state_of_rank(rng, dx, dy, 3))
+        self.assert_matches_eigh(psi, with_zero_row(rng, 9, 3))
+
+    @pytest.mark.parametrize("dx, dy", [(2, 2), (2, 3), (3, 2)])
+    def test_rank_one_members(self, dx, dy):
+        rng = np.random.default_rng(90 + 10 * dx + dy)
+        psi = product_column_psi(rng, dx, dy)
+        v = np.eye(5, 3, dtype=complex)
+        phi = _members(psi, v)
+        ranks = [np.linalg.matrix_rank(m, tol=1e-12) for m in phi[:3]]
+        assert ranks == [1, 1, 2]
+        self.assert_matches_eigh(psi, v)
+
+    def test_no_eigendecomposition_on_a_qubit_side(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        for dx, dy in ((2, 3), (3, 2)):
+            psi = _purification(state_of_rank(rng, dx, dy, 3))
+            v = _retract(complex_normal(rng, 9, 3))
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", None)
+                value, _, used = squashed._descend(psi, v, 20)
+            assert used > 1 and value < _value_grad(psi, v)[0]
+
+    def test_the_smaller_side_is_a_contiguous_copy(self):
+        psi = _purification(state_of_rank(np.random.default_rng(96), 3, 2, 3))
+        swapped = _smaller_side_first(psi)
+        assert swapped.shape == (2, 3, 3) and swapped.flags.c_contiguous
+        assert np.array_equal(swapped, psi.swapaxes(0, 1))
+        assert _smaller_side_first(swapped) is swapped
 
 
 class TestLogging:

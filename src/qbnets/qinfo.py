@@ -365,6 +365,23 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
     return entropy(x) + entropy(y) - entropy(()) - entropy(x + y)
 
 
+_SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real  # sigma_y (x) sigma_y
+
+
+def _formation_entropy(psi: np.ndarray) -> float:
+    """Entanglement of formation of psi psi^dagger, psi[x, y, e] a two-qubit
+    purification (Wootters, PRL 80:2245, 1998): the binary entropy of
+    (1 + sqrt(1 - C^2)) / 2, with the concurrence C = s1 - s2 - s3 - s4 (or 0)
+    from the decreasing singular values of Wootters' tau matrix
+    psi^T (sigma_y (x) sigma_y) psi, zeros past its rank: no square root of
+    a roundoff eigenvalue enters C."""
+    kets = psi.reshape(4, -1)
+    s = np.linalg.svd(kets.T @ _SPIN_FLIP @ kets, compute_uv=False)
+    c = max(0.0, s[0] - s[1:].sum())
+    p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    return float(_spectrum_entropy(np.array([p, 1.0 - p])))
+
+
 def _probabilities(arr: np.ndarray, has: str, sums: str) -> np.ndarray:
     """A read-only copy of the float array ``arr`` divided by its total.
 

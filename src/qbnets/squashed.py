@@ -48,10 +48,16 @@ extension, so E_sq <= C-squashed <= value. The witness extension
 achieves the value. Since every searched member is pure, a searched
 extension scores at least the entanglement of formation, so the value
 never falls below min(I / 2, E_F), and the search's optimum is that floor.
+On a 2 x 2 state that floor F comes first, E_F from Wootters' tau matrix
+of the purification (:func:`qbnets.qinfo._formation_entropy`), and the
+restarts stop once the best value is within EARLY_STOP of F; the stop
+acts between restarts only, so each restart that runs is unchanged.
+``EsqResult.floor`` reports F, None on other shapes.
 From below, E_sq is at least the coherent information
 max(0, S(x) - S(xy), S(y) - S(xy)): by the hashing inequality that is
 at most the one-way distillable entanglement, which is at most E_sq.
-Each restart logs one INFO line to the ``qbnets.squashed`` logger.
+Each restart logs one INFO line to the ``qbnets.squashed`` logger, and
+a stop at the two-qubit floor logs one more.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ from .qinfo import (
     DiagonalExtension,
     _check_spectrum,
     _entropy_on,
+    _formation_entropy,
     _pair_spectrum,
     _spectral_entropy,
     cmi_diagonal,
@@ -90,6 +97,7 @@ class EsqResult:
     restart: int  # -1 when the trivial extension won
     evaluations: int
     lower: float  # coherent information, a lower bound on E_sq
+    floor: float | None  # min(I / 2, E_F) on a 2 x 2 state, the search's optimum
 
 
 def _purification(rho: DensityMatrix) -> np.ndarray:
@@ -250,9 +258,10 @@ def squashed_entanglement(
     rho : DensityMatrix over exactly two labels
     lam_card : number of extension members, a positive integer; defaults
         to rank(rho) squared
-    restarts : at least 1; restart 0 starts at the identity isometry (the
-        eigenbasis ensemble); later restarts start from Haar-random
-        isometries
+    restarts : at most this many descents, at least 1 (they end once the
+        best value is within EARLY_STOP of 0, or of ``floor``); restart 0
+        starts at the identity isometry (the eigenbasis ensemble); later
+        restarts start from Haar-random isometries
     budget : value-and-gradient evaluations per restart, at least 1
     seed : master seed, a non-negative integer; restart r draws from
         ``default_rng([seed, r])``
@@ -268,7 +277,9 @@ def squashed_entanglement(
         bound, E_sq <= C-squashed entanglement <= ``value``, with no
         certificate of how close it is to either. ``lower`` is the
         coherent information max(0, S(x) - S(xy), S(y) - S(xy)), a lower
-        bound on E_sq; on a pure state both bounds equal S(x).
+        bound on E_sq; on a pure state both bounds equal S(x). ``floor``
+        is min(I / 2, E_F) on a 2 x 2 state, the least value any searched
+        extension can reach, and None otherwise.
     """
     if len(rho.labels) != 2:
         raise ValueError("squashed entanglement needs exactly two label groups")
@@ -283,18 +294,22 @@ def squashed_entanglement(
     lower = _coherent_information(rho)
     evaluations = 0
     psi = _purification(rho)
+    floor = min(best_value, _formation_entropy(psi)) if psi.shape[:2] == (2, 2) else None
     rank = psi.shape[2]
     if rank == 1:
         # Pure state: every feasible extension repeats the state itself,
         # so the trivial extension already attains the minimum.
-        return EsqResult(best_value, best_witness, -1, 0, lower)
+        return EsqResult(best_value, best_witness, -1, 0, lower, floor)
 
     n = lam_card if lam_card is not None else rank * rank
     if n < rank:
         raise ValueError(f"lam cardinality {n} cannot resolve a rank-{rank} purifier")
 
+    stop = EARLY_STOP if floor is None else floor + EARLY_STOP
     for r in range(restarts):
-        if best_value <= EARLY_STOP:
+        if best_value <= stop:
+            if floor is not None:
+                _log.info("squashed search stopped at the two-qubit floor %.6g before restart %d", floor, r)
             break
         v0 = np.eye(n, rank, dtype=complex)
         if r > 0:
@@ -307,7 +322,7 @@ def squashed_entanglement(
             best_witness = _witness_from(rho, _members(psi, v))
             best_value = 0.5 * cmi_diagonal(best_witness)
             best_restart = r
-    return EsqResult(best_value, best_witness, best_restart, evaluations, lower)
+    return EsqResult(best_value, best_witness, best_restart, evaluations, lower, floor)
 
 
 def assembly_error(rho: DensityMatrix, ext: DiagonalExtension) -> float:

@@ -14,7 +14,7 @@ from qbnets import (
     von_neumann_entropy,
 )
 from qbnets.sampling import random_density_matrix
-from qbnets.qinfo import _pair_spectrum
+from qbnets.qinfo import _formation_entropy, _pair_spectrum
 from qbnets.squashed import (
     _members,
     _purification,
@@ -55,6 +55,14 @@ def state_of_rank(rng, dx, dy, rank):
 
 def half_mi_or_eof(rho):
     return min(0.5 * quantum_mutual_information(rho, "x", "y"), wootters_eof(rho.matrix))
+
+
+def rank_two_bell_mixture(p):
+    """p |Phi+><Phi+| + (1 - p) |01><01|, of concurrence p, and its E_F."""
+    phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    rho = p * np.outer(phi, phi) + (1 - p) * np.diag([0.0, 1.0, 0.0, 0.0])
+    q = 0.5 * (1 + np.sqrt(1 - p * p))
+    return rho, -q * np.log(q) - (1 - q) * np.log(1 - q)
 
 
 def reference_states():
@@ -217,12 +225,9 @@ class TestWoottersFloor:
 
     @pytest.mark.parametrize("p", [0.3, 0.9])
     def test_oracle_on_rank_two_state(self, p):
-        # p |Phi+><Phi+| + (1 - p) |01><01| has concurrence p; its two zero
-        # eigenvalues come out of LAPACK as roundoff that must not reach C
-        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        rho = p * np.outer(phi, phi) + (1 - p) * np.diag([0.0, 1.0, 0.0, 0.0])
-        q = 0.5 * (1 + np.sqrt(1 - p * p))
-        eof = -q * np.log(q) - (1 - q) * np.log(1 - q)
+        # the two zero eigenvalues of rank_two_bell_mixture(p) come out of
+        # LAPACK as roundoff that must not reach C
+        rho, eof = rank_two_bell_mixture(p)
         assert wootters_eof(rho) == pytest.approx(eof, rel=0, abs=1e-12)
 
     @staticmethod
@@ -253,6 +258,85 @@ class TestWoottersFloor:
         for rho in states:
             result = squashed_entanglement(rho, restarts=2, budget=1000)
             assert result.value <= half_mi_or_eof(rho) + 1e-6
+
+
+class TestFormationEntropy:
+    """``qinfo._formation_entropy``, Wootters' tau-matrix form on the
+    purification, against ``conftest.wootters_eof`` on the density matrix."""
+
+    @staticmethod
+    def eof(matrix):
+        return _formation_entropy(_purification(DensityMatrix((("x", 2), ("y", 2)), matrix)))
+
+    def test_anchors(self):
+        assert self.eof(bell_state().matrix) == pytest.approx(LN2, rel=0, abs=1e-14)
+        rng = np.random.default_rng(22)
+        a = random_density_matrix((("x", 2),), rng)
+        b = random_density_matrix((("y", 2),), rng)
+        assert self.eof(np.kron(a.matrix, b.matrix)) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_rank_two_closed_form(self, p):
+        rho, eof = rank_two_bell_mixture(p)
+        assert self.eof(rho) == pytest.approx(eof, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_matches_the_reference_on_random_states(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        for _ in range(20):
+            rho = state_of_rank(rng, 2, 2, rank).matrix
+            assert self.eof(rho) == pytest.approx(wootters_eof(rho), rel=0, abs=1e-13)
+
+
+def without_the_floor(monkeypatch, rho, **kwargs):
+    """squashed_entanglement with a floor of -inf, which never stops the
+    restarts: the search as it ran before the two-qubit stop."""
+    with monkeypatch.context() as m:
+        m.setattr(squashed, "_formation_entropy", lambda psi: -np.inf)
+        return squashed_entanglement(rho, **kwargs)
+
+
+class TestTwoQubitFloor:
+    """On a 2 x 2 state the restarts stop once the best value is within
+    EARLY_STOP of F = min(1/2 I, E_F), which no restart can go below."""
+
+    @pytest.mark.parametrize("kwargs", [dict(restarts=2, budget=1000), {}], ids=["2x1000", "defaults"])
+    def test_reference_states_keep_their_values_in_fewer_evaluations(self, monkeypatch, kwargs):
+        results = [squashed_entanglement(rho, **kwargs) for rho in reference_states()]
+        for rho, result in zip(reference_states(), results):
+            assert result.value == without_the_floor(monkeypatch, rho, **kwargs).value
+            assert result.floor == pytest.approx(half_mi_or_eof(rho), rel=0, abs=1e-13)
+        assert [r.evaluations for r in results] == [35, 28, 0, 48, 64, 39]  # 214 in all
+
+    @pytest.mark.parametrize("budget", [2, 5])
+    def test_a_budget_short_of_the_floor_runs_every_restart(self, caplog, budget):
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(10))
+        with caplog.at_level(logging.INFO, logger="qbnets.squashed"):
+            result = squashed_entanglement(rho, restarts=3, budget=budget)
+        assert [r.args[0] for r in caplog.records] == [0, 1, 2]
+        assert result.evaluations == 3 * budget
+        assert result.value > result.floor + squashed.EARLY_STOP
+
+    def test_floor_of_a_pure_state_is_its_value(self):
+        result = squashed_entanglement(bell_state())
+        assert result.floor == pytest.approx(LN2, rel=0, abs=1e-14)
+        assert result.value == pytest.approx(result.floor, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "shape, value, evaluations",
+        [
+            ((2, 3), 9.384788254467823e-13, 164),
+            ((3, 2), 7.2506003705978e-05, 2000),
+            ((3, 3), 0.05098314975316753, 1346),
+        ],
+    )
+    def test_other_shapes_search_as_before(self, shape, value, evaluations):
+        labels = (("x", shape[0]), ("y", shape[1]))
+        rho = random_density_matrix(labels, np.random.default_rng(7))
+        result = squashed_entanglement(rho, restarts=2, budget=1000)
+        assert result.floor is None
+        assert result.evaluations == evaluations
+        assert result.value == pytest.approx(value, rel=0, abs=1e-12)
 
 
 class TestAgainstBarzilaiBorwein:
@@ -458,7 +542,8 @@ class TestClosedFormKernel:
 
 class TestLogging:
     def test_one_info_line_per_restart_and_nothing_on_stdout(self, caplog, capsys):
-        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(10))
+        # a 2 x 3 state has no two-qubit floor, so every restart runs
+        rho = random_density_matrix((("x", 2), ("y", 3)), np.random.default_rng(10))
         with caplog.at_level(logging.INFO, logger="qbnets"):
             result = squashed_entanglement(rho, restarts=3, budget=100)
         records = [r for r in caplog.records if r.name == "qbnets.squashed"]
@@ -469,3 +554,15 @@ class TestLogging:
         assert records[0].getMessage().startswith("squashed restart 0: value ")
         assert capsys.readouterr().out == ""
         assert logging.getLogger("qbnets.squashed").handlers == []
+
+    def test_one_info_line_when_the_floor_ends_the_search(self, caplog):
+        rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(10))
+        with caplog.at_level(logging.INFO, logger="qbnets"):
+            result = squashed_entanglement(rho, restarts=3, budget=100)
+        records = [r for r in caplog.records if r.name == "qbnets.squashed"]
+        assert [r.getMessage().split(":")[0] for r in records] == [
+            "squashed restart 0",
+            f"squashed search stopped at the two-qubit floor {result.floor:.6g} before restart 1",
+        ]
+        assert all(r.levelno == logging.INFO for r in records)
+        assert records[0].args[2] == result.evaluations

@@ -46,23 +46,22 @@ node's table product into their sampled joint kets, and cases with equal
 set sizes share one call of the purification CMI kernel of
 :mod:`qbnets.qinfo`, which never forms a density matrix. Each case still
 draws its models from its own generator, so no answer depends on the
-slicing. The graph half, the cases and their side-assignability, is
-made once per node count and kept. The full sweep (seed 404, 50 trials)
-takes about 1.7 seconds on a 2-vCPU host, and it logs one INFO line per
-node count to the ``qbnets.verify`` logger, a child of ``qbnets``; the
-library adds no handler. The census raises CapacityError at once above
-five nodes, where canonicalization alone takes about 7.5 s and 2 GB and
-the models of the 376,006 separated classes would take minutes, and
-where one case's kets (trials x card^max_nodes) would exceed
-``DEFAULT_CAP``, which no slice could hold.
+slicing. The full sweep (seed 404, 50 trials) takes about 1.7 seconds on
+a 2-vCPU host, and it logs one INFO line per node count to the
+``qbnets.verify`` logger, a child of ``qbnets``; the library adds no
+handler. The census raises CapacityError at once above five nodes, where
+canonicalization alone takes about 7.5 s and 2 GB and the models of the
+376,006 separated classes would take minutes, and where one case's kets
+(trials x card^max_nodes) would exceed ``DEFAULT_CAP``, which no slice
+could hold.
 
 Every run must do work: a trial or model count below one, an empty
-tested set, and a negative or non-finite tolerance raise ValueError.
+tested set, and a negative or non-finite tolerance raise ValueError, as
+does a seed that is not a non-negative integer, before any work.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -160,6 +159,7 @@ def check_dsep_forward(
     and b end up entangled).
     """
     _require_positive("trials", trials)
+    _require_positive("seed", seed, least=0)
     _require_tolerance("tol", tol)
     a, b, z = _tested_triple(a, b, z)
     if not d_separated(dag, a, b, z):
@@ -173,6 +173,7 @@ def search_dsep_witness(
     """Converse search: on a non-separated triple, find a model with CMI
     above ``threshold``. Stops at the first witness."""
     _require_positive("trials", trials)
+    _require_positive("seed", seed, least=0)
     _require_tolerance("threshold", threshold)
     a, b, z = _tested_triple(a, b, z)
     if d_separated(dag, a, b, z):
@@ -293,8 +294,8 @@ def bp_campaign(
     """
     _require_positive("count", count)
     _require_positive("max_nodes", max_nodes)
-    if max_card < 2:
-        raise ValueError(f"max_card must be at least 2, got {max_card}")
+    _require_positive("max_card", max_card, least=2)
+    _require_positive("seed", seed, least=0)
     _require_tolerance("tol", tol)
     start = time.perf_counter()
     max_dev = 0.0
@@ -588,23 +589,6 @@ def _census_cmis(
     return out
 
 
-@functools.lru_cache(maxsize=_CENSUS_MAX_NODES)
-def _census_cases(n: int) -> tuple[tuple, int, int, np.ndarray]:
-    """The census's graph half on ``n`` nodes, made once per node count.
-
-    Returns what :func:`canonical_separated_cases` does, the cases as a
-    tuple, and each case's side-assignability as a read-only bool array.
-    None of it depends on the seed, the trials or the cardinality, so
-    one entry per node count the census allows serves every census.
-    """
-    cases, classes, labeled = canonical_separated_cases(n)
-    parents = np.array([pa for pa, _ in cases], dtype=np.int64).reshape(-1, n)
-    masks = np.array([m for _, m in cases], dtype=np.int64).reshape(-1, 3)
-    sides = _sides_assignable_arrays(parents, *masks.T)
-    sides.setflags(write=False)
-    return tuple(cases), classes, labeled, sides
-
-
 @dataclass(frozen=True)
 class CensusReport:
     max_nodes: int
@@ -645,14 +629,10 @@ def dsep_forward_census(
     the case list. :func:`_census_cmis` measures them from Gram spectra
     of the sampled kets, one slice of cases per call: as many cases as
     hold at most 2^16 amplitudes (cases x trials x card^n), and at least
-    one. The graph half, the cases and their side-assignability, depends
-    on n alone: it is made on the first census that reaches n and then
-    looked up (:func:`_census_cases`), so a repeated census pays for its
-    sampling and CMIs alone. ``passed`` demands zero violations over
-    every separated class, which quantum nets do not satisfy: with
-    ``card`` >= 2 and a small ``tol`` it is False for any census that
-    reaches n = 3, where a -> c <- b with c traced out entangles a and
-    b.
+    one. ``passed`` demands zero violations over every separated class,
+    which quantum nets do not satisfy: with ``card`` >= 2 and a small
+    ``tol`` it is False for any census that reaches n = 3, where
+    a -> c <- b with c traced out entangles a and b.
 
     The report therefore splits the classes by
     :func:`qbnets.graph.sides_assignable`. Tracing out a node that
@@ -665,16 +645,18 @@ def dsep_forward_census(
     Each node count logs one INFO line: labeled cases, classes,
     separated classes, and the seconds of canonicalization, of the
     models (sampling and CMIs) with their slices, and in total. The
-    "canonicalization" seconds are the graph half's lookup, which on a
-    miss canonicalizes and decides side-assignability and on a hit reads
-    about 0. Raises CapacityError, before any work, for ``max_nodes``
-    above five, or where one case's kets, ``trials`` x ``card`` **
+    "canonicalization" seconds cover canonicalization and
+    side-assignability, which every census decides afresh. Raises
+    ValueError, before any work, for a ``seed`` that is not a
+    non-negative integer, and CapacityError for ``max_nodes`` above
+    five, or where one case's kets, ``trials`` x ``card`` **
     ``max_nodes`` amplitudes, exceed ``DEFAULT_CAP``.
     """
     _require_positive("max_nodes", max_nodes)
     _require_census_size(max_nodes)
     _require_positive("trials", trials)
     _require_positive("card", card)
+    _require_positive("seed", seed, least=0)
     _check_cap(
         (trials,) + (card,) * max_nodes,
         DEFAULT_CAP,
@@ -686,12 +668,14 @@ def dsep_forward_census(
     described, cmis, sides = [], [], []
     for n in range(1, max_nodes + 1):
         n_start = time.perf_counter()
-        cases, n_classes, n_labeled, n_sides = _census_cases(n)
+        cases, n_classes, n_labeled = canonical_separated_cases(n)
+        case_parents = np.array([pa for pa, _ in cases], dtype=np.int64).reshape(-1, n)
+        case_masks = np.array([masks for _, masks in cases], dtype=np.int64).reshape(-1, 3)
+        sides.append(_sides_assignable_arrays(case_parents, *case_masks.T))
         canonicalized = time.perf_counter()
         labeled_cases += n_labeled
         classes += n_classes
         described += [(n, *case) for case in cases]
-        sides.append(n_sides)
         n_cmis = np.empty(len(cases))
         step = max(1, _CENSUS_AMPLITUDES // (trials * card**n))
         for lo in range(0, len(cases), step):

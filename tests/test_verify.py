@@ -38,8 +38,6 @@ from qbnets import verify  # the module, for monkeypatching its names
 from qbnets.verify import (
     _CENSUS_AMPLITUDES,
     _assignment_codes,
-    _CENSUS_MAX_NODES,
-    _census_cases,
     _census_cmis,
     _census_kets,
     _class_representatives,
@@ -347,6 +345,40 @@ class TestVacuousRunsRejected:
         with pytest.raises(ValueError, match="trials|max_nodes|card|tol"):
             dsep_forward_census(**{"max_nodes": 2, **kwargs})
 
+    @pytest.mark.parametrize("max_card", [2.5, True, "3"])
+    def test_bp_campaign_max_card_not_an_integer(self, max_card):
+        # 2.5 used to run, and "3" failed with a TypeError
+        with pytest.raises(ValueError, match="^max_card must be an integer"):
+            bp_campaign(count=2, max_card=max_card)
+
+    @staticmethod
+    def _work_reached(*args, **kwargs):
+        raise LookupError("work reached")
+
+    # -1 and 1.5 used to fail inside NumPy after the plan or the
+    # canonicalization had run; True and "3" ran and were reported. The
+    # refusal comes before the d-separation test, so one chain serves the
+    # forward check and the witness search
+    _chain = Dag([("x", 2), ("lam", 2), ("y", 2)], [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    @pytest.mark.parametrize(
+        "run, first_work",
+        [
+            (lambda dag, seed: check_dsep_forward(dag, [0], [2], [1], trials=3, seed=seed), "d_separated"),
+            (lambda dag, seed: search_dsep_witness(dag, [0], [2], [1], trials=3, seed=seed), "d_separated"),
+            (lambda dag, seed: bp_campaign(count=2, seed=seed), "random_polytree_dag"),
+            (lambda dag, seed: dsep_forward_census(max_nodes=3, trials=2, seed=seed), "canonical_separated_cases"),
+        ],
+        ids=["forward_check", "witness_search", "bp_campaign", "census"],
+    )
+    def test_seed_not_a_non_negative_integer_rejected_before_any_work(
+        self, monkeypatch, run, first_work, seed
+    ):
+        monkeypatch.setattr(verify, first_work, self._work_reached)
+        with pytest.raises(ValueError, match="^seed must be"):
+            run(self._chain, seed)
+
 
 class TestCensusCap:
     @pytest.mark.parametrize("max_nodes", [6, 7])
@@ -377,8 +409,6 @@ class TestCensusCap:
 
     @pytest.mark.parametrize("card", [2, 3])  # 1,600 and 12,150 amplitudes a case
     def test_census_kets_under_cap_run(self, monkeypatch, card):
-        # a cached graph half would skip canonicalization
-        _census_cases.cache_clear()
         monkeypatch.setattr(verify, "canonical_separated_cases", self._canonicalization_reached)
         with pytest.raises(LookupError, match="canonicalization reached"):
             dsep_forward_census(max_nodes=5, card=card)
@@ -530,7 +560,6 @@ class TestCanonicalization:
             raise AssertionError(f"labeled DAGs on {n} nodes listed")
 
         monkeypatch.setattr(verify, "enumerate_dags", listed)
-        _census_cases.cache_clear()  # so that the census canonicalizes
         report = dsep_forward_census(max_nodes=4, trials=2)
         assert (report.classes, report.separated_classes) == (1_377, 221)
 
@@ -738,8 +767,8 @@ class TestBatchedCensus:
 
 
 class TestCensusCases:
-    """The census's graph half, one entry per node count, kept in a cache
-    that every census shares."""
+    """The census's graph half, the cases and their side-assignability,
+    made afresh by every census."""
 
     @staticmethod
     def _report(**kwargs) -> str:
@@ -747,21 +776,22 @@ class TestCensusCases:
 
     @pytest.mark.parametrize("card, trials", [(2, 50), (3, 7)])
     def test_cold_and_warm_reports_identical(self, card, trials):
-        _census_cases.cache_clear()
         cold = self._report(max_nodes=4, trials=trials, seed=5, card=card)
-        # another shape in between uses the same entries
+        # another shape in between
         self._report(max_nodes=3, trials=trials + 1, seed=6, card=card + 1)
         assert self._report(max_nodes=4, trials=trials, seed=5, card=card) == cold
-        info = _census_cases.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (4, 7, 4)
 
-    def test_one_entry_per_node_count(self):
-        _census_cases.cache_clear()
-        assert _census_cases.cache_info().maxsize == _CENSUS_MAX_NODES
-        for trials, card in itertools.product((1, 2, 3), (2, 3)):
-            dsep_forward_census(max_nodes=2, trials=trials, card=card)
-            assert _census_cases.cache_info().currsize == 2
-        assert _census_cases.cache_info().misses == 2
+    def test_every_census_canonicalizes(self, monkeypatch):
+        made = []
+
+        def counted(n):
+            made.append(n)
+            return canonical_separated_cases(n)
+
+        monkeypatch.setattr(verify, "canonical_separated_cases", counted)
+        first = self._report(max_nodes=3, trials=4, seed=1)
+        assert self._report(max_nodes=3, trials=4, seed=1) == first
+        assert made == [1, 2, 3, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "kwargs, error",
@@ -775,16 +805,15 @@ class TestCensusCases:
             ({"tol": float("nan")}, ValueError),
         ],
     )
-    def test_no_refusal_leaves_an_entry(self, kwargs, error):
-        _census_cases.cache_clear()
-        dsep_forward_census(max_nodes=2, trials=3)
-        held = _census_cases.cache_info().currsize
+    def test_no_refusal_leaves_an_entry(self, monkeypatch, kwargs, error):
+        # each refusal comes before the graph half is made
+        monkeypatch.setattr(
+            verify, "canonical_separated_cases", TestCensusCap._canonicalization_reached
+        )
         with pytest.raises(error):
             dsep_forward_census(**{"max_nodes": 4, "trials": 3, **kwargs})
-        assert _census_cases.cache_info().currsize == held == 2
 
     def test_callers_share_nothing_mutable(self):
-        _census_cases.cache_clear()
         before = self._report(max_nodes=4, trials=3, seed=2)
         for n in range(1, 5):
             cases, _, _ = canonical_separated_cases(n)
@@ -792,19 +821,11 @@ class TestCensusCases:
             cases[:1] = []
         assert self._report(max_nodes=4, trials=3, seed=2) == before
 
-        cases, classes, labeled, sides = _census_cases(4)
-        fresh, *counts = canonical_separated_cases(4)
-        assert cases == tuple(fresh) and [classes, labeled] == counts
-        assert len(sides) == len(cases) == 209
-        with pytest.raises(ValueError, match="read-only"):
-            sides[0] = not sides[0]
-
     def test_memory_held_to_one_slice(self):
-        # the cache holds the cases alone: a census of large kets holds
-        # one slice's kets and gather orders while it runs (3.3 MB peak),
-        # and nothing after it returns. Keeping each case's card^n gather
-        # order would hold 209 x 8^4 x 8 bytes (6.8 MB) here, and 55 GB
-        # at n = 5 and card 16.
+        # a census of large kets holds one slice's kets and gather orders
+        # while it runs (3.3 MB peak), and nothing after it returns.
+        # Keeping each case's card^n gather order would hold
+        # 209 x 8^4 x 8 bytes (6.8 MB) here, and 55 GB at n = 5 and card 16.
         dsep_forward_census(max_nodes=4, trials=1)
         tracemalloc.start()
         try:

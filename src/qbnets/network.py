@@ -13,9 +13,12 @@ before its first multiply, as are the literal rules of
 :mod:`qbnets.qbp`. Reduced states instead come from variable elimination
 over the doubled network {A_j, A_j*}, planned on its interaction graph,
 whose intermediates follow the net's width rather than its size. Its
-last product runs over the held indices alone and is written straight
-onto the diagonal blocks of the dephased nodes; one net and a stack of
-sampled nets run the same calls, the trial axis of a stack being the
+last product runs over the held indices alone, so it holds the diagonal
+blocks of the dephased nodes and nothing else, and is read out two ways:
+written straight onto those blocks of a dense state, for
+``qinfo.net_to_density``, or kept as a stack of the blocks, for the
+sampled d-separation checks of :mod:`qbnets.verify`. One net and a stack
+of sampled nets run the same calls, the trial axis of a stack being the
 ``...`` of every subscript.
 
 The plan is the whole program: the einsum calls, merges of more factors
@@ -407,7 +410,7 @@ def _built_plan(dag: Dag, kept: frozenset[int], diag: tuple[int, ...], cap: int)
     )
 
 
-def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
+def _held_product(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
     """Run ``plan`` on node tables that carry one leading trial axis.
 
     ``tables[j]`` is node j's table stacked over T trials, (T, *shape).
@@ -416,13 +419,12 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
     trial axis, if left, is the ``...`` of the plan's subscripts, so
     each of its einsum calls serves all trials and runs as planned. The
     last call runs over the distinct multi-state held indices only (a
-    ``diag`` node's bra index is its ket index) and its result is
-    written through a strided view onto the diagonal blocks of the
-    ``diag`` nodes in a zero state stack, broadcast over the trial axis,
-    so no identity factor enters any product. No array here is larger
-    per trial than the plan's ``largest``. Returns the (T, D, D) stack
-    of the states' Hermitian parts, rows and columns over the held nodes
-    ascending.
+    ``diag`` node's bra index is its ket index), so its result holds
+    every diagonal block of the ``diag`` nodes and nothing else, and no
+    identity factor enters any product. Returns that result, the trial
+    axis first (also for T = 1), then the multi-state indices of the
+    last call's scope in order. No array here is larger per trial than
+    the plan's ``largest``.
     """
     squeezed = [t.squeeze() for t in tables]
     data: list[np.ndarray | None] = [x for t in squeezed for x in (t, t.conj())]
@@ -431,8 +433,23 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
         for k in keys:
             data[k] = None
         data.append(np.einsum(subscripts, *operands))
+    shape = tuple(plan.card[i] for i in plan.scopes[-1] if plan.card[i] > 1)
+    return data[-1].reshape((len(tables[0]),) + shape)
 
-    count = len(tables[0])
+
+def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The dense readout of :func:`_held_product`: the (T, D, D) stack of
+    the states' Hermitian parts, rows and columns over the held nodes
+    ascending.
+
+    The last call's result is written through a strided view onto the
+    diagonal blocks of the ``diag`` nodes in a zero state stack, so the
+    state holds d_Z times more entries than the blocks; the plan's
+    ``largest`` counts the D x D state. ``qinfo.net_to_density`` reads
+    its state here.
+    """
+    product = _held_product(plan, tables)
+    count = len(product)
     kets = plan.out[: len(plan.out) // 2]
     dims = tuple(plan.card[j] for j in kets)
     dim = math.prod(dims)
@@ -448,9 +465,31 @@ def _doubled_contraction(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np
         + tuple(s + t if d else s for s, t, d in axes)
         + tuple(t for _, t, d in axes if not d)
     )
-    shape = (count,) + tuple(plan.card[i] for i in plan.scopes[-1] if plan.card[i] > 1)
-    np.lib.stride_tricks.as_strided(full, shape, strides)[...] = data[-1]
+    np.lib.stride_tricks.as_strided(full, product.shape, strides)[...] = product
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+
+
+def _doubled_blocks(plan: _DoubledPlan, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The block readout of :func:`_held_product`: the (T, d_Z, d_K, d_K)
+    stack of the Hermitian parts of the states' diagonal blocks, one per
+    joint state of the ``diag`` nodes Z (ascending, the last varying
+    fastest), rows and columns over the kept nodes K ascending.
+
+    Each block is the last call's result at one value of Z, its axes
+    put in order, so the stack holds d_Z d_K^2 entries per state where
+    the dense state of :func:`_doubled_contraction` holds d_Z^2 d_K^2,
+    and block z equals that state's z-th diagonal block bit for bit.
+    """
+    product = _held_product(plan, tables)
+    kept = [j for j in plan.out[: len(plan.out) // 2] if j not in plan.diag]
+    axes = [i for i in plan.scopes[-1] if plan.card[i] > 1]
+    order = [0] + [
+        1 + axes.index(i) for i in (*plan.diag, *kept, *(plan.n + j for j in kept)) if plan.card[i] > 1
+    ]
+    d_z = math.prod(plan.card[j] for j in plan.diag)
+    d_k = math.prod(plan.card[j] for j in kept)
+    blocks = product.transpose(order).reshape(len(product), d_z, d_k, d_k)
+    return 0.5 * (blocks + blocks.conj().swapaxes(-1, -2))
 
 
 def vector_amplitude(

@@ -7,7 +7,9 @@ tables. Every quantum entropy, partial trace, dephasing and CMI in the
 package runs on one batched core of raw-array kernels that take stacks
 with leading batch axes (the census and the squashed-entanglement
 objective pass stacks). Density-matrix stacks go through the dense CMI
-kernel; a stack of pure-state purifications goes through the
+kernel; states dephased on z, given as their z-blocks (the sampled
+d-separation checks), go through the block kernel, which sums the
+blocks' entropies; a stack of pure-state purifications goes through the
 purification kernel, which takes each entropy of the dephased state from
 Gram matrices of the kets' blocks, on whichever side is smaller (a pure
 state's reductions share their nonzero spectrum with their complement's),
@@ -59,21 +61,29 @@ def _group(g) -> tuple[str, ...]:
     return tuple(str(x) for x in g)
 
 
-def _check_states(arr: np.ndarray) -> None:
+def _check_states(arr: np.ndarray, blocked: bool = False) -> None:
     """Refuse a stack (..., D, D) of matrices, D >= 1, holding one that is
     not finite, has a part above 2, is not Hermitian or has a trace off 1,
-    each check run on the whole stack in that order."""
+    each check run on the whole stack in that order, in any memory layout.
+
+    With ``blocked`` each state is block diagonal and given as its
+    blocks, (..., d_Z, D, D): the entries outside them are zero, so the
+    first three checks see what they would see on the dense state, and
+    its trace is the sum of the blocks' traces.
+    """
     if not np.isfinite(arr).all():
         raise InvalidStateError("matrix has a non-finite entry")
     # a state's entries have modulus at most 1; parts above 2, which no
     # matrix passing the checks below has, would overflow those checks
-    big = float(np.abs(arr.view(np.float64)).max())
+    big = float(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
     if big > 2.0:
         raise InvalidStateError(f"an entry has a real or imaginary part of size {big:.3g}")
     herm = float(np.max(np.abs(arr - arr.conj().swapaxes(-1, -2))))
     if herm > HERMITIAN_ATOL:
         raise InvalidStateError(f"matrix deviates from Hermitian by {herm:.3g}")
     trace = np.trace(arr, axis1=-2, axis2=-1)
+    if blocked:
+        trace = trace.sum(axis=-1)
     off = np.abs(trace - 1.0)
     if float(off.max()) > TRACE_ATOL:
         raise InvalidStateError(f"trace is {complex(trace.flat[off.argmax()]):.12g}, expected 1")
@@ -316,6 +326,24 @@ def _cmi(mats: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndarray:
         - _entropy_on(mats, dims, z)
         - _spectral_entropy(mats)
     )
+
+
+def _dephased_cmi(blocks: np.ndarray, dims: tuple[int, ...], x, y) -> np.ndarray:
+    """S(x:y|z) of each state of a stack dephased on ``z``, given as its
+    z-blocks, (..., d_Z, D, D) over the x and y labels of dimensions
+    ``dims``; ``x`` and ``y`` are disjoint position tuples covering them.
+
+    A state dephased on z is the direct sum of its blocks B_z, so each
+    of its entropies is a sum over the blocks (Hayden, Jozsa, Petz &
+    Winter, CMP 246:359, 2004) and, with eta(M) = -tr M ln M on the
+    unnormalized blocks, S(x:y|z) = sum_z [eta(B_x) + eta(B_y) - eta(B)
+    - eta(tr B)]: :func:`_cmi` of each block with nothing conditioned on,
+    minus the Shannon entropy of the block traces. The blocks' spectra
+    together make up the dense state's, so the ``EIG_REJECT`` check sees
+    every eigenvalue it would, and no D d_Z x D d_Z matrix is built.
+    """
+    traces = np.trace(blocks, axis1=-2, axis2=-1).real
+    return _cmi(blocks, dims, x, y).sum(axis=-1) - _spectrum_entropy(traces)
 
 
 def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndarray:

@@ -21,13 +21,24 @@ the trials' tables are drawn as per-node stacks
 network are looked up by the query's shape, planned from the graph only
 the first time that shape is asked for (``network._doubled_plan``), and
 each call runs once over the stack, the trial axis the leading ``...``
-of its subscripts (``network._doubled_contraction``). The (T, D, D)
-reduced states then go to one call of the batched CMI kernel of
-:mod:`qbnets.qinfo`. A chunk holds at most ``DEFAULT_CAP`` // m trials,
-m being the largest per-model array of the plan (a node table, a call's
-result or the D x D state, which the plan holds to the cap), so no array
-of a chunk holds more than ``DEFAULT_CAP`` entries; a witness search
-runs chunks of 1, 2, 4, ... trials and stops at its first witness. Each check logs one INFO line to the ``qbnets.verify`` logger.
+of its subscripts (``network._held_product``). The last call's result
+holds the reduced states' diagonal blocks in the dephased nodes Z, one
+d_AB x d_AB block per joint state of Z, and nothing else; the checks
+read it as a (T, d_Z, d_AB, d_AB) block stack
+(``network._doubled_blocks``), never as a dense (T, D, D) state, and
+take each CMI from the block spectra in one call of the block kernel of
+:mod:`qbnets.qinfo` (``qinfo._dephased_cmi``). A check's memory and
+spectra so cost linearly in Z's states, where the dense state's grew
+quadratically and cubically: on a 16-node binary band
+(a = {0}, b = {15}, 20 trials) a forward check took 262 ms with six
+nodes in Z and 6.7 s with eight on the dense route, and takes 5.0 and
+20 ms on the blocks (2-vCPU host). A chunk holds at most
+``DEFAULT_CAP`` // m trials, m being the largest per-model array of the
+plan (a node table, a call's result or the D x D state, which the plan
+still counts and holds to the cap), so no array of a chunk holds more
+than ``DEFAULT_CAP`` entries; a witness search runs chunks of 1, 2, 4,
+... trials and stops at its first witness. Each check logs one INFO
+line to the ``qbnets.verify`` logger.
 
 ``dsep_forward_census`` scales the forward check up to every DAG with at
 most five nodes. Because the property is invariant under node
@@ -83,14 +94,14 @@ from .graph import (
 from .network import (
     DEFAULT_CAP,
     _check_cap,
-    _doubled_contraction,
+    _doubled_blocks,
     _doubled_plan,
     _require_positive,
     _require_tolerance,
     posterior_oracle,
 )
 from .qbp import propagate_polytree
-from .qinfo import _check_states, _cmi, _purified_cmi
+from .qinfo import _check_states, _dephased_cmi, _purified_cmi
 from .sampling import _draw_tables, _unit_norm, random_evidence, random_polytree_dag, random_qbnet
 
 _log = logging.getLogger(__name__)
@@ -152,11 +163,13 @@ def check_dsep_forward(
     net is ``random_qbnet(dag, default_rng([seed, t]))``, but the
     trials are contracted as stacks, in chunks of at most
     ``DEFAULT_CAP`` // m trials with m one model's largest array: one
-    chunk at the usual sizes (see :func:`_run_trials`). The
-    CMI is forced to zero when the triple is also
-    :func:`qbnets.graph.sides_assignable`; otherwise ``passed`` can be
-    False on a d-separated triple (in a -> c <- b with c traced out, a
-    and b end up entangled).
+    chunk at the usual sizes (see :func:`_run_trials`). Each CMI is
+    taken from the dephased state's blocks, one per joint state of
+    ``z``, so the cost grows linearly in ``z``'s states (see
+    :func:`_sampled_cmis`). The CMI is forced to zero when the triple
+    is also :func:`qbnets.graph.sides_assignable`; otherwise ``passed``
+    can be False on a d-separated triple (in a -> c <- b with c traced
+    out, a and b end up entangled).
     """
     _require_positive("trials", trials)
     _require_positive("seed", seed, least=0)
@@ -191,30 +204,35 @@ def _sampled_cmis(
     drawn as one stack of tables, contracted onto ``a | b`` with ``z``
     dephased in one run of the plan that ``network._doubled_plan``
     looks up for (graph, a | b, z, cap), made from the graph only on the
-    first call of that shape, and its (T, D, D) states go to one
-    call of the CMI kernel, whose full-state entropy holds the spectrum
-    check of every state. A chunk holds at most ``cap`` // m trials, m
-    being the plan's largest per-model array, so each array of a chunk
-    stays within ``cap`` entries. With ``grow`` the chunks start at one
-    trial and double up to that bound, so a search that stops at its
-    first trial costs one model.
+    first call of that shape. Its states are read as their z-blocks,
+    (T, d_Z, d_AB, d_AB) (``network._doubled_blocks``), and go to one
+    call of the block kernel ``qinfo._dephased_cmi``, whose block
+    entropies hold the spectrum check of every block, and so of every
+    state. The blocks hold d_Z d_AB^2 entries a state and their spectra
+    cost d_Z d_AB^3, where the dense state held (d_Z d_AB)^2 and its
+    spectrum cost (d_Z d_AB)^3. A chunk holds at most ``cap`` // m
+    trials, m being the plan's largest per-model array (the dense state
+    included), so each array of a chunk stays within ``cap`` entries.
+    With ``grow`` the chunks start at one trial and double up to that
+    bound, so a search that stops at its first trial costs one model.
 
     Raises CapacityError, or InvalidStateError on a state that fails
     the checks ``DensityMatrix`` makes ahead of its spectrum
-    (``qinfo._check_states``), where ``net_to_density`` would.
+    (``qinfo._check_states``, run on the blocks with each state's trace
+    summed over them), where ``net_to_density`` would.
     """
-    held = (a | b | z).members
+    held = (a | b).members
     dims = tuple(dag.cardinality(i) for i in held)
-    x, y, w = (tuple(held.index(i) for i in m) for m in (a, b, z))
+    x, y = (tuple(held.index(i) for i in m) for m in (a, b))
     plan = _doubled_plan(dag, a | b, z, cap)
     width = cap // plan.largest
     lo, size = 0, 1 if grow else width
     while lo < trials:
         hi = min(trials, lo + min(size, width))
         tables = _draw_tables(dag, [np.random.default_rng([seed, t]) for t in range(lo, hi)])
-        rho = _doubled_contraction(plan, tables)
-        _check_states(rho)
-        yield _cmi(rho, dims, x, y, w)
+        blocks = _doubled_blocks(plan, tables)
+        _check_states(blocks, blocked=True)
+        yield _dephased_cmi(blocks, dims, x, y)
         lo, size = hi, 2 * size
 
 

@@ -12,7 +12,14 @@ from qbnets import (
     CapacityError, Dag, check_dsep_forward, net_to_density, propagate_polytree, search_dsep_witness
 )
 from qbnets.graph import Multinode
-from qbnets.network import _MAX_OPERANDS, DEFAULT_CAP, _built_plan, _doubled_contraction, _doubled_plan
+from qbnets.network import (
+    _MAX_OPERANDS,
+    DEFAULT_CAP,
+    _built_plan,
+    _doubled_blocks,
+    _doubled_contraction,
+    _doubled_plan,
+)
 from qbnets.sampling import _draw_tables, random_dag, random_qbnet
 
 from conftest import (
@@ -309,6 +316,38 @@ class TestDoubledContraction:
             want = dense_reduced_state(net, [kept], diag)
             assert got.labels == want.labels
             np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+
+    def test_blocks_are_the_dense_states_diagonal_blocks(self):
+        # one-state nodes and a single net (its trial axis squeezed) included
+        rng = np.random.default_rng(83)
+        one_state = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            cards = rng.integers(1, 4, size=n).tolist()
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            dag = Dag([(f"v{i}", c) for i, c in enumerate(cards)], edges)
+            keep, diag = _random_held(rng, n, held=4)
+            one_state += any(cards[j] == 1 for j in keep + diag)
+            plan = _doubled_plan(dag, keep, diag, DEFAULT_CAP)
+            for trials in (1, 3):
+                tables = _draw_tables(dag, [np.random.default_rng([84, t]) for t in range(trials)])
+                rho = _doubled_contraction(plan, tables)
+                blocks = _doubled_blocks(plan, tables)
+                d_z = math.prod(cards[j] for j in diag)
+                d_k = math.prod(cards[j] for j in keep)
+                assert blocks.shape == (trials, d_z, d_k, d_k)
+                # rows and columns over the held nodes ascending: regroup
+                # them as (z, kept) to read the dense state's blocks
+                held = sorted(keep + diag)
+                order = [held.index(j) for j in sorted(diag) + sorted(keep)]
+                dims = tuple(cards[j] for j in held)
+                dense = rho.reshape((trials,) + dims + dims).transpose(
+                    [0] + [1 + i for i in order] + [1 + len(held) + i for i in order]
+                ).reshape(trials, d_z, d_k, d_z, d_k)
+                want = dense[:, np.arange(d_z), :, np.arange(d_z), :].swapaxes(0, 1)
+                assert np.array_equal(blocks, want)
+        assert one_state >= 10
 
 
 def chain(n):

@@ -27,8 +27,10 @@ from qbnets import (
     von_neumann_entropy,
 )
 from qbnets.qinfo import (
+    _check_states,
     _cmi,
     _dephase_mask,
+    _dephased_cmi,
     _group,
     _purified_cmi,
     _reduce,
@@ -604,6 +606,75 @@ class TestPurifiedCmi:
             expect = _cmi(self.dense(psi, dims, z), dims, x, y, z)
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
         assert got[0] > 1e-3  # the full-rank blocks still carry CMI
+
+
+def z_blocks(rho, nz):
+    """The diagonal blocks (d_Z, D, D) of a state whose first ``nz``
+    labels are z."""
+    d_z = math.prod(rho.dims[:nz])
+    m = rho.matrix.reshape(d_z, rho.dim // d_z, d_z, rho.dim // d_z)
+    return m[np.arange(d_z), :, np.arange(d_z), :]
+
+
+class TestDephasedCmi:
+    """The block kernel against the dense kernel on dephased states."""
+
+    @pytest.mark.parametrize("nz", [0, 1, 2, 3])
+    @pytest.mark.parametrize("na, nb", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_matches_dense_kernel(self, nz, na, nb):
+        rng = np.random.default_rng([32, nz, na, nb])
+        for _ in range(5):
+            cards = rng.integers(1, 4, size=nz + na + nb)
+            while math.prod(cards) > 216:
+                cards = rng.integers(1, 4, size=nz + na + nb)
+            # z first, then the a and b labels interleaved at random
+            sides = rng.permutation(["a"] * na + ["b"] * nb)
+            names = [f"z{i}" for i in range(nz)] + [f"{s}{i}" for i, s in enumerate(sides)]
+            rho = random_density_matrix(list(zip(names, cards.tolist())), rng)
+            z = names[:nz]
+            rho = dephase(rho, z)
+            a = [n for n in names if n[0] == "a"]
+            b = [n for n in names if n[0] == "b"]
+            x = tuple(i for i, s in enumerate(sides) if s == "a")
+            y = tuple(i for i, s in enumerate(sides) if s == "b")
+            got = _dephased_cmi(z_blocks(rho, nz), tuple(cards[nz:].tolist()), x, y)
+            assert got == pytest.approx(quantum_cmi(rho, a, b, z), rel=0, abs=1e-13)
+            if math.prod(cards[nz + i] for i in x) > 1 < math.prod(cards[nz + i] for i in y):
+                assert got > 1e-3  # full-rank random states carry CMI
+
+    def test_negative_block_eigenvalue_rejected_as_dense(self):
+        # block z = 1 has the eigenvalue -1e-6, below EIG_REJECT, which
+        # neither its reductions nor its trace show
+        rng = np.random.default_rng(33)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        blocks = np.stack([
+            np.diag([0.2, 0.1, 0.1, 0.1]).astype(complex),
+            u @ np.diag([0.3, 0.2, 1e-6, -1e-6]) @ u.conj().T,
+        ])
+        dense = np.zeros((8, 8), dtype=complex)
+        dense[:4, :4], dense[4:, 4:] = blocks
+        with pytest.raises(InvalidStateError, match="smallest eigenvalue -1e-06 is below"):
+            _cmi(dense, (2, 2, 2), (1,), (2,), (0,))
+        with pytest.raises(InvalidStateError, match="smallest eigenvalue -1e-06 is below"):
+            _dephased_cmi(blocks, (2, 2), (0,), (1,))
+
+    def test_state_checks_take_blocks_in_any_layout(self):
+        # a stack whose last axis is not contiguous: every other entry of
+        # a wider array, as a transposed or sliced block readout can be
+        rho = dephase(random_density_matrix((("z", 2), ("a", 2), ("b", 2)), np.random.default_rng(34)), "z")
+        blocks = z_blocks(rho, 1)[None]
+        spread = np.zeros(blocks.shape[:-1] + (2 * blocks.shape[-1],), dtype=complex)[..., ::2]
+        spread[...] = blocks
+        assert not spread.flags.c_contiguous
+        _check_states(spread, blocked=True)
+        with pytest.raises(InvalidStateError, match="trace is 2"):
+            _check_states(2 * spread, blocked=True)
+        # and one block's trace alone is not the state's
+        with pytest.raises(InvalidStateError, match="expected 1"):
+            _check_states(spread)
+        spread[0, 1, 0, 1] = 3.0
+        with pytest.raises(InvalidStateError, match="real or imaginary part of size 3"):
+            _check_states(spread, blocked=True)
 
 
 class TestNetToDensity:

@@ -14,9 +14,11 @@ purification kernel, which takes each entropy of the dephased state from
 Gram matrices of the kets' blocks, on whichever side is smaller (a pure
 state's reductions share their nonzero spectrum with their complement's),
 so the census never forms a density matrix. A :class:`DensityMatrix` is
-validated once, at the boundary where it is built; the information
-functions reduce its raw matrix without building intermediate states,
-and the entropy kernel holds the one eigenvalue check on computed states.
+validated once, at the boundary where it is built (a stack of them, such
+as a witness extension's members, in one pass of the same checks); the
+information functions reduce its raw matrix without building
+intermediate states, and the entropy kernel holds the one eigenvalue
+check on computed states.
 A :class:`DiagonalExtension` is an ensemble {P(lam), rho^lam}
 whose assembled state is block diagonal in the lam basis; its
 conditional mutual information reduces to a weighted sum of per-block
@@ -106,14 +108,7 @@ class DensityMatrix:
     __slots__ = ("labels", "matrix")
 
     def __init__(self, labels, matrix) -> None:
-        labels = _clean_labels(labels)
-        arr = np.array(matrix, dtype=np.complex128)
-        dim = int(np.prod([d for _, d in labels])) if labels else 1
-        if arr.shape != (dim, dim):
-            raise ValueError(f"matrix shape {arr.shape}, expected {(dim, dim)}")
-        _check_states(arr)
-        _check_spectrum(np.linalg.eigvalsh(arr))
-        arr.setflags(write=False)
+        labels, arr = _validated(labels, matrix, stacked=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", arr)
 
@@ -145,6 +140,36 @@ class DensityMatrix:
     def __repr__(self) -> str:
         spec = ", ".join(f"{n}:{d}" for n, d in self.labels)
         return f"DensityMatrix([{spec}])"
+
+
+def _validated(labels, mats, stacked: bool) -> tuple[Labels, np.ndarray]:
+    """Clean labels and a read-only complex copy of one (D, D) matrix, or
+    of a (k, D, D) stack, refused as :class:`DensityMatrix` refuses a
+    matrix, each check run once on the whole stack."""
+    labels = _clean_labels(labels)
+    arr = np.array(mats, dtype=np.complex128)
+    dim = int(np.prod([d for _, d in labels])) if labels else 1
+    shape = arr.shape[1:] if stacked else arr.shape
+    if shape != (dim, dim):
+        raise ValueError(f"matrix shape {shape}, expected {(dim, dim)}")
+    _check_states(arr)
+    _check_spectrum(np.linalg.eigvalsh(arr))
+    arr.setflags(write=False)
+    return labels, arr
+
+
+def _density_stack(labels, mats) -> tuple[DensityMatrix, ...]:
+    """One :class:`DensityMatrix` per matrix of a (k, D, D) stack, all on
+    ``labels``: validated as the constructor validates one matrix, and
+    read-only views of one copy of the stack."""
+    labels, arr = _validated(labels, mats, stacked=True)
+    out = []
+    for mat in arr:
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "labels", labels)
+        object.__setattr__(rho, "matrix", mat)
+        out.append(rho)
+    return tuple(out)
 
 
 def reordered(rho: DensityMatrix, names: Sequence[str]) -> DensityMatrix:

@@ -24,9 +24,10 @@ plain ambient arrays without vector transport; it is projected onto the
 tangent space again. Where it does not descend, the tangent gradient
 replaces it and the memory is cleared. Each step is retracted by a
 phase-fixed QR and halved from length 1 until Armijo's condition holds.
-A restart stops when its budget is spent, its value reaches EARLY_STOP,
-an accepted step gains under 1e-15 or the tangent gradient vanishes. It
-also stops, as converged, when a line search has halved its step below
+A restart stops when its budget is spent, an accepted value is within
+EARLY_STOP of 0 (of F on a 2 x 2 state, below), an accepted step gains
+under 1e-15 or the tangent gradient vanishes. It also stops, as
+converged, when a line search has halved its step below
 _MIN_STEP = 2^-52 without meeting Armijo's condition: the trial then moves
 the isometry by under one unit roundoff of the quasi-Newton step, so
 further halvings only re-read the same point (the six reference states
@@ -49,10 +50,13 @@ achieves the value. Since every searched member is pure, a searched
 extension scores at least the entanglement of formation, so the value
 never falls below min(I / 2, E_F), and the search's optimum is that floor.
 On a 2 x 2 state that floor F comes first, E_F from Wootters' tau matrix
-of the purification (:func:`qbnets.qinfo._formation_entropy`), and the
-restarts stop once the best value is within EARLY_STOP of F; the stop
-acts between restarts only, so each restart that runs is unchanged.
-``EsqResult.floor`` reports F, None on other shapes.
+of the purification (:func:`qbnets.qinfo._formation_entropy`): each
+descent ends at its first accepted value within EARLY_STOP of F, and the
+restarts stop once the best value is. ``EsqResult.floor`` reports F,
+None on other shapes. Elsewhere a restart can end at a local minimum
+above the optimum, so the value depends on the restarts run: on a rank-6
+3 x 3 state both of 2 restarts stop at local minima, the better at
+0.190704, against 0.190520 with 4 restarts. It remains an upper bound.
 From below, E_sq is at least the coherent information
 max(0, S(x) - S(xy), S(y) - S(xy)): by the hashing inequality that is
 at most the one-way distillable entanglement, which is at most E_sq.
@@ -73,6 +77,7 @@ from .qinfo import (
     DensityMatrix,
     DiagonalExtension,
     _check_spectrum,
+    _density_stack,
     _entropy_on,
     _formation_entropy,
     _pair_spectrum,
@@ -143,7 +148,10 @@ def _value_grad(psi: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
         _check_spectrum(w)
         w = np.maximum(w, EIG_FLOOR)
         log_ratio = np.log(w) - np.log(w.sum(axis=1))[:, None]
-        k_phi = u @ (-log_ratio[:, :, None] * (u.conj().swapaxes(1, 2) @ phi))
+        # as beta = 0 above: phi has no part along an eigenvalue at the
+        # floor, so K gets no weight there to multiply roundoff by
+        k = np.where(w > EIG_FLOOR, -log_ratio, 0.0)
+        k_phi = u @ (k[:, :, None] * (u.conj().swapaxes(1, 2) @ phi))
         value = -(w * log_ratio).sum()
     grad = k_phi.reshape(len(v), -1) @ psi.reshape(-1, psi.shape[2]).conj()
     return float(value), grad
@@ -193,13 +201,14 @@ def _lbfgs_direction(v: np.ndarray, xi: np.ndarray, pairs) -> np.ndarray:
     return _tangent(v, q)
 
 
-def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
-    """Riemannian L-BFGS on the isometry; every value-and-gradient call is
-    one evaluation of the budget."""
+def _descend(psi: np.ndarray, v: np.ndarray, budget: int, stop: float):
+    """Riemannian L-BFGS on the isometry, ending at its first accepted
+    value <= ``stop``; every value-and-gradient call is one evaluation of
+    the budget."""
     psi = _smaller_side_first(psi)
     value, g = _value_grad(psi, v)
     xi, used, pairs = _tangent(v, g), 1, deque(maxlen=_MEMORY)
-    while used < budget and value > EARLY_STOP:
+    while used < budget and value > stop:
         if float(np.vdot(xi, xi).real) < 1e-26:
             break
         d = _lbfgs_direction(v, xi, pairs)
@@ -231,10 +240,11 @@ def _descend(psi: np.ndarray, v: np.ndarray, budget: int):
 
 
 def _witness_from(rho: DensityMatrix, phi: np.ndarray) -> DiagonalExtension:
+    """The extension of the members with weight, validated as one stack."""
     p = (np.abs(phi) ** 2).sum(axis=(1, 2))
     live = p > WEIGHT_TOL
     vecs = phi[live].reshape(int(live.sum()), -1) / np.sqrt(p[live])[:, None]
-    components = [DensityMatrix(rho.labels, np.outer(x, x.conj())) for x in vecs]
+    components = _density_stack(rho.labels, vecs[:, :, None] * vecs.conj()[:, None, :])
     return DiagonalExtension(p[live] / p[live].sum(), components)
 
 
@@ -258,8 +268,9 @@ def squashed_entanglement(
     rho : DensityMatrix over exactly two labels
     lam_card : number of extension members, a positive integer; defaults
         to rank(rho) squared
-    restarts : at most this many descents, at least 1 (they end once the
-        best value is within EARLY_STOP of 0, or of ``floor``); restart 0
+    restarts : at most this many descents, at least 1; each descent
+        ends at its first value within EARLY_STOP of 0, or of ``floor``,
+        and so do the restarts once the best value is; restart 0
         starts at the identity isometry (the eigenbasis ensemble); later
         restarts start from Haar-random isometries
     budget : value-and-gradient evaluations per restart, at least 1
@@ -279,7 +290,8 @@ def squashed_entanglement(
         coherent information max(0, S(x) - S(xy), S(y) - S(xy)), a lower
         bound on E_sq; on a pure state both bounds equal S(x). ``floor``
         is min(I / 2, E_F) on a 2 x 2 state, the least value any searched
-        extension can reach, and None otherwise.
+        extension can reach, and None otherwise. Off 2 x 2, more restarts
+        can lower the value: a descent can stop at a local minimum.
     """
     if len(rho.labels) != 2:
         raise ValueError("squashed entanglement needs exactly two label groups")
@@ -315,7 +327,7 @@ def squashed_entanglement(
         if r > 0:
             gauss = np.random.default_rng([seed, r]).normal(size=(2, n, rank))
             v0 = _retract(gauss[0] + 1j * gauss[1])
-        value, v, used = _descend(psi, v0, budget)
+        value, v, used = _descend(psi, v0, budget, stop)
         evaluations += used
         _log.info("squashed restart %d: value %.6g, %d evaluations", r, value, used)
         if value < best_value - 1e-15:

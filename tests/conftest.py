@@ -25,7 +25,7 @@ from qbnets import (
     rule2_pi_to_child,
 )
 from qbnets.qinfo import _check_spectrum
-from qbnets.squashed import EARLY_STOP, EIG_FLOOR, _members, _retract, _tangent, _value_grad
+from qbnets.squashed import EIG_FLOOR, _members, _retract, _tangent, _value_grad
 
 
 @pytest.fixture
@@ -569,14 +569,14 @@ def eigh_value_grad(psi, v):
     return float(-(w * log_ratio).sum()), grad
 
 
-def bb_descend(psi, v, budget):
+def bb_descend(psi, v, budget, stop):
     """The squashed search's former descent, kept as the reference:
     Riemannian steepest descent with Barzilai-Borwein steps and Armijo
     backtracking; every value-and-gradient call is one evaluation of the
     budget. Drop-in for ``qbnets.squashed._descend``."""
     value, g = _value_grad(psi, v)
     xi, used, step = _tangent(v, g), 1, 1.0
-    while used < budget and value > EARLY_STOP:
+    while used < budget and value > stop:
         slope = float(np.vdot(xi, xi).real)
         if slope < 1e-26:
             break

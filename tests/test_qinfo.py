@@ -31,6 +31,7 @@ from qbnets.qinfo import (
     _cmi,
     _dephase_mask,
     _dephased_cmi,
+    _density_stack,
     _group,
     _purified_cmi,
     _reduce,
@@ -105,6 +106,53 @@ class TestDensityMatrixValidation:
     def test_dim_of_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label 'z'"):
             bell_state().dim_of("z")
+
+
+REFUSED = {
+    "non-finite": np.diag([np.nan, np.nan]),
+    "part above 2": [[0.5, 3j], [-3j, 0.5]],
+    "non-Hermitian": [[0.5, 0.1], [0.3, 0.5]],
+    "trace": np.eye(2),
+    "eigenvalue": [[1.5, 0], [0, -0.5]],
+}
+
+
+class TestDensityStack:
+    """``_density_stack`` validates a stack as ``DensityMatrix`` validates
+    each of its matrices, with each check run once on the whole stack."""
+
+    LABELS = (("x", 2), ("y", 3))
+
+    @pytest.mark.parametrize("at", [0, 2])
+    @pytest.mark.parametrize("refusal", list(REFUSED))
+    def test_one_refused_member_refuses_the_stack_with_its_message(self, refusal, at):
+        bad = np.asarray(REFUSED[refusal], dtype=complex)
+        with pytest.raises(InvalidStateError) as alone:
+            DensityMatrix((("q", 2),), bad)
+        rng = np.random.default_rng(30)
+        mats = np.stack([random_density_matrix((("q", 2),), rng).matrix for _ in range(3)])
+        mats[at] = bad
+        with pytest.raises(InvalidStateError) as stacked:
+            _density_stack((("q", 2),), mats)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_components_match_one_at_a_time_and_are_read_only(self):
+        rng = np.random.default_rng(31)
+        mats = np.stack([random_density_matrix(self.LABELS, rng).matrix for _ in range(4)])
+        singles = [DensityMatrix(self.LABELS, m) for m in mats]
+        stack = _density_stack(self.LABELS, mats)
+        mats[:] = 0.0  # the components hold a copy
+        assert len(stack) == len(singles)
+        for got, one in zip(stack, singles):
+            assert got.labels == one.labels
+            assert np.array_equal(got.matrix, one.matrix)
+            assert not got.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                got.matrix[0, 0] = 1.0
+
+    def test_wrong_member_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(3, 3\), expected \(6, 6\)"):
+            _density_stack(self.LABELS, np.stack([np.eye(3) / 3] * 2))
 
 
 def ghz_state():

@@ -203,6 +203,23 @@ class TestContracts:
         assert r1.value == r2.value
 
 
+class TestWitness:
+    def test_members_validated_as_one_stack_match_one_at_a_time(self):
+        rng = np.random.default_rng(49)
+        for rho in reference_states() + low_rank_states():
+            psi = _purification(rho)
+            rank = psi.shape[2]
+            phi = _members(psi, _retract(complex_normal(rng, rank * rank, rank)))
+            witness = _witness_from(rho, phi)
+            assert assembly_error(rho, witness) <= 1e-14
+            p = (np.abs(phi) ** 2).sum(axis=(1, 2))
+            vecs = phi.reshape(len(phi), -1) / np.sqrt(p)[:, None]
+            assert len(witness.components) == len(vecs)
+            for comp, x in zip(witness.components, vecs):
+                assert comp.labels == rho.labels and not comp.matrix.flags.writeable
+                assert np.array_equal(comp.matrix, DensityMatrix(rho.labels, np.outer(x, x.conj())).matrix)
+
+
 class TestLocalUnitaryInvariance:
     def test_bell_under_local_rotations(self):
         rng = np.random.default_rng(7)
@@ -289,24 +306,52 @@ class TestFormationEntropy:
 
 
 def without_the_floor(monkeypatch, rho, **kwargs):
-    """squashed_entanglement with a floor of -inf, which never stops the
-    restarts: the search as it ran before the two-qubit stop."""
+    """squashed_entanglement with a floor of -inf, which stops neither a
+    descent nor the restarts: the search as it ran before the two-qubit
+    stop, on states whose values are not within EARLY_STOP of 0."""
     with monkeypatch.context() as m:
         m.setattr(squashed, "_formation_entropy", lambda psi: -np.inf)
         return squashed_entanglement(rho, **kwargs)
 
 
 class TestTwoQubitFloor:
-    """On a 2 x 2 state the restarts stop once the best value is within
-    EARLY_STOP of F = min(1/2 I, E_F), which no restart can go below."""
+    """On a 2 x 2 state each descent ends, and the restarts stop, once a
+    value is within EARLY_STOP of F = min(1/2 I, E_F), which no restart
+    can go below."""
 
     @pytest.mark.parametrize("kwargs", [dict(restarts=2, budget=1000), {}], ids=["2x1000", "defaults"])
     def test_reference_states_keep_their_values_in_fewer_evaluations(self, monkeypatch, kwargs):
         results = [squashed_entanglement(rho, **kwargs) for rho in reference_states()]
         for rho, result in zip(reference_states(), results):
-            assert result.value == without_the_floor(monkeypatch, rho, **kwargs).value
+            assert result.value == pytest.approx(without_the_floor(monkeypatch, rho, **kwargs).value, rel=0, abs=1e-12)
             assert result.floor == pytest.approx(half_mi_or_eof(rho), rel=0, abs=1e-13)
-        assert [r.evaluations for r in results] == [35, 28, 0, 48, 64, 39]  # 214 in all
+            assert result.value <= result.floor + squashed.EARLY_STOP
+        assert [r.evaluations for r in results] == [29, 23, 0, 38, 56, 31]  # 177 in all
+
+    def test_each_descent_ends_at_its_first_value_within_reach_of_the_floor(self, monkeypatch):
+        restarts = []
+
+        def recording_descend(psi, v, budget, stop):
+            restarts.append([])
+            return descend(psi, v, budget, stop)
+
+        def recording_value_grad(psi, v):
+            value, grad = value_grad(psi, v)
+            restarts[-1].append(value)
+            return value, grad
+
+        descend, value_grad = squashed._descend, squashed._value_grad
+        monkeypatch.setattr(squashed, "_descend", recording_descend)
+        monkeypatch.setattr(squashed, "_value_grad", recording_value_grad)
+        for rho in reference_states():
+            restarts.clear()
+            result = squashed_entanglement(rho, restarts=2, budget=1000)
+            stop = result.floor + squashed.EARLY_STOP
+            # restart 0 of a Werner state starts, and ends, at a stationary point
+            for values in restarts:
+                assert min(values[:-1], default=np.inf) > stop
+            assert restarts == [] or restarts[-1][-1] <= stop
+            assert result.evaluations == sum(map(len, restarts))
 
     @pytest.mark.parametrize("budget", [2, 5])
     def test_a_budget_short_of_the_floor_runs_every_restart(self, caplog, budget):
@@ -377,7 +422,7 @@ class TestLineSearchStop:
 
         monkeypatch.setattr(squashed, "_value_grad", every_trial_worse)
         start = np.eye(16, 4, dtype=complex)
-        value, v, used = squashed._descend(psi, start, 1000)
+        value, v, used = squashed._descend(psi, start, 1000, squashed.EARLY_STOP)
         assert used == len(calls) <= 60
         assert np.array_equal(v, start)
         assert value == _value_grad(psi, start)[0]
@@ -397,7 +442,7 @@ class TestDescentFallback:
 
         monkeypatch.setattr(squashed, "_lbfgs_direction", ascent)
         start = np.eye(16, 4, dtype=complex)
-        value, v, used = squashed._descend(psi, start, 200)
+        value, v, used = squashed._descend(psi, start, 200, squashed.EARLY_STOP)
         assert held and max(held) <= 1 and used <= 200
         assert value < _value_grad(psi, start)[0] - 1e-3
 
@@ -472,6 +517,18 @@ def with_zero_row(rng, n, rank):
     return np.insert(v, 1, 0.0, axis=0)
 
 
+class TestEighKernel:
+    def test_product_members_gradient_rows_stay_at_roundoff(self):
+        # the rows are exactly zero: phi has no part along M's null space,
+        # so K must give it no weight, not -ln(EIG_FLOOR / p) (about 690)
+        worst = 0.0
+        for seed in range(200):
+            psi = product_column_psi(np.random.default_rng(seed), 3, 3)
+            _, grad = _value_grad(psi, np.eye(5, 3, dtype=complex))
+            worst = max(worst, float(np.abs(grad[:2]).max()))
+        assert worst <= 1e-14
+
+
 class TestClosedFormKernel:
     """The closed 2 x 2 form of ``_value_grad``, on psi with its smaller side
     first as the descent passes it, against the ``eigh`` of every member's
@@ -529,7 +586,7 @@ class TestClosedFormKernel:
             v = _retract(complex_normal(rng, 9, 3))
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", None)
-                value, _, used = squashed._descend(psi, v, 20)
+                value, _, used = squashed._descend(psi, v, 20, squashed.EARLY_STOP)
             assert used > 1 and value < _value_grad(psi, v)[0]
 
     def test_the_smaller_side_is_a_contiguous_copy(self):

@@ -419,20 +419,56 @@ def _purified_cmi(psi: np.ndarray, dims: tuple[int, ...], x, y, z=()) -> np.ndar
 
 
 _SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]]).real  # sigma_y (x) sigma_y
+_TAKAGI_ZERO = 1e-14  # Takagi values up to this are zero: roundoff is about 1e-16
+
+
+def _takagi(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Takagi factorization tau = Q diag(lam) Q^T of Wootters' tau matrix
+    psi^T (sigma_y (x) sigma_y) psi, psi[x, y, e] a two-qubit purification
+    of rank r: lam decreasing and nonnegative, Q an r x r unitary.
+
+    If [a; b] is an eigenvector of the real symmetric embedding
+    [[Re tau, Im tau], [Im tau, -Re tau]] for the eigenvalue s >= 0, then
+    tau conj(a + ib) = s (a + ib); its r largest eigenvalues are lam, and
+    their eigenvectors give Q's columns, also where lam is degenerate (as on
+    Werner states). Values up to _TAKAGI_ZERO are set to zero. A
+    phase-fixed QR of the other columns, in decreasing lam, makes them
+    orthonormal to roundoff, which the eigenvectors of a small value need
+    not be, and completes them with an orthonormal complement where a value
+    is zero.
+    """
+    kets = psi.reshape(4, -1)
+    tau = kets.T @ _SPIN_FLIP @ kets
+    r = len(tau)
+    embedding = np.empty((2 * r, 2 * r))
+    embedding[:r, :r], embedding[:r, r:] = tau.real, tau.imag
+    embedding[r:, :r], embedding[r:, r:] = tau.imag, -tau.real
+    w, e = np.linalg.eigh(embedding)
+    lam, e = w[: r - 1 : -1], e[:, : r - 1 : -1]
+    live = int(np.count_nonzero(lam > _TAKAGI_ZERO))
+    q, tri = np.linalg.qr(np.hstack([e[:r, :live] + 1j * e[r:, :live], np.eye(r)]))
+    d = np.diagonal(tri)[:live]
+    q[:, :live] *= d / np.abs(d)
+    return np.where(np.arange(r) < live, lam, 0.0), q
+
+
+def _concurrence_entropy(lam: np.ndarray) -> float:
+    """Entanglement of formation from the decreasing Takagi values lam of
+    Wootters' tau matrix (Wootters, PRL 80:2245, 1998): the binary entropy
+    of (1 + sqrt(1 - C^2)) / 2, with the concurrence C = lam1 - lam2 - ...
+    (or 0). lam are the square roots of the eigenvalues of rho rho~, read
+    off tau without squaring, so no square root of a roundoff eigenvalue
+    enters C."""
+    c = max(0.0, lam[0] - lam[1:].sum())
+    p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
+    return float(_spectrum_entropy(np.array([p, 1.0 - p])))
 
 
 def _formation_entropy(psi: np.ndarray) -> float:
     """Entanglement of formation of psi psi^dagger, psi[x, y, e] a two-qubit
-    purification (Wootters, PRL 80:2245, 1998): the binary entropy of
-    (1 + sqrt(1 - C^2)) / 2, with the concurrence C = s1 - s2 - s3 - s4 (or 0)
-    from the decreasing singular values of Wootters' tau matrix
-    psi^T (sigma_y (x) sigma_y) psi, zeros past its rank: no square root of
-    a roundoff eigenvalue enters C."""
-    kets = psi.reshape(4, -1)
-    s = np.linalg.svd(kets.T @ _SPIN_FLIP @ kets, compute_uv=False)
-    c = max(0.0, s[0] - s[1:].sum())
-    p = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
-    return float(_spectrum_entropy(np.array([p, 1.0 - p])))
+    purification: :func:`_concurrence_entropy` of the Takagi values of its
+    tau matrix (:func:`_takagi`)."""
+    return _concurrence_entropy(_takagi(psi)[0])
 
 
 def _probabilities(arr: np.ndarray, has: str, sums: str) -> np.ndarray:

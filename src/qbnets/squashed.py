@@ -37,9 +37,10 @@ arithmetic rewrite that is exact in real numbers can move it.
 
 The trivial single-member extension (the state itself) is always
 feasible and is always scored first, so the reported value can never
-exceed half the mutual information. For a pure input every extension
-has identical components, so the trivial answer is already exact and no
-search is run.
+exceed half the mutual information. Its score and the lower bound below
+come from one evaluation of S(x), S(y) and S(xy). For a pure input every
+extension has identical components, so the trivial answer is already
+exact and no search is run.
 
 The minimization is heuristic, and the value bounds two quantities from
 above. The C-squashed entanglement is the infimum of half the CMI over
@@ -49,11 +50,19 @@ extension, so E_sq <= C-squashed <= value. The witness extension
 achieves the value. Since every searched member is pure, a searched
 extension scores at least the entanglement of formation, so the value
 never falls below min(I / 2, E_F), and the search's optimum is that floor.
-On a 2 x 2 state that floor F comes first, E_F from Wootters' tau matrix
-of the purification (:func:`qbnets.qinfo._formation_entropy`): each
-descent ends at its first accepted value within EARLY_STOP of F, and the
-restarts stop once the best value is. ``EsqResult.floor`` reports F,
-None on other shapes. Elsewhere a restart can end at a local minimum
+On a 2 x 2 state that floor F comes first, E_F from the Takagi values of
+Wootters' tau matrix of the purification (:func:`qbnets.qinfo._takagi`):
+each descent ends at its first accepted value within EARLY_STOP of F, and
+the restarts stop once the best value is. ``EsqResult.floor`` reports F,
+None on other shapes. The same Takagi factorization gives Wootters'
+(PRL 80:2245, 1998) ensemble that attains E_F, and every ensemble is an
+isometry on the purifier (Hughston, Jozsa & Wootters, Phys. Lett. A
+183:14, 1993), so restart 0 of a 2 x 2 state starts there
+(:func:`_wootters_start`): its first evaluation reads E_F, and the
+search ends after it. It starts at the identity instead when ``lam_card``
+is below the ensemble's member count (the rank r on an entangled state,
+four on a separable one); a start whose value misses F + EARLY_STOP
+descends from there. Elsewhere a restart can end at a local minimum
 above the optimum, so the value depends on the restarts run: on a rank-6
 3 x 3 state both of 2 restarts stop at local minima, the better at
 0.190704, against 0.190520 with 4 restarts. It remains an upper bound.
@@ -66,7 +75,9 @@ a stop at the two-qubit floor logs one more.
 
 from __future__ import annotations
 
+import cmath
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -78,10 +89,11 @@ from .qinfo import (
     DiagonalExtension,
     _check_spectrum,
     _density_stack,
+    _concurrence_entropy,
     _entropy_on,
-    _formation_entropy,
     _pair_spectrum,
     _spectral_entropy,
+    _takagi,
     cmi_diagonal,
 )
 
@@ -248,10 +260,75 @@ def _witness_from(rho: DensityMatrix, phi: np.ndarray) -> DiagonalExtension:
     return DiagonalExtension(p[live] / p[live].sum(), components)
 
 
-def _coherent_information(rho: DensityMatrix) -> float:
-    """max(0, S(x) - S(xy), S(y) - S(xy)), a lower bound on E_sq."""
-    s_x, s_y = (_entropy_on(rho.matrix, rho.dims, (k,)) for k in (0, 1))
-    return max(0.0, float(max(s_x, s_y) - _spectral_entropy(rho.matrix)))
+def _entropies(rho: DensityMatrix) -> tuple[float, float, float]:
+    """S(x), S(y) and S(xy) of a two-party state, as ``cmi_diagonal`` of
+    the trivial extension takes them."""
+    mats = rho.matrix[None]
+    s_x, s_y = (float(_entropy_on(mats, rho.dims, (k,))[0]) for k in (0, 1))
+    return s_x, s_y, float(_spectral_entropy(mats)[0])
+
+
+_HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def _wootters_start(psi: np.ndarray, lam: np.ndarray, q: np.ndarray, n: int) -> np.ndarray | None:
+    """An n-by-r isometry whose members attain E_F on a 2 x 2 state
+    (Wootters, PRL 80:2245, 1998), or None when that takes more than n
+    members.
+
+    ``lam`` and ``q`` are the Takagi factorization of the purification's
+    tau matrix (:func:`qbnets.qinfo._takagi`), so the members x_i of
+    V_x = Q^dag satisfy x_i^T S x_j = lam_i delta_ij, S = sigma_y (x)
+    sigma_y. With C = lam_1 - lam_2 - ... > 0, the members y of
+    diag(1, i, ..., i) V_x have y^T S y = D = diag(lam_1, -lam_2, ...); a
+    real orthogonal O that zeroes the diagonal of the traceless
+    A = D - C Re G, G the members' Gram matrix, gives r members
+    z_l = (O y)_l with z_l^T S z_l = C |z_l|^2, each of concurrence C. O is
+    at most r - 1 Givens rotations, each zeroing one diagonal entry
+    against one of the opposite sign. Otherwise four product members
+    (1/2) sum_j H_kj e^(i phi_j / 2) x_j, H the 4 x 4 Hadamard matrix, have
+    z^T S z = (1/4) sum_j lam_j e^(i phi_j) = 0, with phi_1 = 0 and the
+    other phases from the triangle of sides lam_1, lam_2 and lam_3 + lam_4.
+    Rows past the members are zero.
+    """
+    r = len(lam)
+    c = lam[0] - lam[1:].sum()
+    if c > 0.0:
+        v = q.conj().T
+        v[1:] *= 1j
+        y = _members(psi, v).reshape(r, -1)
+        a = (np.diag(np.where(np.arange(r) == 0, lam, -lam)) - c * (y.conj() @ y.T).real).tolist()
+        o = np.eye(r).tolist()
+        for k in range(r - 1):
+            j = max(range(k + 1, r), key=lambda j: -math.copysign(1.0, a[k][k]) * a[j][j])
+            akk, ajj, akj = a[k][k], a[j][j], a[k][j]
+            if not akk * ajj < 0.0:
+                continue  # already zero to roundoff
+            # rows k and j turn by theta, with t = tan(theta) the smaller
+            # root of the new a_kk = cos^2 (a_kk + 2 t a_kj + t^2 a_jj)
+            t = -akk / (akj + math.copysign(math.sqrt(akj * akj - akk * ajj), akj))
+            cos = 1.0 / math.hypot(1.0, t)
+            sin = t * cos
+            for m in (o, a):
+                m[k], m[j] = (
+                    [cos * x + sin * z for x, z in zip(m[k], m[j])],
+                    [cos * z - sin * x for x, z in zip(m[k], m[j])],
+                )
+            for row in a:
+                row[k], row[j] = cos * row[k] + sin * row[j], cos * row[j] - sin * row[k]
+        v = np.array(o) @ v
+    elif n >= 4:
+        l1, l2, l34 = lam[0], lam[1], lam[2:].sum()
+        # l1 + l2 e^(i phi_2) + l34 e^(i phi_3) = 0 by the law of cosines;
+        # if l1 l2 = 0, every lam is 0 and any phases do
+        cos2 = (l34 * l34 - l1 * l1 - l2 * l2) / (2.0 * l1 * l2) if l1 * l2 > 0.0 else -1.0
+        phi2 = math.acos(min(1.0, max(-1.0, cos2)))
+        phi3 = cmath.phase(-(l1 + l2 * cmath.exp(1j * phi2)))
+        phases = np.exp(0.5j * np.array([0.0, phi2, phi3, phi3])[:r])
+        v = (0.5 * _HADAMARD[:, :r] * phases) @ q.conj().T
+    else:
+        return None
+    return np.vstack([v, np.zeros((n - len(v), r))])
 
 
 def squashed_entanglement(
@@ -271,8 +348,10 @@ def squashed_entanglement(
     restarts : at most this many descents, at least 1; each descent
         ends at its first value within EARLY_STOP of 0, or of ``floor``,
         and so do the restarts once the best value is; restart 0
-        starts at the identity isometry (the eigenbasis ensemble); later
-        restarts start from Haar-random isometries
+        starts at Wootters' ensemble, which attains E_F, on a 2 x 2 state
+        (at the identity isometry, the eigenbasis ensemble, if it has
+        more members than ``lam_card``) and at the identity otherwise;
+        later restarts start from Haar-random isometries
     budget : value-and-gradient evaluations per restart, at least 1
     seed : master seed, a non-negative integer; restart r draws from
         ``default_rng([seed, r])``
@@ -301,12 +380,16 @@ def squashed_entanglement(
     if lam_card is not None:
         _require_positive("lam_card", lam_card)
 
+    s_x, s_y, s_xy = _entropies(rho)
     trivial = DiagonalExtension(np.ones(1), (rho,))
-    best_value, best_witness, best_restart = 0.5 * cmi_diagonal(trivial), trivial, -1
-    lower = _coherent_information(rho)
+    best_value, best_witness, best_restart = 0.5 * (s_x + s_y - s_xy), trivial, -1
+    lower = max(0.0, max(s_x, s_y) - s_xy)
     evaluations = 0
     psi = _purification(rho)
-    floor = min(best_value, _formation_entropy(psi)) if psi.shape[:2] == (2, 2) else None
+    floor = None
+    if psi.shape[:2] == (2, 2):
+        lam, q = _takagi(psi)
+        floor = min(best_value, _concurrence_entropy(lam))
     rank = psi.shape[2]
     if rank == 1:
         # Pure state: every feasible extension repeats the state itself,
@@ -323,10 +406,13 @@ def squashed_entanglement(
             if floor is not None:
                 _log.info("squashed search stopped at the two-qubit floor %.6g before restart %d", floor, r)
             break
-        v0 = np.eye(n, rank, dtype=complex)
         if r > 0:
             gauss = np.random.default_rng([seed, r]).normal(size=(2, n, rank))
             v0 = _retract(gauss[0] + 1j * gauss[1])
+        else:
+            v0 = None if floor is None else _wootters_start(psi, lam, q, n)
+            if v0 is None:
+                v0 = np.eye(n, rank, dtype=complex)
         value, v, used = _descend(psi, v0, budget, stop)
         evaluations += used
         _log.info("squashed restart %d: value %.6g, %d evaluations", r, value, used)

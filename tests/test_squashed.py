@@ -5,6 +5,7 @@ import pytest
 
 from qbnets import (
     DensityMatrix,
+    DiagonalExtension,
     assembly_error,
     cmi_diagonal,
     partial_trace,
@@ -14,7 +15,7 @@ from qbnets import (
     von_neumann_entropy,
 )
 from qbnets.sampling import random_density_matrix
-from qbnets.qinfo import _formation_entropy, _pair_spectrum
+from qbnets.qinfo import _formation_entropy, _pair_spectrum, _takagi
 from qbnets.squashed import (
     _members,
     _purification,
@@ -310,8 +311,14 @@ def without_the_floor(monkeypatch, rho, **kwargs):
     descent nor the restarts: the search as it ran before the two-qubit
     stop, on states whose values are not within EARLY_STOP of 0."""
     with monkeypatch.context() as m:
-        m.setattr(squashed, "_formation_entropy", lambda psi: -np.inf)
+        m.setattr(squashed, "_concurrence_entropy", lambda lam: -np.inf)
         return squashed_entanglement(rho, **kwargs)
+
+
+def from_the_identity(monkeypatch):
+    """Start restart 0 at the identity isometry, as before Wootters'
+    ensemble started it on a 2 x 2 state: a search that descends."""
+    monkeypatch.setattr(squashed, "_wootters_start", lambda *args: None)
 
 
 class TestTwoQubitFloor:
@@ -326,7 +333,7 @@ class TestTwoQubitFloor:
             assert result.value == pytest.approx(without_the_floor(monkeypatch, rho, **kwargs).value, rel=0, abs=1e-12)
             assert result.floor == pytest.approx(half_mi_or_eof(rho), rel=0, abs=1e-13)
             assert result.value <= result.floor + squashed.EARLY_STOP
-        assert [r.evaluations for r in results] == [29, 23, 0, 38, 56, 31]  # 177 in all
+        assert [r.evaluations for r in results] == [1, 1, 0, 1, 1, 1]  # restart 0 starts at the floor
 
     def test_each_descent_ends_at_its_first_value_within_reach_of_the_floor(self, monkeypatch):
         restarts = []
@@ -347,15 +354,16 @@ class TestTwoQubitFloor:
             restarts.clear()
             result = squashed_entanglement(rho, restarts=2, budget=1000)
             stop = result.floor + squashed.EARLY_STOP
-            # restart 0 of a Werner state starts, and ends, at a stationary point
+            # restart 0 starts at Wootters' ensemble, and ends there
             for values in restarts:
                 assert min(values[:-1], default=np.inf) > stop
             assert restarts == [] or restarts[-1][-1] <= stop
             assert result.evaluations == sum(map(len, restarts))
 
     @pytest.mark.parametrize("budget", [2, 5])
-    def test_a_budget_short_of_the_floor_runs_every_restart(self, caplog, budget):
+    def test_a_budget_short_of_the_floor_runs_every_restart(self, monkeypatch, caplog, budget):
         rho = random_density_matrix((("x", 2), ("y", 2)), np.random.default_rng(10))
+        from_the_identity(monkeypatch)
         with caplog.at_level(logging.INFO, logger="qbnets.squashed"):
             result = squashed_entanglement(rho, restarts=3, budget=budget)
         assert [r.args[0] for r in caplog.records] == [0, 1, 2]
@@ -384,6 +392,140 @@ class TestTwoQubitFloor:
         assert result.value == pytest.approx(value, rel=0, abs=1e-12)
 
 
+SPIN_FLIP = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def werner(p):
+    return DensityMatrix((("x", 2), ("y", 2)), p * bell_state().matrix + (1 - p) * np.eye(4) / 4)
+
+
+def degenerate_states():
+    """|0><0| (x) I/2, the mixture of |00> and |11>, I/4 and |a><a| (x) rho_y
+    for a random ket a and mixed rho_y: Takagi values that are tied, or
+    zero (exactly, or only to roundoff in the last)."""
+    rng = np.random.default_rng(98)
+    a = complex_normal(rng, 2)
+    mats = [
+        np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2),
+        np.diag([0.5, 0.0, 0.0, 0.5]),
+        np.eye(4) / 4,
+        np.kron(np.outer(a, a.conj()) / np.vdot(a, a).real, random_density_matrix((("y", 2),), rng).matrix),
+    ]
+    return [DensityMatrix((("x", 2), ("y", 2)), m) for m in mats]
+
+
+def random_two_qubit_states():
+    rng = np.random.default_rng(97)
+    return [state_of_rank(rng, 2, 2, rank) for rank in (2, 3, 4) for _ in range(10)]
+
+
+def bell_complement():
+    """The normalized projector onto the complement of |Phi+>: rank 3,
+    Takagi values 1/3 each, so C = -1/3."""
+    phi = np.array([1.0, 0.0, 0.0, 1.0])
+    return DensityMatrix((("x", 2), ("y", 2)), (np.eye(4) - np.outer(phi, phi) / 2) / 3)
+
+
+class TestWoottersStart:
+    """Restart 0 of a 2 x 2 state starts at Wootters' optimal ensemble,
+    built from the Takagi factorization of tau = psi^T S psi."""
+
+    @staticmethod
+    def states():
+        werners = [werner(p) for p in np.linspace(0.0, 1.0, 21)]
+        return werners + degenerate_states() + [bell_complement()] + random_two_qubit_states() + reference_states()
+
+    def test_takagi_factorizes_tau_with_a_unitary(self):
+        for rho in self.states():
+            psi = _purification(rho)
+            lam, q = _takagi(psi)
+            kets = psi.reshape(4, -1)
+            tau = kets.T @ SPIN_FLIP @ kets
+            r = len(tau)
+            assert q.shape == (r, r) and lam.shape == (r,)
+            assert np.all(lam >= 0.0) and np.all(np.diff(lam) <= 0.0)
+            assert np.max(np.abs(q.conj().T @ q - np.eye(r))) <= 1e-13
+            assert np.max(np.abs((q * lam) @ q.T - tau)) <= 1e-13
+
+    def test_takagi_values_are_the_singular_values_of_tau(self):
+        # the floor reads E_F off the values the start is built from
+        for rho in self.states():
+            psi = _purification(rho)
+            kets = psi.reshape(4, -1)
+            s = np.linalg.svd(kets.T @ SPIN_FLIP @ kets, compute_uv=False)
+            assert np.max(np.abs(_takagi(psi)[0] - s)) <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_werner_takagi_values_are_tied(self, p):
+        lam, _ = _takagi(_purification(werner(p)))
+        assert lam == pytest.approx([(1 + 3 * p) / 4] + 3 * [(1 - p) / 4], rel=0, abs=1e-14)
+
+    def test_members_share_the_concurrence(self):
+        for rho in self.states():
+            psi = _purification(rho)
+            rank = psi.shape[2]
+            lam, q = _takagi(psi)
+            v = squashed._wootters_start(psi, lam, q, rank * rank)
+            assert v.shape == (rank * rank, rank)
+            assert np.max(np.abs(v.conj().T @ v - np.eye(rank))) <= 1e-14
+            phi = _members(psi, v).reshape(rank * rank, 4)
+            p = (np.abs(phi) ** 2).sum(axis=1)
+            live = p > 1e-14
+            concurrence = np.abs(np.einsum("li,ij,lj->l", phi[live], SPIN_FLIP, phi[live])) / p[live]
+            c = max(0.0, lam[0] - lam[1:].sum())
+            assert np.max(np.abs(concurrence - c)) <= 1e-12
+            assert assembly_error(rho, _witness_from(rho, _members(psi, v))) <= 1e-14
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_one_evaluation_reaches_the_floor_on_random_states(self, rank):
+        rng = np.random.default_rng(90 + rank)
+        for _ in range(20):
+            rho = state_of_rank(rng, 2, 2, rank)
+            result = squashed_entanglement(rho, restarts=1, budget=1)
+            assert result.value == pytest.approx(half_mi_or_eof(rho), rel=0, abs=1e-12)
+            assert result.evaluations <= 1
+
+    def test_one_evaluation_reaches_the_floor_on_werner_states(self):
+        for p in np.linspace(0.0, 1.0, 21):
+            rho = werner(p)
+            result = squashed_entanglement(rho, restarts=1, budget=1)
+            assert result.value == pytest.approx(half_mi_or_eof(rho), rel=0, abs=1e-12)
+
+    def test_restart_zero_wins_below_half_the_mutual_information(self):
+        for rho in reference_states() + random_two_qubit_states():
+            result = squashed_entanglement(rho, restarts=2, budget=1000)
+            if wootters_eof(rho.matrix) < 0.5 * quantum_mutual_information(rho, "x", "y"):
+                assert (result.restart, result.evaluations) == (0, 1)
+            else:
+                assert (result.restart, result.evaluations) == (-1, 0)
+
+    def test_too_few_members_start_at_the_identity(self, monkeypatch):
+        # C < 0 takes four product members; lam_card = 3 leaves restart 0
+        # at the identity, with the evaluations it took before, and 4
+        # starts at the floor
+        rho = bell_complement()
+        psi = _purification(rho)
+        lam, q = _takagi(psi)
+        assert lam[0] - lam[1:].sum() == pytest.approx(-1 / 3, abs=1e-14)
+        assert squashed._wootters_start(psi, lam, q, 3) is None
+        result = squashed_entanglement(rho, lam_card=3, restarts=2, budget=300)
+        assert result.evaluations == 26
+        with monkeypatch.context() as m:
+            from_the_identity(m)
+            identity = squashed_entanglement(rho, lam_card=3, restarts=2, budget=300)
+        assert (identity.value, identity.evaluations) == (result.value, result.evaluations)
+        result = squashed_entanglement(rho, lam_card=4, restarts=2, budget=300)
+        assert (result.evaluations, result.restart) == (1, 0)
+        assert result.value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_an_entangled_rank_two_state_needs_only_its_rank(self, p):
+        mat, eof = rank_two_bell_mixture(p)
+        rho = DensityMatrix((("x", 2), ("y", 2)), mat)
+        result = squashed_entanglement(rho, lam_card=2, restarts=1, budget=1)
+        assert result.value == pytest.approx(min(eof, 0.5 * quantum_mutual_information(rho, "x", "y")), rel=0, abs=1e-12)
+
+
 class TestAgainstBarzilaiBorwein:
     """The L-BFGS search against the Barzilai-Borwein steepest descent it
     replaced (``conftest.bb_descend``), at the benchmark's 2 x 1000."""
@@ -395,6 +537,7 @@ class TestAgainstBarzilaiBorwein:
             assert result.value <= reference.value + 1e-12
 
     def test_fewer_evaluations_on_the_reference_states(self, monkeypatch):
+        from_the_identity(monkeypatch)
         ours = sum(squashed_entanglement(rho, restarts=2, budget=1000).evaluations for rho in reference_states())
         theirs = sum(bb_reference(monkeypatch, rho, restarts=2, budget=1000).evaluations for rho in reference_states())
         assert ours < theirs
@@ -457,6 +600,18 @@ class TestLowerBound:
         for rho in states:
             result = squashed_entanglement(rho, restarts=2, budget=300)
             assert 0.0 <= result.lower <= result.value + 1e-12
+
+    def test_taken_with_half_the_mutual_information_from_one_set_of_entropies(self):
+        # half I is bit for bit cmi_diagonal of the trivial extension, and
+        # lower is the coherent information of the same three entropies
+        for rho in reference_states() + low_rank_states():
+            s_x, s_y, s_xy = squashed._entropies(rho)
+            assert 0.5 * (s_x + s_y - s_xy) == 0.5 * cmi_diagonal(DiagonalExtension(np.ones(1), (rho,)))
+            assert s_x == pytest.approx(von_neumann_entropy(partial_trace(rho, ["x"])), rel=0, abs=1e-14)
+            assert s_y == pytest.approx(von_neumann_entropy(partial_trace(rho, ["y"])), rel=0, abs=1e-14)
+            assert s_xy == pytest.approx(von_neumann_entropy(rho), rel=0, abs=1e-14)
+            result = squashed_entanglement(rho, restarts=1, budget=1)
+            assert result.lower == max(0.0, s_x - s_xy, s_y - s_xy)
 
     def test_positive_on_a_nearly_pure_bell_state(self):
         rho = DensityMatrix((("x", 2), ("y", 2)), 0.95 * bell_state().matrix + 0.05 * np.eye(4) / 4)
